@@ -160,8 +160,8 @@ def _csv(header: list, rows: list) -> str:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(round(v, 12))
+    if isinstance(v, float):  # numpy floats too; print them as plain floats
+        return repr(round(float(v), 12))
     return v
 
 
@@ -282,13 +282,23 @@ def _parse_moves(raw: str):
     return tuple(events)
 
 
+def _schedule(events, horizon: float, dt: float):
+    """A MotionSchedule; a schedule it rejects is a numerical failure."""
+    from .dynamics import MotionSchedule
+
+    try:
+        return MotionSchedule(events=events, horizon=horizon, dt=dt)
+    except ValueError as exc:
+        raise NumericalError(str(exc))
+
+
 def cmd_evolve(cfg: dict) -> int:
-    from .dynamics import KrylovError, MotionSchedule, run_protocol
+    from .dynamics import KrylovError, run_protocol
 
     spec = _spec_from(cfg)
-    schedule = MotionSchedule(events=_parse_moves(cfg.get("moves") or ""),
-                              horizon=float(cfg.get("horizon") or 10.0),
-                              dt=float(cfg.get("dt") or 0.25))
+    schedule = _schedule(_parse_moves(cfg.get("moves") or ""),
+                         horizon=float(cfg.get("horizon") or 10.0),
+                         dt=float(cfg.get("dt") or 0.25))
     try:
         run = run_protocol(spec, schedule, evolver=cfg.get("evolver") or "exact",
                            order=int(cfg.get("order") or 2))
@@ -308,8 +318,7 @@ def cmd_evolve(cfg: dict) -> int:
 
 
 def cmd_dedx(cfg: dict) -> int:
-    from .dynamics import (KrylovError, MotionSchedule, dedx_estimate,
-                           run_protocol)
+    from .dynamics import KrylovError, dedx_estimate, run_protocol
     from .reference import MOTION
 
     spec = _spec_from(cfg)
@@ -317,9 +326,9 @@ def cmd_dedx(cfg: dict) -> int:
     if schedule_name not in ("vacuum", "medium", "vac-med-default"):
         raise CliError("--schedule must be vacuum, medium or vac-med-default")
     t0, t1 = MOTION["move_times"]
-    schedule = MotionSchedule(events=((t0, 0, 1), (t1, 1, 2)),
-                              horizon=float(cfg.get("horizon") or MOTION["horizon"]),
-                              dt=float(cfg.get("dt") or 0.5))
+    schedule = _schedule(((t0, 0, 1), (t1, 1, 2)),
+                         horizon=float(cfg.get("horizon") or MOTION["horizon"]),
+                         dt=float(cfg.get("dt") or 0.5))
     vac_spec = spec.with_heavy(0)
     med_spec = spec.with_heavy(0, spec.L - 1)
     try:
@@ -412,12 +421,11 @@ def _obs_entanglement(cfg: dict, spec: LatticeSpec) -> int:
 
 
 def _obs_tangles(cfg: dict, spec: LatticeSpec) -> int:
-    from .dynamics import MotionSchedule, run_protocol
+    from .dynamics import run_protocol
     from .observables import four_tangle
 
-    schedule = MotionSchedule(events=((0.0, 0, 1),),
-                              horizon=float(cfg.get("horizon") or 10.0),
-                              dt=float(cfg.get("dt") or 0.5))
+    schedule = _schedule(((0.0, 0, 1),), horizon=float(cfg.get("horizon") or 10.0),
+                         dt=float(cfg.get("dt") or 0.5))
     run = run_protocol(spec, schedule, evolver=cfg.get("evolver") or "exact")
     x_q = 1  # position after the move
     header = (["t"] + [f"tau4q_x{x}" for x in range(spec.L)]
@@ -459,7 +467,7 @@ def _obs_magic(cfg: dict, spec: LatticeSpec) -> int:
         row = [k, exact.value]
         if samples:
             est = sre_m2(state, method="sampled", samples=samples,
-                         rng_seed=int(cfg["seed"]))
+                         seed=int(cfg["seed"]))
             row += [est.value, est.std_error]
         rows.append(row)
     header = ["stage", "m2_exact"] + (["m2_sampled", "m2_err"] if samples else [])

@@ -13,7 +13,7 @@ from .hamiltonian import (HamiltonianTerms, build_hamiltonian,
                           charge_cross_offdiag, charge_square, mass_offset,
                           symmetric_boundary_sites)
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, StateVector, exp_apply,
+from .pauli import (PauliString, PauliSum, Sector, StateVector, exp_apply,
                     exp_sum_apply)
 
 
@@ -76,15 +76,18 @@ def evolve_exact(state: StateVector, h: PauliSum, t: float,
     """exp(-iHt)|state> by adaptive Lanczos/Krylov propagation.
 
     Substeps are chosen so the a-posteriori Krylov residual estimate stays
-    below tol per substep.
+    below tol per substep.  The propagation runs on the basis states that h
+    reaches from the state's support (see Sector.closure).
     """
     from scipy.linalg import eigh_tridiagonal
 
-    amps = state.amps.astype(complex)
     if t == 0.0:
-        return StateVector(amps.copy())
-    nrm = np.linalg.norm(amps)
-    v = amps / nrm
+        return StateVector(state.amps.astype(complex))
+    sector = Sector.closure(h, state)
+    hs = sector.restrict(h)
+    v = sector.extract(state).astype(complex)
+    nrm = np.linalg.norm(v)
+    v = v / nrm
     remaining = float(t)
     direction = 1.0 if t > 0 else -1.0
     while abs(remaining) > 1e-14:
@@ -93,7 +96,7 @@ def evolve_exact(state: StateVector, h: PauliSum, t: float,
         alphas, betas = [], []
         m = max_dim
         for k in range(max_dim):
-            w = h.matvec(basis[k])
+            w = hs @ basis[k]
             alphas.append(float(np.vdot(basis[k], w).real))
             for _ in range(2):  # full reorthogonalization
                 coefs = basis[:k + 1].conj() @ w
@@ -121,7 +124,7 @@ def evolve_exact(state: StateVector, h: PauliSum, t: float,
         remaining -= tau
         if remaining * direction < 0:
             remaining = 0.0
-    return StateVector(nrm * v, normalized=False)
+    return sector.embed(nrm * v)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +264,12 @@ class MotionSchedule:
     dt: float
 
     def __post_init__(self):
+        if self.dt <= 0 or self.horizon < 0:
+            raise ValueError("need dt > 0 and horizon >= 0")
+        steps = round(self.horizon / self.dt)
+        if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError(f"horizon {self.horizon:g} is not a whole number "
+                             f"of steps dt = {self.dt:g}")
         last = 0.0
         for t, x_from, x_to in self.events:
             if abs(x_from - x_to) != 1:
@@ -268,8 +277,6 @@ class MotionSchedule:
             if t < last or t > self.horizon:
                 raise ValueError("event times must be ordered within the horizon")
             last = t
-        if self.dt <= 0 or self.horizon < 0:
-            raise ValueError("need dt > 0 and horizon >= 0")
 
     @property
     def event_times(self) -> tuple[float, ...]:
@@ -300,6 +307,15 @@ class ProtocolResult:
         return out
 
 
+def _sector_expectations(h: PauliSum, s: StateVector,
+                         ops: dict[str, PauliSum]) -> dict[str, float]:
+    """<s|op|s> for each named op, on the basis states h reaches from s."""
+    sector = Sector.closure(h, s)
+    v = sector.extract(s)
+    return {name: float(np.vdot(v, sector.restrict(op) @ v).real)
+            for name, op in ops.items()}
+
+
 def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
                  evolver: str = "exact", order: int = 2,
                  initial: StateVector | None = None,
@@ -309,37 +325,33 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
     Starts from the interacting ground state of the given sector (or the
     supplied state) and records component energies and <Z_j> every dt.
     Reported energies include the identity constant dropped by the mass
-    builder, matching the convention used for the exact spectra.
+    builder, matching the convention used for the exact spectra.  Energies
+    are taken on the basis states that H reaches from the current state
+    (see Sector.closure), so no full-register operator is compiled.
     """
     if evolver not in ("exact", "trotter"):
         raise ValueError("evolver must be 'exact' or 'trotter'")
-    from .spectra import ground_state
+    from .observables import z_profile
+    from .spectra import lanczos_ground, sc_state
 
     terms = build_hamiltonian(spec)
     h = terms.total
     offset = mass_offset(spec)
     if initial is None:
-        e0, state = ground_state(spec)
-        e0_total = e0
+        e0, state = lanczos_ground(h, sc_state(spec))
+        e0_total = e0 + offset
     else:
         state = initial
-        e0_total = h.expectation(state) + offset
-
-    nq = spec.n_qubits
-    z_ops = [PauliSum(nq, [PauliString.from_ops(nq, {j: "Z"})])
-             for j in range(nq)]
+        e0_total = _sector_expectations(h, state, {"total": h})["total"] + offset
+    pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
+              "gauge": terms.gauge, "penalty": terms.penalty}
 
     def record(t: float, s: StateVector) -> ProtocolRecord:
-        energies = {
-            "kinetic": terms.kinetic.expectation(s),
-            "mass": terms.mass.expectation(s) + offset,
-            "gauge": terms.gauge.expectation(s),
-            "penalty": terms.penalty.expectation(s),
-        }
+        energies = _sector_expectations(h, s, pieces)
+        energies["mass"] += offset
         energies["total"] = (energies["kinetic"] + energies["mass"]
                              + energies["gauge"] + energies["penalty"])
-        z = np.array([op.expectation(s) for op in z_ops])
-        return ProtocolRecord(t=t, state=s, energies=energies, z=z)
+        return ProtocolRecord(t=t, state=s, energies=energies, z=z_profile(s))
 
     def advance(s: StateVector, delta: float) -> StateVector:
         if delta <= 1e-12:

@@ -24,11 +24,10 @@ _EIG_CLIP = 1e-14
 def z_profile(state: StateVector, pair_average: bool = False) -> np.ndarray:
     """Per-qubit <Z_j>; optionally averaged over (r, g) color pairs."""
     p = np.abs(state.amps) ** 2
-    n = state.n
-    out = np.empty(n)
-    for j in range(n):
-        signs = 1.0 - 2.0 * ((np.arange(p.size) >> (n - 1 - j)) & 1)
-        out[j] = float(p @ signs)
+    # qubit j is bit n-1-j: axis 1 of the (2^j, 2, rest) view holds it
+    marginals = np.array([p.reshape(1 << j, 2, -1).sum(axis=(0, 2))
+                          for j in range(state.n)])
+    out = marginals[:, 0] - marginals[:, 1]
     if pair_average:
         out = np.repeat(0.5 * (out[0::2] + out[1::2]), 2)
     return out

@@ -378,6 +378,103 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
+class Sector:
+    """A sorted set of basis states that an operator maps into itself.
+
+    `closure` collects the basis states reachable from a state's support
+    through the operator's non-zero matrix elements; `restrict` gives an
+    operator as a sparse matrix on those states, and `extract`/`embed` move
+    amplitudes between the full register and the sector.
+    """
+
+    _CHUNK = 4096  # basis states per block of the (states x terms) sign table
+
+    def __init__(self, n: int, indices):
+        self.n = n
+        self.indices = np.asarray(indices, dtype=np.int64)
+
+    def __len__(self):
+        return self.indices.size
+
+    @staticmethod
+    def _term_table(op: PauliSum):
+        """op's terms sorted by X-mask: the distinct masks x_g, the index of
+        each group's first term, and every term's Z-mask and phase
+        c * i^{|x&z|}."""
+        keys = sorted(op._terms)
+        xs, starts = np.unique(np.array([x for x, _ in keys], dtype=np.int64),
+                               return_index=True)
+        zs = np.array([z for _, z in keys], dtype=np.int64)
+        phase = np.array([op._terms[x, z] * 1j ** (_popcount(x & z) % 4)
+                          for x, z in keys], dtype=complex)
+        return xs, starts, zs, phase
+
+    @staticmethod
+    def _elements(table, sigma: np.ndarray) -> np.ndarray:
+        """<sigma ^ x_g| op |sigma> for every sigma and group g: the sum of
+        phase * (-1)^{|sigma&z|} over the group's terms."""
+        _, starts, zs, phase = table
+        if not zs.size:
+            return np.zeros((sigma.size, 0), dtype=complex)
+        blocks = []
+        for lo in range(0, sigma.size, Sector._CHUNK):
+            odd = np.bitwise_count(sigma[lo:lo + Sector._CHUNK, None] & zs) & 1
+            blocks.append(np.add.reduceat(np.where(odd, -phase, phase), starts, axis=1))
+        return np.concatenate(blocks)
+
+    @classmethod
+    def closure(cls, op: PauliSum, state: StateVector) -> "Sector":
+        """The support of state and every basis state that op connects to it
+        through a matrix element above PauliSum.ZERO_TOL."""
+        if state.n != op.n:
+            raise ValueError("register size mismatch")
+        table = cls._term_table(op)
+        reached = np.zeros(1 << op.n, dtype=bool)
+        front = np.flatnonzero(state.amps)
+        if not front.size:
+            raise ValueError("the zero state spans no sector")
+        reached[front] = True
+        while front.size:
+            vals = cls._elements(table, front)
+            hit = (front[:, None] ^ table[0])[np.abs(vals) > PauliSum.ZERO_TOL]
+            front = np.unique(hit[~reached[hit]])
+            reached[front] = True
+        return cls(op.n, np.flatnonzero(reached))
+
+    def extract(self, state: StateVector) -> np.ndarray:
+        """The state's amplitudes on the sector's basis states."""
+        return state.amps[self.indices]
+
+    def embed(self, v: np.ndarray) -> StateVector:
+        """The full-register state with amplitudes v on the sector, 0 elsewhere."""
+        amps = np.zeros(1 << self.n, dtype=complex)
+        amps[self.indices] = v
+        return StateVector(amps, normalized=False)
+
+    def restrict(self, op: PauliSum):
+        """P_S op P_S as a CSR matrix on the sector (real when op's elements
+        are).  Raises ValueError if an element above PauliSum.ZERO_TOL
+        leads out of the sector."""
+        from scipy import sparse
+
+        if op.n != self.n:
+            raise ValueError("register size mismatch")
+        idx, dim = self.indices, self.indices.size
+        table = self._term_table(op)
+        vals = self._elements(table, idx)
+        target = idx[:, None] ^ table[0]
+        rows = np.searchsorted(idx, target).clip(max=dim - 1)
+        inside = idx[rows] == target
+        if np.any(~inside & (np.abs(vals) > PauliSum.ZERO_TOL)):
+            raise ValueError("operator leads out of the sector")
+        keep = inside & (vals != 0)
+        cols = np.broadcast_to(np.arange(dim)[:, None], keep.shape)[keep]
+        data = vals[keep]
+        if np.abs(data.imag).max(initial=0.0) < 1e-15:
+            data = data.real
+        return sparse.csr_matrix((data, (rows[keep], cols)), shape=(dim, dim))
+
+
 # -- operations on states ---------------------------------------------
 
 def apply(ps: PauliString, s: StateVector) -> StateVector:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .lattice import LatticeSpec
 from . import reference as ref
+from .spectra import ground_state
 
 
 @dataclass(frozen=True)
@@ -31,17 +32,6 @@ class Check:
         return abs(self.value - self.target) <= self.tol
 
 
-_GS_CACHE: dict[LatticeSpec, tuple] = {}
-
-
-def _ground(spec: LatticeSpec):
-    from .spectra import ground_state
-
-    if spec not in _GS_CACHE:
-        _GS_CACHE[spec] = ground_state(spec)
-    return _GS_CACHE[spec]
-
-
 def _spec(L: int, nq: int) -> LatticeSpec:
     heavy = {0: (), 1: (0,), 2: (0, L - 1)}[nq]
     return LatticeSpec(L=L, heavy_positions=frozenset(heavy))
@@ -54,11 +44,11 @@ def _spec(L: int, nq: int) -> LatticeSpec:
 def _sec_energies(seed: int) -> list[Check]:
     out = []
     for (L, nq), target in sorted(ref.ENERGIES.items()):
-        e, _ = _ground(_spec(L, nq))
+        e, _ = ground_state(_spec(L, nq))
         out.append(Check(f"energy_L{L}_nq{nq}", e, target, 5e-4))
     for L, target in sorted(ref.HADRON_MASSES.items()):
-        e1, _ = _ground(_spec(L, 1))
-        e0, _ = _ground(_spec(L, 0))
+        e1, _ = ground_state(_spec(L, 1))
+        e0, _ = ground_state(_spec(L, 0))
         out.append(Check(f"hadron_mass_L{L}", e1 - e0, target, 1e-3))
     return out
 
@@ -67,7 +57,7 @@ def _sec_components(seed: int) -> list[Check]:
     from .hamiltonian import build_hamiltonian, mass_offset
 
     spec = _spec(1, 0)
-    _, psi = _ground(spec)
+    _, psi = ground_state(spec)
     terms = build_hamiltonian(spec)
     values = {
         "kinetic": terms.kinetic.expectation(psi),
@@ -180,7 +170,7 @@ def _sec_zprofiles(seed: int) -> list[Check]:
         spec = _spec(L, nq)
         staged = ref.STAGED[(lkey, nq)]
         cols = table["columns"]
-        _, psi = _ground(spec)
+        _, psi = ground_state(spec)
         z = z_profile(psi)
         err = max(abs(z[c] - v) for c, v in zip(cols, table["exact"]))
         out.append(Check(f"zrow_exact_{lkey}_nq{nq}", err, 0.0, 5e-4, "upper"))
@@ -219,7 +209,7 @@ def _sec_variational(seed: int) -> list[Check]:
     for (lkey, nq), staged in sorted(ref.STAGED.items()):
         L = int(lkey[1:])
         spec = _spec(L, nq)
-        _, psi = _ground(spec)
+        _, psi = ground_state(spec)
         seq = sequence_from_names(spec, staged["sequence"],
                                   staged["angles"][-1])
         inf = infidelity_density(seq.apply(sc_state(spec)), psi, L)
@@ -232,7 +222,7 @@ def _sec_entanglement(seed: int) -> list[Check]:
     from .observables import four_tangle, mutual_information
 
     spec = _spec(3, 1)
-    _, psi = _ground(spec)
+    _, psi = ground_state(spec)
     out = []
     for flavor, fkey in (("quark", "quark"), ("antiquark", "antiquark")):
         mi_ref = ref.ENTANGLEMENT[f"mutual_information_{fkey}"]
@@ -254,7 +244,7 @@ def _sec_magic(seed: int) -> list[Check]:
 
     spec = _spec(3, 1)
     staged = ref.STAGED[("L3", 1)]
-    _, psi = _ground(spec)
+    _, psi = ground_state(spec)
     start = sc_state(spec)
     out = []
     final_state = None
@@ -282,14 +272,13 @@ def _sec_motion(seed: int) -> list[Check]:
     # plateaus at a fraction of the evolution cost
     schedule = MotionSchedule(events=((t0, 0, 1), (t1, 1, 2)),
                               horizon=ref.MOTION["horizon"], dt=2.5)
-    _, psi_vac = _ground(_spec(3, 1))
-    _, psi_med = _ground(_spec(3, 2))
+    e_static, psi_vac = ground_state(_spec(3, 1))
+    _, psi_med = ground_state(_spec(3, 2))
     vac = run_protocol(_spec(3, 1), schedule, initial=psi_vac,
                        krylov_tol=1e-9)
     med = run_protocol(_spec(3, 2), schedule, initial=psi_med,
                        krylov_tol=1e-9)
-    e_static, _ = _ground(_spec(3, 1))
-    e_empty, _ = _ground(_spec(3, 0))
+    e_empty, _ = ground_state(_spec(3, 0))
     result = dedx_estimate(vac, med, e_static=e_static, e_empty=e_empty)
     out = [Check("motion_base_vacuum", vac.plateau_energies()[0],
                  ref.MOTION["vacuum_base"], 2e-3),

@@ -7,7 +7,7 @@ import numpy as np
 
 from .hamiltonian import build_hamiltonian, mass_offset
 from .lattice import LatticeSpec
-from .pauli import PauliSum, StateVector
+from .pauli import PauliSum, Sector, StateVector
 
 
 class LanczosError(RuntimeError):
@@ -45,11 +45,15 @@ def lanczos_ground(h: PauliSum, start: StateVector, tol: float = 1e-10,
     """Lowest eigenpair by Lanczos with full reorthogonalization.
 
     The start vector selects the sector: it must have nonzero overlap with
-    the target ground state.  Residual ||H psi - E psi|| < tol on success.
+    the target ground state.  The iteration runs on the basis states that h
+    reaches from the start's support (see Sector.closure), which hold the
+    whole Krylov space.  Residual ||H psi - E psi|| < tol on success.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    v = start.amps
+    sector = Sector.closure(h, start)
+    hs = sector.restrict(h)
+    v = sector.extract(start)
     if np.abs(v.imag).max(initial=0.0) < 1e-15:
         v = v.real.copy()  # H is real in this basis; stay in real arithmetic
     v = v / np.linalg.norm(v)
@@ -60,7 +64,7 @@ def lanczos_ground(h: PauliSum, start: StateVector, tol: float = 1e-10,
     for k in range(max_iter):
         if k + 1 >= basis.shape[0]:
             basis = np.concatenate([basis, np.empty_like(basis)], axis=0)
-        w = h.matvec(basis[k])
+        w = hs @ basis[k]
         alphas.append(float(np.vdot(basis[k], w).real))
         # full reorthogonalization (twice, for numerical safety)
         for _ in range(2):
@@ -73,10 +77,10 @@ def lanczos_ground(h: PauliSum, start: StateVector, tol: float = 1e-10,
         best = min(best, (resid, energy))
         if resid < tol or beta < 1e-14:
             amps = evecs[:, 0] @ basis[:k + 1]
-            state = StateVector(np.asarray(amps, dtype=complex), normalized=False).normalized()
-            true_resid = np.linalg.norm(h.matvec(state.amps) - energy * state.amps)
+            amps = amps / np.linalg.norm(amps)
+            true_resid = np.linalg.norm(hs @ amps - energy * amps)
             if true_resid < max(tol, 100 * resid + 1e-12):
-                return energy, state
+                return energy, sector.embed(amps)
         betas.append(beta)
         basis[k + 1] = w / beta
     raise LanczosError(f"Lanczos did not converge in {max_iter} iterations "

@@ -123,3 +123,29 @@ def test_report_sections_exit_codes(capsys):
     code, out = run_cli(capsys, "report", "--sections", "toy,mitigation")
     assert code == 0
     assert "PASS" in out
+    # these sections carry numpy floats; they print as plain floats
+    assert "np." not in out
+    assert "toy_grid_err        PASS  value=0.0 target=0.0 tol=1e-12" in out
+
+
+def test_evolve_rejects_horizon_off_the_time_grid(capsys):
+    code = main(["evolve", "--L", "2", "--nq", "1", "--moves", "0-1@9.5",
+                 "--horizon", "10", "--dt", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "whole number" in err
+
+
+def test_observables_magic_sampled_is_deterministic(tmp_path, capsys):
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        path = tmp_path / name
+        code = main(["observables", "--what", "magic", "--L", "2", "--nq", "0",
+                     "--samples", "50", "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].decode().splitlines()
+    assert lines[0] == "stage,m2_exact,m2_sampled,m2_err"
+    assert len(lines) > 1

@@ -109,6 +109,10 @@ def test_dedx_estimate_plateau_arithmetic():
 def test_motion_schedule_validation():
     with pytest.raises(ValueError):
         MotionSchedule(events=((5.0, 0, 1),), horizon=1.0, dt=0.5)
+    # records would stop at t = 9 and the move at 9.5 would never be applied
+    with pytest.raises(ValueError):
+        MotionSchedule(events=((9.5, 0, 1),), horizon=10.0, dt=3.0)
+    assert MotionSchedule(events=(), horizon=10.0, dt=0.1).horizon == 10.0
 
 
 def test_toy_model_closed_form():

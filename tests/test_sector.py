@@ -1,0 +1,104 @@
+"""The reachable-sector state space: closure under the matrix elements of H,
+restriction against the dense operator, and the exact solvers running on it
+without a full-register compile."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from su2lgt import LatticeSpec
+from su2lgt.dynamics import MotionSchedule, evolve_exact, run_protocol
+from su2lgt.hamiltonian import build_hamiltonian
+from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector
+from su2lgt.reference import ENERGIES
+from su2lgt.spectra import lanczos_ground, sc_state
+
+from conftest import dense_sum, random_state
+
+
+def _published_spec(L, n_q):
+    return LatticeSpec(L=L, heavy_positions=frozenset({0: (), 1: (0,),
+                                                       2: (0, L - 1)}[n_q]))
+
+
+@pytest.mark.parametrize("L,n_q", sorted(k for k in ENERGIES if k[0] <= 2))
+def test_published_sector_is_closed_under_h(L, n_q):
+    spec = _published_spec(L, n_q)
+    h = build_hamiltonian(spec).total
+    sector = Sector.closure(h, sc_state(spec))
+    # the columns of H at the sector's states, from the compiled matvec
+    dim = 1 << spec.n_qubits
+    columns = np.array([h.matvec(np.eye(1, dim, s)[0]) for s in sector.indices]).T
+    outside = np.setdiff1d(np.arange(dim), sector.indices)
+    assert np.abs(columns[outside]).max() == 0.0
+    assert np.allclose(sector.restrict(h).toarray(), columns[sector.indices],
+                       atol=1e-13)
+
+
+def test_l3_sector_sizes():
+    sizes = [len(Sector.closure(build_hamiltonian(spec).total, sc_state(spec)))
+             for spec in (_published_spec(3, n_q) for n_q in (0, 1, 2))]
+    assert sizes == [400, 600, 690]
+
+
+def test_closure_follows_matrix_elements_not_masks():
+    # XX and YY share their X-mask; their <11|.|00> elements cancel, so
+    # XX + YY conserves the number of ones and never reaches |11> from |00>
+    h = PauliSum(2, [PauliString.from_label("XX"), PauliString.from_label("YY")])
+    assert Sector.closure(h, StateVector.from_ket("00")).indices.tolist() == [0]
+    assert Sector.closure(h, StateVector.from_ket("01")).indices.tolist() == [1, 2]
+    assert Sector.closure(PauliSum(2, [PauliString.from_label("XX")]),
+                          StateVector.from_ket("00")).indices.tolist() == [0, 3]
+
+
+def test_restrict_rejects_an_operator_that_leaves_the_sector():
+    h = PauliSum(2, [PauliString.from_label("XX"), PauliString.from_label("YY")])
+    sector = Sector.closure(h, StateVector.from_ket("01"))
+    with pytest.raises(ValueError):
+        sector.restrict(PauliSum(2, [PauliString.from_label("XI")]))
+
+
+def test_operator_without_terms_restricts_to_zero():
+    # e.g. the penalty piece when its strength is 0
+    sector = Sector.closure(PauliSum.zero(2), StateVector.from_ket("01"))
+    assert sector.indices.tolist() == [1]
+    assert sector.restrict(PauliSum.zero(2)).toarray().tolist() == [[0.0]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="IXYZ", min_size=3, max_size=3),
+                          st.floats(-2.0, 2.0)), min_size=1, max_size=5),
+       st.integers(0, 7))
+def test_restrict_matches_dense_on_the_closure(pairs, start):
+    h = PauliSum(3, [PauliString.from_label(lab, c) for lab, c in pairs])
+    sector = Sector.closure(h, StateVector.basis(3, start))
+    dense = dense_sum(pairs, 3)
+    assert start in sector.indices
+    assert np.allclose(sector.restrict(h).toarray(),
+                       dense[np.ix_(sector.indices, sector.indices)], atol=1e-12)
+
+
+def test_extract_embed_roundtrip_and_full_support():
+    rng = np.random.default_rng(3)
+    spec = LatticeSpec(L=1, heavy_positions=frozenset({0}))
+    h = build_hamiltonian(spec).total
+    v = StateVector(random_state(spec.n_qubits, rng))
+    sector = Sector.closure(h, v)
+    assert len(sector) == 1 << spec.n_qubits
+    assert np.array_equal(sector.embed(sector.extract(v)).amps, v.amps)
+
+
+def test_exact_paths_never_compile_the_full_register(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"compiled a {self.n}-qubit PauliSum")
+
+    monkeypatch.setattr(PauliSum, "_compile", refuse)
+    spec = LatticeSpec(L=2, heavy_positions=frozenset({0}))
+    h = build_hamiltonian(spec).total
+    _, psi = lanczos_ground(h, sc_state(spec))
+    moved = evolve_exact(psi, h, 0.5)
+    assert h._compiled is None
+    assert moved.norm() == pytest.approx(1.0, abs=1e-10)
+    run = run_protocol(spec, MotionSchedule(events=((0.0, 0, 1),), horizon=1.0,
+                                            dt=0.5), initial=psi)
+    assert [r.t for r in run.records] == [0.0, 0.5, 1.0]

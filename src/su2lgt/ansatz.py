@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, StateVector, exp_apply, exp_sum_apply
+from .pauli import PauliString, PauliSum, StateVector, exp_sum_apply
+from .reference import STAGED
 
 
 @dataclass(frozen=True)
@@ -96,84 +97,8 @@ def pool_by_name(spec: LatticeSpec) -> dict[str, PoolOperator]:
     return {op.name: op for op in build_pool(spec)}
 
 
-# -- exact exponentials of pool generators ----------------------------
-
-def _connected_components(terms: list[PauliString]) -> list[list[PauliString]]:
-    parent = list(range(len(terms)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    supports = [set(t.support()) for t in terms]
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            if supports[i] & supports[j]:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[PauliString]] = {}
-    for i, t in enumerate(terms):
-        groups.setdefault(find(i), []).append(t)
-    return list(groups.values())
-
-
-def _strings_commute(a: PauliString, b: PauliString) -> bool:
-    from .pauli import _popcount
-
-    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
-
-
-_PLAN_CACHE: dict = {}
-
-
-def _exp_plan(gen: PauliSum):
-    """Split a generator into rotation strings and pre-diagonalized dense
-    blocks; cached by generator content."""
-    key = (gen.n, tuple(sorted((x, z, c) for (x, z), c in gen._terms.items())))
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        return plan
-    plan = []
-    for comp in _connected_components(gen.terms()):
-        if all(_strings_commute(a, b) for i, a in enumerate(comp) for b in comp[i + 1:]):
-            plan.append(("rot", comp))
-        else:
-            supp = sorted({j for t in comp for j in t.support()})
-            if len(supp) > 8:
-                raise ValueError("non-commuting component with support > 8 qubits")
-            k = len(supp)
-            sub = PauliSum(k, [PauliString.from_ops(
-                k, {supp.index(j): t.letter(j) for j in t.support()}, t.coeff)
-                for t in comp])
-            w, v = np.linalg.eigh(sub.to_dense())
-            plan.append(("dense", supp, w, v))
-    if len(_PLAN_CACHE) < 512:
-        _PLAN_CACHE[key] = plan
-    return plan
-
-
-def apply_generator_exp(gen: PauliSum, theta: float, state: StateVector) -> StateVector:
-    """exp(-i*theta*gen)|state> exactly.
-
-    The generator is split into connected support components; a component
-    whose strings pairwise commute (all meson generators) is a product of
-    single-string rotations, otherwise (baryon generators) a dense
-    exponential on the component's support is used.
-    """
-    from .pauli import apply_unitary_on
-
-    if theta == 0.0:
-        return state
-    for step in _exp_plan(gen):
-        if step[0] == "rot":
-            for t in step[1]:
-                state = exp_apply(t, theta, state)
-        else:
-            _, supp, w, v = step
-            u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-            state = apply_unitary_on(u, supp, state)
-    return state
+# exp(-i*theta*gen)|state> for a pool generator
+apply_generator_exp = exp_sum_apply
 
 
 # -- ansatz sequences -------------------------------------------------
@@ -202,7 +127,7 @@ class AnsatzSequence:
     def apply(self, start: StateVector, upto: int | None = None) -> StateVector:
         state = start
         for ly in self.layers[:upto]:
-            state = apply_generator_exp(ly.generator, ly.theta, state)
+            state = exp_sum_apply(ly.generator, ly.theta, state)
         return state
 
 
@@ -372,23 +297,35 @@ def ddec_prepare(plan: DDecPlan, spec: LatticeSpec, target: StateVector,
     return seq, seq.apply(start), trace
 
 
-# paper-level reference sequences at the canonical couplings -----------
+# paper-level reference sequences at the canonical couplings: L = 1 here,
+# L = 2 and 3 from the staged tables in `reference` at their final angles
 
 L1_Q0_SEQUENCE = ["O_M0^(0)", "O_B0^(0)"]
 L1_Q0_ANGLES = [0.267215, 0.05484]
 L1_Q1_SEQUENCE = ["O_M0^(0)"]
 L1_Q1_ANGLES = [0.26224]
 
-L2_Q0_SEQUENCE = ["O_M1^(0,1)", ("O_M0^(0)", "O_M0^(1)"),
-                  ("O_B0^(0)", "O_B0^(1)"), "O_M1^(0,1)", "O_B1^(0,1)"]
-L2_Q0_ANGLES = [0.2316, 0.2790, 0.0637, -0.1691, 0.0289]
+L2_Q0_SEQUENCE = STAGED["L2", 0]["sequence"]
+L2_Q0_ANGLES = STAGED["L2", 0]["angles"][-1]
+L2_Q1_SEQUENCE = STAGED["L2", 1]["sequence"]
+L2_Q1_ANGLES = STAGED["L2", 1]["angles"][-1]
+L3_Q1_SEQUENCE = STAGED["L3", 1]["sequence"]
+L3_Q1_ANGLES = STAGED["L3", 1]["angles"][-1]
 
-L2_Q1_SEQUENCE = ["O_M0^(0)", "O_M1^(0,1)", "O_M0^(1)",
-                  "O_B0^(1)", "O_B1^(0,1)", "O_M0^(0)"]
-L2_Q1_ANGLES = [0.3862, 0.2358, 0.2282, 0.03233, 0.02613, -0.1837]
+# (L, n_Q) -> (sequence, final angles)
+REFERENCE_SEQUENCES = {
+    (1, 0): (L1_Q0_SEQUENCE, L1_Q0_ANGLES),
+    (1, 1): (L1_Q1_SEQUENCE, L1_Q1_ANGLES),
+    (2, 0): (L2_Q0_SEQUENCE, L2_Q0_ANGLES),
+    (2, 1): (L2_Q1_SEQUENCE, L2_Q1_ANGLES),
+    (3, 1): (L3_Q1_SEQUENCE, L3_Q1_ANGLES),
+}
 
-L3_Q1_SEQUENCE = ["O_M0^(0)", "O_M0^(2)", "O_M1^(0,1)", "O_B0^(2)",
-                  "O_M0^(1)", "O_B0^(1)", "O_B1^(0,1)", "O_M0^(0)",
-                  "O_M1^(1,2)", "O_M2^(1,2)"]
-L3_Q1_ANGLES = [0.3802, 0.2200, 0.2642, 0.0270, 0.1820,
-                0.0196, 0.0407, -0.2000, 0.2314, -0.0995]
+
+def prepared_state(spec: LatticeSpec) -> StateVector:
+    """The strong-coupling state after the reference sequence of the spec's
+    (L, n_Q) at its final angles."""
+    from .spectra import sc_state
+
+    names, angles = REFERENCE_SEQUENCES[spec.L, spec.n_Q]
+    return sequence_from_names(spec, names, angles).apply(sc_state(spec))

@@ -15,15 +15,14 @@ operator-level pipeline exactly, not only up to phase.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (build_kinetic_parts, build_mass, charge_cross,
-                          charge_cross_offdiag, charge_square,
-                          symmetric_boundary_sites)
+from .dynamics import TrotterFactor, trotter_schedule
 from .lattice import LatticeSpec
 from .pauli import (PauliString, PauliSum, StateVector, _bit, _popcount,
                     apply_unitary_on)
@@ -465,18 +464,19 @@ def _total_support(gens) -> int:
     return sum(_popcount(_support_mask(g)) for g in gens)
 
 
-_REDUCTION_CACHE: dict[tuple, tuple] = {}
 _BEAM_WIDTH = 64
 
 
-def _search_reduction(gens: list[PauliSum], w: int) -> tuple[_Box, ...]:
+@functools.lru_cache(maxsize=256)
+def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     """Deterministic beam search for a pi/2-box sequence A such that every
-    A gen A^dag is a two-qubit R-box generator; minimizes the layered depth
-    of the assembled A + rotations + A^dag block, then the box count."""
-    key = _canon(gens)
-    cached = _REDUCTION_CACHE.get(key)
-    if cached is not None:
-        return cached
+    A gen A^dag is a two-qubit R-box generator, for the generators that
+    `_canon` turned into `key`; minimizes the layered depth of the
+    assembled A + rotations + A^dag block, then the box count.  Box
+    conjugation only permutes and negates coefficients, so the search on
+    the rounded coefficients of `key` finds the boxes of the exact ones."""
+    gens = [PauliSum(w, [PauliString(w, x, z, complex(re, im))
+                         for x, z, re, im in g]) for g in key]
 
     def finished(gs):
         return all(_classify_pair(g) is not None for g in gs)
@@ -533,10 +533,7 @@ def _search_reduction(gens: list[PauliSum], w: int) -> tuple[_Box, ...]:
             seen.add(k2)
     if best is None:
         raise SynthesisError("box reduction failed for the given generators")
-    result = best[2]
-    if len(_REDUCTION_CACHE) < 256:
-        _REDUCTION_CACHE[key] = result
-    return result
+    return best[2]
 
 
 def _localize(gens: list[PauliSum], n: int) -> tuple[list[PauliSum], int, int]:
@@ -575,7 +572,7 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
         gens = [gens_lams[i][0] for i in comp]
         lams = [gens_lams[i][1] for i in comp]
         local, off, w = _localize(gens, n)
-        boxes = _search_reduction(local, w)
+        boxes = _search_reduction(_canon(local), w)
         reduced = local
         for box in boxes:
             reduced = [_conj_by_box(g, box, w) for g in reduced]
@@ -602,8 +599,8 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
 # wires 0..3, applied in circuit order.
 _GHZ_PREP_LOCAL = (("h", 2), ("s", 2), ("cx", 2, 0), ("cx", 0, 3), ("cx", 2, 1))
 
-# evolution GHZ transformation (charge hop-hop diagonalization); must match
-# observables.GHZ_EVOLUTION_GATES.
+# evolution GHZ transformation (charge hop-hop diagonalization and grouped
+# measurement)
 _GHZ_EVOL_LOCAL = (("h", 1), ("cx", 1, 2), ("cx", 2, 0), ("cx", 0, 3))
 
 
@@ -899,110 +896,69 @@ def fswap_circuit(spec: LatticeSpec, x_from: int, x_to: int) -> Circuit:
 # Trotterized evolution circuit
 # ---------------------------------------------------------------------------
 
-def _kinetic_block(spec: LatticeSpec, which: str, theta: float) -> Circuit:
-    intra, inter = build_kinetic_parts(spec)
-    piece = intra if which == "intra" else inter
-    by_supp: dict[tuple, list[PauliString]] = {}
-    for t in piece.terms():
-        by_supp.setdefault(tuple(t.support()), []).append(t)
-    gens = [(PauliSum(spec.n_qubits, ts), theta)
-            for _, ts in sorted(by_supp.items())]
-    return _rotation_block(spec.n_qubits, gens)
-
-
-def _gauge_pairs(spec: LatticeSpec) -> dict[tuple[int, int], float]:
-    half_g2 = spec.g ** 2 / 2.0
-    weights: dict[tuple[int, int], float] = {}
-    for b in range(spec.n_boundaries - 1):
-        sites = symmetric_boundary_sites(spec, b)
-        for i, nn in enumerate(sites):
-            for m in sites[i + 1:]:
-                key = (nn, m)
-                weights[key] = weights.get(key, 0.0) + 2.0 * half_g2
-    return weights
+def _factor_circuit(n: int, factor: TrotterFactor, t: float) -> Circuit:
+    """Gates for one dynamics.TrotterFactor of a step of size t."""
+    lam = factor.fraction * t
+    gen = factor.generator
+    if factor.kind == "kinetic":
+        by_supp: dict[tuple, list[PauliString]] = {}
+        for s in gen.terms():
+            by_supp.setdefault(tuple(s.support()), []).append(s)
+        return _rotation_block(n, [(PauliSum(n, ts), lam)
+                                   for _, ts in sorted(by_supp.items())])
+    if factor.kind == "pair":
+        mask = _support_mask(gen)
+        wires = tuple(j for j in range(n) if mask & _bit(n, j))
+        return _pair_diagonal_block(n, wires, gen, lam)
+    circ = Circuit(n)
+    for s in gen.terms():
+        if s.x != 0:
+            raise SynthesisError("unexpected off-diagonal term in the diagonal block")
+        supp = s.support()
+        coeff = s.coeff.real
+        if not supp:
+            circ.phase += -lam * coeff
+        elif len(supp) == 1:
+            circ.add("rz", supp[0], param=2.0 * lam * coeff)
+        elif len(supp) == 2:
+            circ.add("cx", *supp)
+            circ.add("rz", supp[1], param=2.0 * lam * coeff)
+            circ.add("cx", *supp)
+        else:
+            raise SynthesisError("diagonal gauge term beyond two qubits")
+    return circ
 
 
 def _mass_gauge_block(spec: LatticeSpec, theta: float) -> Circuit:
-    """Time-symmetric mass + gauge factor matching dynamics.trotter_step.
-
-    Half the diagonal single-qubit rotations, the charge-pair rounds
-    forward at half angle with the final round's two halves merged, the
-    rounds reversed at half angle, then the remaining diagonal half.  The
-    charge-square ZZ rotations commute with every pair generator and are
-    emitted once at full angle."""
-    n = spec.n_qubits
-    half_g2 = spec.g ** 2 / 2.0
-    diag_sum = build_mass(spec)
-    for b in range(spec.n_boundaries - 1):
-        sites = symmetric_boundary_sites(spec, b)
-        for i, nn in enumerate(sites):
-            diag_sum = diag_sum + half_g2 * charge_square(spec, nn)
-    circ = Circuit(n)
-    singles: list[tuple[int, float]] = []
-    for t in diag_sum.terms():
-        if t.x != 0:
-            raise SynthesisError("unexpected off-diagonal term in the diagonal block")
-        supp = t.support()
-        coeff = t.coeff.real
-        if not supp:
-            circ.phase += -theta * coeff
-        elif len(supp) == 1:
-            singles.append((supp[0], coeff))
-        elif len(supp) == 2:
-            a, b2 = supp
-            circ.add("cx", a, b2)
-            circ.add("rz", b2, param=2.0 * theta * coeff)
-            circ.add("cx", a, b2)
-        else:
-            raise SynthesisError("diagonal gauge term beyond two qubits")
-    for q, coeff in singles:
-        circ.add("rz", q, param=theta * coeff)
-    from .dynamics import gauge_pair_rounds
-
-    weights = _gauge_pairs(spec)
-    rounds = gauge_pair_rounds(weights)
-    sched: list[tuple[tuple[int, int], float]] = []
-    if rounds:
-        for r in rounds[:-1]:
-            sched.extend((p, 0.5) for p in r)
-        sched.extend((p, 1.0) for p in rounds[-1])
-        for r in reversed(rounds[:-1]):
-            sched.extend((p, 0.5) for p in reversed(r))
-    for (nn, m), frac in sched:
-        op = weights[(nn, m)] * charge_cross(spec, nn, m)
-        wires = (2 * nn, 2 * nn + 1, 2 * m, 2 * m + 1)
-        circ += _pair_diagonal_block(n, wires, op, frac * theta)
-    for q, coeff in singles:
-        circ.add("rz", q, param=theta * coeff)
+    """The mass + gauge factors of dynamics.trotter_schedule (every factor
+    but the kinetic ones) for a step of size theta."""
+    circ = Circuit(spec.n_qubits)
+    for factor in trotter_schedule(spec, 1):
+        if factor.kind != "kinetic":
+            circ += _factor_circuit(spec.n_qubits, factor, theta)
     return circ
 
 
 def trotter_circuit(spec: LatticeSpec, t: float, order: int = 2,
                     steps: int = 1) -> Circuit:
-    """Trotter steps of exp(-i t (H_k + H_m + H_g)), matching
-    dynamics.trotter_step applied `steps` times with step size t.
+    """Trotter steps of exp(-i t (H_k + H_m + H_g)): the factors of
+    dynamics.trotter_schedule, repeated `steps` times with step size t.
 
-    For order 2 the boundary (inter-site) kinetic halves of consecutive
-    steps are merged into full-angle blocks.
+    Adjacent kinetic factors with the same generator (for order 2, the
+    inter-site halves of consecutive steps) are merged into one block.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    schedule = trotter_schedule(spec, order)
     if steps < 1:
         raise ValueError("steps must be positive")
-    n = spec.n_qubits
-    circ = Circuit(n)
-    if order == 1:
-        for _ in range(steps):
-            circ += _kinetic_block(spec, "inter", t)
-            circ += _kinetic_block(spec, "intra", t)
-            circ += _mass_gauge_block(spec, t)
-        return circ
-    circ += _kinetic_block(spec, "inter", t / 2.0)
-    for k in range(steps):
-        circ += _kinetic_block(spec, "intra", t / 2.0)
-        circ += _mass_gauge_block(spec, t)
-        circ += _kinetic_block(spec, "intra", t / 2.0)
-        circ += _kinetic_block(spec, "inter", t if k < steps - 1 else t / 2.0)
+    factors = []
+    for f in schedule * steps:
+        if factors and f.kind == "kinetic" and factors[-1].generator is f.generator:
+            factors[-1] = f._replace(fraction=factors[-1].fraction + f.fraction)
+        else:
+            factors.append(f)
+    circ = Circuit(spec.n_qubits)
+    for f in factors:
+        circ += _factor_circuit(spec.n_qubits, f, t)
     return circ
 
 

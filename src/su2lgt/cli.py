@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -60,8 +59,6 @@ def _add_common(p: _Parser, lattice: bool = True) -> None:
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with default option values")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="max worker threads for the linear algebra backend")
     p.add_argument("--out", type=str, default=None,
                    help="output path (default: standard output)")
     if lattice:
@@ -78,7 +75,7 @@ def _add_common(p: _Parser, lattice: bool = True) -> None:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(_LATTICE_DEFAULTS)
-    cfg.update({"seed": 0, "threads": None, "out": None})
+    cfg.update({"seed": 0, "out": None})
     path = getattr(args, "config", None)
     if path:
         try:
@@ -101,40 +98,27 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _spec_from(cfg: dict) -> LatticeSpec:
-    L = int(cfg["L"])
-    if cfg.get("heavy"):
-        raw = cfg["heavy"]
-        positions = tuple(int(tok) for tok in str(raw).split(",") if tok != "")
-    else:
-        nq = int(cfg.get("nq") or 0)
-        if nq == 0:
-            positions = ()
-        elif nq == 1:
-            positions = (0,)
-        elif nq == 2:
-            positions = (0, L - 1)
-        else:
-            raise CliError("--nq must be 0, 1 or 2 (use --heavy for other layouts)")
     try:
+        L = int(cfg["L"])
+        if cfg.get("heavy"):
+            raw = cfg["heavy"]
+            positions = tuple(int(tok) for tok in str(raw).split(",") if tok != "")
+        else:
+            nq = int(cfg.get("nq") or 0)
+            if nq == 0:
+                positions = ()
+            elif nq == 1:
+                positions = (0,)
+            elif nq == 2:
+                positions = (0, L - 1)
+            else:
+                raise CliError("--nq must be 0, 1 or 2 (use --heavy for other layouts)")
         return LatticeSpec(L=L, g=float(cfg["g"]), mq=float(cfg["mq"]),
                            mQ=float(cfg["mQ"]),
                            lambda2=cfg.get("lambda2"),
                            heavy_positions=frozenset(positions))
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc))
-
-
-def _set_threads(n) -> None:
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(int(n))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(n))
-    except Exception:
-        pass
 
 
 def _write(cfg: dict, text: str) -> None:
@@ -167,19 +151,12 @@ def _fmt(v):
 
 def _sequence_for(spec: LatticeSpec):
     """Reference operator sequence and final angles for the sector."""
-    from . import ansatz
+    from .ansatz import REFERENCE_SEQUENCES
 
     key = (spec.L, spec.n_Q)
-    table = {
-        (1, 0): (ansatz.L1_Q0_SEQUENCE, ansatz.L1_Q0_ANGLES),
-        (1, 1): (ansatz.L1_Q1_SEQUENCE, ansatz.L1_Q1_ANGLES),
-        (2, 0): (ansatz.L2_Q0_SEQUENCE, ansatz.L2_Q0_ANGLES),
-        (2, 1): (ansatz.L2_Q1_SEQUENCE, ansatz.L2_Q1_ANGLES),
-        (3, 1): (ansatz.L3_Q1_SEQUENCE, ansatz.L3_Q1_ANGLES),
-    }
-    if key not in table:
+    if key not in REFERENCE_SEQUENCES:
         raise CliError(f"no reference sequence for L={spec.L}, n_Q={spec.n_Q}")
-    names, angles = table[key]
+    names, angles = REFERENCE_SEQUENCES[key]
     return list(names), list(angles)
 
 
@@ -208,6 +185,7 @@ def cmd_hamiltonian(cfg: dict) -> int:
 
 
 def cmd_groundstate(cfg: dict) -> int:
+    from .dynamics import _sector_expectations
     from .hamiltonian import build_hamiltonian, mass_offset
     from .spectra import LanczosError, ground_state, hadron_mass
 
@@ -217,15 +195,12 @@ def cmd_groundstate(cfg: dict) -> int:
     except LanczosError as exc:
         raise NumericalError(str(exc))
     terms = build_hamiltonian(spec)
+    components = _sector_expectations(terms.total, psi, terms.as_dict())
+    components["mass"] += mass_offset(spec)
     payload = {
         "L": spec.L, "n_Q": spec.n_Q, "heavy": sorted(spec.heavy_positions),
         "energy": energy,
-        "components": {
-            "kinetic": terms.kinetic.expectation(psi),
-            "mass": terms.mass.expectation(psi) + mass_offset(spec),
-            "gauge": terms.gauge.expectation(psi),
-            "penalty": terms.penalty.expectation(psi),
-        },
+        "components": components,
     }
     if cfg.get("hadron_mass") and spec.n_Q == 1:
         payload["hadron_mass"] = hadron_mass(spec)
@@ -377,20 +352,13 @@ def cmd_observables(cfg: dict) -> int:
     raise CliError("--what must be estimator, entanglement, tangles or magic")
 
 
-def _prepared_state(spec: LatticeSpec):
-    from .ansatz import sequence_from_names
-    from .spectra import sc_state
-
-    names, angles = _sequence_for(spec)
-    seq = sequence_from_names(spec, names, angles)
-    return seq.apply(sc_state(spec))
-
-
 def _obs_estimator(cfg: dict, spec: LatticeSpec) -> int:
+    from .ansatz import prepared_state
     from .dynamics import fswap_move
     from .observables import energy_loss_estimator, evaluate_energy_loss
 
-    state = _prepared_state(spec)
+    _sequence_for(spec)  # exit 1 for a sector without a reference sequence
+    state = prepared_state(spec)
     groups = energy_loss_estimator(spec)
     values, total = evaluate_energy_loss(groups, state)
     moved = fswap_move(state, spec, 0, 1)
@@ -668,7 +636,6 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             raise CliError(parser.format_usage())
         cfg = _merge_config(args)
-        _set_threads(cfg.get("threads"))
         if cfg.get("template") is None and args.command == "circuit":
             raise CliError("circuit requires --template")
         return args.func(cfg)

@@ -4,17 +4,17 @@ energy-loss protocol, and the two-qubit FSWAP toy model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import (HamiltonianTerms, build_hamiltonian,
-                          build_kinetic_parts, build_mass, charge_cross,
-                          charge_cross_offdiag, charge_square, mass_offset,
+from .hamiltonian import (build_hamiltonian, build_kinetic_parts, build_mass,
+                          charge_cross, charge_square, mass_offset,
                           symmetric_boundary_sites)
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, Sector, StateVector, exp_apply,
-                    exp_sum_apply)
+from .pauli import PauliString, PauliSum, Sector, StateVector, exp_sum_apply
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +131,6 @@ def evolve_exact(state: StateVector, h: PauliSum, t: float,
 # Trotterized evolution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TrotterPlan:
-    kinetic_intra: list[PauliString]
-    kinetic_inter: list[PauliString]
-    diag: np.ndarray              # mass + single-site gauge (charge-square) part
-    mass_diag: np.ndarray
-    gauge_groups: list[PauliSum]  # full charge-pair generators, schedule order
-
-
-_TROTTER_CACHE: dict[LatticeSpec, _TrotterPlan] = {}
-
-
 def gauge_pair_rounds(pairs) -> list[list[tuple[int, int]]]:
     """Rounds of site-disjoint charge pairs (greedy, ascending pair order).
 
@@ -159,24 +147,35 @@ def gauge_pair_rounds(pairs) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def gauge_pair_schedule(pairs) -> list[tuple[int, int]]:
-    """Application order for the charge-pair generators: the rounds of
-    gauge_pair_rounds, flattened."""
-    return [p for r in gauge_pair_rounds(pairs) for p in r]
+class TrotterFactor(NamedTuple):
+    """exp(-i fraction t generator) inside a Trotter step of size t.  `kind`
+    ("kinetic", "diagonal" or "pair") tells the circuit emitter how to
+    synthesize it."""
+    kind: str
+    generator: PauliSum
+    fraction: float
 
 
-def _trotter_plan(spec: LatticeSpec) -> _TrotterPlan:
-    """Commuting decomposition used by trotter_step.
+@functools.lru_cache(maxsize=8)
+def trotter_schedule(spec: LatticeSpec, order: int = 2) -> tuple[TrotterFactor, ...]:
+    """The ordered factors of one Trotter step of exp(-i t (H_k + H_m + H_g)),
+    executed by trotter_step and emitted by circuits.trotter_circuit.
 
-    The gauge energy is taken in its symmetric form and split into the
-    single-site charge squares (diagonal, kept with the mass term) plus one
-    Hermitian charge-pair generator per pair of sites, applied in the round
-    schedule of gauge_pair_schedule.  The global-neutrality penalty is
-    omitted: it annihilates the color-singlet states evolved here.
+    Order 1 applies the inter-site then intra-site kinetic pieces before the
+    mass + gauge factor; order 2 symmetrizes the kinetic halves around it.
+    Each kinetic piece is a sum of commuting strings.  The gauge energy is
+    taken in its symmetric form: the charge-square ZZ terms (with their
+    identity constant) commute with everything else in the factor and come
+    once at full angle; the single-Z mass terms come in halves around one
+    Hermitian charge-pair generator per pair of sites, applied in the rounds
+    of gauge_pair_rounds forward at half angle, the last round merged to
+    full angle, then the earlier rounds in reverse.  The palindrome keeps
+    the order-2 step exactly time-symmetric (third-order error per step)
+    although the pair generators do not commute.  The global-neutrality
+    penalty is omitted: it annihilates the color-singlet states evolved.
     """
-    plan = _TROTTER_CACHE.get(spec)
-    if plan is not None:
-        return plan
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     intra, inter = build_kinetic_parts(spec)
     half_g2 = spec.g ** 2 / 2.0
     pair_weight: dict[tuple[int, int], float] = {}
@@ -188,67 +187,32 @@ def _trotter_plan(spec: LatticeSpec) -> _TrotterPlan:
             for m in sites[i + 1:]:
                 key = (n, m)
                 pair_weight[key] = pair_weight.get(key, 0.0) + 2.0 * half_g2
-    ones = np.ones(1 << spec.n_qubits)
-    diag = diag_sum.matvec(ones)
-    mass_diag = build_mass(spec).matvec(ones)
-    groups = [pair_weight[key] * charge_cross(spec, *key)
-              for key in gauge_pair_schedule(pair_weight)]
-    plan = _TrotterPlan(kinetic_intra=intra.terms(), kinetic_inter=inter.terms(),
-                        diag=diag, mass_diag=mass_diag, gauge_groups=groups)
-    if len(_TROTTER_CACHE) < 8:
-        _TROTTER_CACHE[spec] = plan
-    return plan
+    singles = [t for t in diag_sum.terms() if len(t.support()) == 1]
+    rest = [t for t in diag_sum.terms() if len(t.support()) != 1]
+    half_singles = TrotterFactor("diagonal", PauliSum(spec.n_qubits, singles), 0.5)
 
+    def pair(p, fraction):
+        return TrotterFactor("pair", pair_weight[p] * charge_cross(spec, *p), fraction)
 
-def _apply_commuting(strings: list[PauliString], theta: float,
-                     state: StateVector) -> StateVector:
-    for ps in strings:
-        state = exp_apply(ps, theta, state)
-    return state
-
-
-def _apply_diag(diag: np.ndarray, theta: float, state: StateVector) -> StateVector:
-    return StateVector(np.exp(-1j * theta * diag) * state.amps, normalized=False)
-
-
-def _apply_mass_gauge(plan: _TrotterPlan, theta: float,
-                      state: StateVector) -> StateVector:
-    """Time-symmetric mass + gauge factor: half the diagonal part, the
-    charge-pair generators forward then in reverse at half angle, and the
-    remaining diagonal half.  The palindrome keeps the full Trotter step
-    second-order accurate even though the pair generators do not commute."""
-    state = _apply_diag(plan.diag, theta / 2.0, state)
-    for g in plan.gauge_groups:
-        state = exp_sum_apply(g, theta / 2.0, state)
-    for g in reversed(plan.gauge_groups):
-        state = exp_sum_apply(g, theta / 2.0, state)
-    return _apply_diag(plan.diag, theta / 2.0, state)
+    rounds = gauge_pair_rounds(pair_weight)
+    pairs = [pair(p, 0.5) for r in rounds[:-1] for p in r]
+    pairs += [pair(p, 1.0) for r in rounds[-1:] for p in r]
+    pairs += [pair(p, 0.5) for r in reversed(rounds[:-1]) for p in reversed(r)]
+    mass_gauge = [TrotterFactor("diagonal", PauliSum(spec.n_qubits, rest), 1.0),
+                  half_singles, *pairs, half_singles]
+    if order == 1:
+        return (TrotterFactor("kinetic", inter, 1.0),
+                TrotterFactor("kinetic", intra, 1.0), *mass_gauge)
+    kinetic = [TrotterFactor("kinetic", inter, 0.5), TrotterFactor("kinetic", intra, 0.5)]
+    return (*kinetic, *mass_gauge, *reversed(kinetic))
 
 
 def trotter_step(state: StateVector, spec: LatticeSpec, t: float,
                  order: int = 2) -> StateVector:
-    """One Trotter step of exp(-i t (H_k + H_m + H_g)).
-
-    Order 1 applies the inter-site then intra-site kinetic pieces before the
-    mass and (symmetric) gauge factor; order 2 symmetrizes the kinetic
-    halves around it.  Each kinetic piece is a product of exact
-    commuting-string rotations; the mass + gauge factor is itself a
-    palindrome (see _apply_mass_gauge), so the order-2 step is exactly
-    time-symmetric and its per-step error is third order.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    plan = _trotter_plan(spec)
-    if order == 1:
-        state = _apply_commuting(plan.kinetic_inter, t, state)
-        state = _apply_commuting(plan.kinetic_intra, t, state)
-        state = _apply_mass_gauge(plan, t, state)
-    else:
-        state = _apply_commuting(plan.kinetic_inter, t / 2.0, state)
-        state = _apply_commuting(plan.kinetic_intra, t / 2.0, state)
-        state = _apply_mass_gauge(plan, t, state)
-        state = _apply_commuting(plan.kinetic_intra, t / 2.0, state)
-        state = _apply_commuting(plan.kinetic_inter, t / 2.0, state)
+    """One Trotter step of exp(-i t (H_k + H_m + H_g)): the factors of
+    trotter_schedule, each exponentiated exactly."""
+    for factor in trotter_schedule(spec, order):
+        state = exp_sum_apply(factor.generator, factor.fraction * t, state)
     return state
 
 

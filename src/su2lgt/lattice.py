@@ -7,7 +7,6 @@ site carries Nc color components, mapped to qubits via i(n, c) = Nc*n + c.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 ROLE_HEAVY, ROLE_QUARK, ROLE_ANTIQUARK = "Q", "q", "qbar"
@@ -94,22 +93,3 @@ class LatticeSpec:
     def with_heavy(self, *positions: int) -> "LatticeSpec":
         return replace(self, heavy_positions=frozenset(positions))
 
-    # -- serialization ------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"L": self.L, "Nc": self.Nc, "g": self.g, "mq": self.mq,
-                "mQ": self.mQ, "lambda2": self.penalty_strength,
-                "heavy_positions": sorted(self.heavy_positions)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatticeSpec":
-        return cls(L=int(d["L"]), Nc=int(d.get("Nc", 2)), g=float(d.get("g", 1.0)),
-                   mq=float(d.get("mq", 0.1)), mQ=float(d.get("mQ", 0.0)),
-                   lambda2=d.get("lambda2"),
-                   heavy_positions=frozenset(d.get("heavy_positions", ())))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeSpec":
-        return cls.from_dict(json.loads(text))

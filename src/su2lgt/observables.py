@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import ghz_evolution_circuit
 from .hamiltonian import charge_cross, charge_square
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, StateVector, apply_unitary_on,
-                    partial_trace)
+from .pauli import (PauliString, PauliSum, StateVector, _bit, _sign_vector,
+                    apply_unitary_on, partial_trace)
 
 _EIG_CLIP = 1e-14
 
@@ -196,39 +197,11 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
 # GHZ-grouped energy-loss estimator
 # ---------------------------------------------------------------------------
 
-# Clifford basis change diagonalizing sigma+ sigma- sigma- sigma+ + h.c. on
-# four qubits: an H followed by a CNOT ladder (controls and targets by local
-# index).  Applying its adjoint maps the hop-hop terms to Z strings.
-GHZ_EVOLUTION_GATES = (("H", 1), ("CX", 1, 2), ("CX", 2, 0), ("CX", 0, 3))
-
-
-def _gate_matrix(gate, n: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    if gate[0] == "H":
-        mats = [h if i == gate[1] else np.eye(2) for i in range(n)]
-        out = np.array([[1.0]])
-        for m in mats:
-            out = np.kron(out, m)
-        return out
-    if gate[0] == "CX":
-        c, t = gate[1], gate[2]
-        dim = 1 << n
-        m = np.zeros((dim, dim))
-        for v in range(dim):
-            if (v >> (n - 1 - c)) & 1:
-                m[v ^ (1 << (n - 1 - t)), v] = 1.0
-            else:
-                m[v, v] = 1.0
-        return m
-    raise ValueError(f"unknown gate {gate[0]}")
-
-
 def ghz_evolution_unitary(n: int = 4) -> np.ndarray:
-    """Dense matrix of the evolution/measurement GHZ transformation."""
-    u = np.eye(1 << n)
-    for gate in GHZ_EVOLUTION_GATES:
-        u = _gate_matrix(gate, n) @ u
-    return u
+    """Dense matrix of the evolution/measurement GHZ transformation, which
+    diagonalizes sigma+ sigma- sigma- sigma+ + h.c. on qubits 0..3 (its
+    adjoint maps the hop-hop terms to Z strings)."""
+    return ghz_evolution_circuit((0, 1, 2, 3), n).unitary()
 
 
 @dataclass(frozen=True)
@@ -247,10 +220,9 @@ class EstimatorGroup:
         p = np.abs(s.amps) ** 2
         total = 0.0
         for label, coeff in zip(self.paulis, self.coeffs):
-            ops = {self.qubits[k]: "Z"
-                   for k, ch in enumerate(label) if ch == "Z"}
-            ps = PauliSum(state.n, [PauliString.from_ops(state.n, ops)])
-            total += coeff * ps.expectation(StateVector(s.amps, normalized=False))
+            z = sum(_bit(state.n, self.qubits[k])
+                    for k, ch in enumerate(label) if ch == "Z")
+            total += coeff * float(p @ _sign_vector(state.n, z))
         return total
 
     def as_pauli_sum(self, n: int) -> PauliSum:

@@ -16,6 +16,8 @@ Conventions
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _LETTERS = "IXYZ"
@@ -30,36 +32,22 @@ def _popcount(v: int) -> int:
     return bin(v).count("1")
 
 
-_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
     """(-1)^{parity(sigma & z)} for every basis index sigma, as float64."""
-    key = (n_qubits, z_mask)
-    cached = _SIGN_CACHE.get(key)
-    if cached is not None:
-        return cached
     signs = np.ones(1 << n_qubits)
     for p in range(n_qubits):
         if z_mask >> p & 1:
             signs.reshape(-1, 1 << (p + 1))[:, 1 << p:] *= -1.0
     signs.setflags(write=False)
-    if len(_SIGN_CACHE) < 256:
-        _SIGN_CACHE[key] = signs
     return signs
 
 
+@functools.lru_cache(maxsize=256)
 def _perm_vector(n_qubits: int, x_mask: int) -> np.ndarray:
     """sigma ^ x for every basis index sigma (an involutive permutation)."""
-    key = (n_qubits, x_mask)
-    cached = _PERM_CACHE.get(key)
-    if cached is not None:
-        return cached
     perm = np.arange(1 << n_qubits) ^ x_mask
     perm.setflags(write=False)
-    if len(_PERM_CACHE) < 256:
-        _PERM_CACHE[key] = perm
     return perm
 
 
@@ -247,8 +235,15 @@ class PauliSum:
         dim = 1 << self.n
         diag = np.zeros(dim, dtype=complex)
         groups: dict[int, np.ndarray] = {}
-        for (x, z), c in self._terms.items():
-            vec = (c * 1j ** (_popcount(x & z) % 4)) * _sign_vector(self.n, z)
+        # each Z-mask's signs are computed once and dropped after the last
+        # term that uses them; the tables below already fold them in
+        last_use = {z: i for i, (_, z) in enumerate(self._terms)}
+        signs: dict[int, np.ndarray] = {}
+        for i, ((x, z), c) in enumerate(self._terms.items()):
+            if z not in signs:
+                signs[z] = _sign_vector.__wrapped__(self.n, z)
+            sign = signs.pop(z) if last_use[z] == i else signs[z]
+            vec = (c * 1j ** (_popcount(x & z) % 4)) * sign
             if x == 0:
                 diag += vec
             else:
@@ -499,28 +494,89 @@ def exp_apply(ps: PauliString, theta: float, s: StateVector) -> StateVector:
                        normalized=False)
 
 
+def _connected_components(terms: list[PauliString]) -> list[list[PauliString]]:
+    """The terms grouped by connected support (strings sharing a qubit are
+    joined); a term without support is a component of its own."""
+    parent = list(range(len(terms)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            if (terms[i].x | terms[i].z) & (terms[j].x | terms[j].z):
+                parent[find(i)] = find(j)
+    groups: dict[int, list[PauliString]] = {}
+    for i, t in enumerate(terms):
+        groups.setdefault(find(i), []).append(t)
+    return list(groups.values())
+
+
+def _strings_commute(a: PauliString, b: PauliString) -> bool:
+    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
+
+
+_DENSE_MAX_QUBITS = 8
+
+
+@functools.lru_cache(maxsize=512)
+def _component_plan(n: int, terms: tuple) -> tuple:
+    """Per connected-support component of sum(c * X^x Z^z ...) over the
+    (x, z, c) terms: ("dense", support, eigenvalues, eigenvectors, blocks)
+    for a component on at most 8 qubits, ("rot", strings) for a wider one,
+    whose strings must pairwise commute.  `blocks` marks the pairs of basis
+    states that the component's matrix connects: the exponential is zero
+    elsewhere, and masking it there keeps eigh's round-off from spreading a
+    state's support."""
+    from scipy.sparse.csgraph import connected_components
+
+    plan = []
+    for comp in _connected_components([PauliString(n, x, z, c) for x, z, c in terms]):
+        supp = sorted({j for t in comp for j in t.support()})
+        if len(supp) <= _DENSE_MAX_QUBITS:
+            k = len(supp)
+            mat = PauliSum(k, [PauliString.from_ops(
+                k, {supp.index(j): t.letter(j) for j in t.support()}, t.coeff)
+                for t in comp]).to_dense()
+            labels = connected_components(mat != 0, directed=False)[1]
+            plan.append(("dense", supp, *np.linalg.eigh(mat),
+                         labels[:, None] == labels[None, :]))
+        elif all(_strings_commute(a, b) for i, a in enumerate(comp) for b in comp[i + 1:]):
+            plan.append(("rot", comp))
+        else:
+            raise ValueError(f"non-commuting component on {len(supp)} > "
+                             f"{_DENSE_MAX_QUBITS} qubits")
+    return tuple(plan)
+
+
 def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:
-    """exp(-i*theta*H)|s> via dense exponential on the support of H.
+    """exp(-i*theta*H)|s> exactly, for a Hermitian H.
 
-    Intended for generators with small support (<= 8 qubits); the rest of
-    the register is untouched.
+    H is split into connected-support components, which commute with each
+    other.  A component on at most 8 qubits is applied as one dense unitary
+    on its support, from a cached eigendecomposition; a wider component
+    must consist of pairwise commuting strings and is applied as their
+    single-string rotations.  Raises ValueError for a non-Hermitian H or a
+    wide non-commuting component.
     """
-    from scipy.linalg import expm
-
-    supp = sorted({j for t in h.terms() for j in t.support()})
-    if not supp:
-        phase = np.exp(-1j * theta * h.coeff_of("I" * h.n))
-        return StateVector(phase * s.amps, normalized=False)
-    if len(supp) > 8:
-        raise ValueError("support too large for dense exponential")
-    k = len(supp)
-    sub = PauliSum(k)
-    for t in h.terms():
-        ops = {supp.index(j): t.letter(j) for j in t.support()}
-        sub._accumulate(PauliString.from_ops(k, ops, t.coeff))
-    sub._prune()
-    u = expm(-1j * theta * sub.to_dense())
-    return apply_unitary_on(u, supp, s)
+    if not h.is_hermitian():
+        raise ValueError("exp_sum_apply requires a Hermitian generator")
+    plan = _component_plan(h.n, tuple(sorted((x, z, c.real)
+                                             for (x, z), c in h._terms.items())))
+    if theta == 0.0:
+        return s
+    for step in plan:
+        if step[0] == "rot":
+            for t in step[1]:
+                s = exp_apply(t, theta, s)
+        else:
+            _, supp, w, v, blocks = step
+            u = np.where(blocks, (v * np.exp(-1j * theta * w)) @ v.conj().T, 0.0)
+            s = apply_unitary_on(u, supp, s)
+    return s
 
 
 def apply_unitary_on(u: np.ndarray, qubits: list[int], s: StateVector) -> StateVector:

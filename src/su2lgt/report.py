@@ -54,16 +54,15 @@ def _sec_energies(seed: int) -> list[Check]:
 
 
 def _sec_components(seed: int) -> list[Check]:
+    from .dynamics import _sector_expectations
     from .hamiltonian import build_hamiltonian, mass_offset
 
     spec = _spec(1, 0)
     _, psi = ground_state(spec)
     terms = build_hamiltonian(spec)
-    values = {
-        "kinetic": terms.kinetic.expectation(psi),
-        "mass": terms.mass.expectation(psi) + mass_offset(spec),
-        "gauge": terms.gauge.expectation(psi),
-    }
+    values = _sector_expectations(terms.total, psi, {
+        "kinetic": terms.kinetic, "mass": terms.mass, "gauge": terms.gauge})
+    values["mass"] += mass_offset(spec)
     return [Check(f"component_L1_{k}", values[k], ref.L1_COMPONENTS[k], 5e-4)
             for k in sorted(values)]
 
@@ -295,25 +294,19 @@ def _sec_motion(seed: int) -> list[Check]:
     return out
 
 
-def _prepared_state(spec: LatticeSpec):
-    from .ansatz import L3_Q1_ANGLES, L3_Q1_SEQUENCE, sequence_from_names
-    from .spectra import sc_state
-
-    seq = sequence_from_names(spec, L3_Q1_SEQUENCE, L3_Q1_ANGLES)
-    return seq.apply(sc_state(spec))
-
-
 def _moved_state(spec: LatticeSpec):
+    from .ansatz import prepared_state
     from .dynamics import fswap_move
 
-    return fswap_move(_prepared_state(spec), spec, 0, 1)
+    return fswap_move(prepared_state(spec), spec, 0, 1)
 
 
 def _sec_estimator(seed: int) -> list[Check]:
+    from .ansatz import prepared_state
     from .observables import energy_loss_estimator, evaluate_energy_loss
 
     spec = _spec(3, 1)
-    state = _prepared_state(spec)
+    state = prepared_state(spec)
     groups = energy_loss_estimator(spec)
     values, total = evaluate_energy_loss(groups, state)
     out = [Check(f"estimator_group{i}", v, t, 5e-4)
@@ -440,10 +433,11 @@ def _sec_toy(seed: int) -> list[Check]:
 
 
 def _sec_hadamard(seed: int) -> list[Check]:
+    from .ansatz import prepared_state
     from .observables import delta_hg_operator, hadamard_test_energy
 
     spec = _spec(3, 1)
-    state = _prepared_state(spec)
+    state = prepared_state(spec)
     grid = np.arange(0.05, 0.2751, 0.025)
     value, half_width = hadamard_test_energy(state, spec, grid,
                                              evolver="trotter")

@@ -149,3 +149,15 @@ def test_observables_magic_sampled_is_deterministic(tmp_path, capsys):
     lines = outputs[0].decode().splitlines()
     assert lines[0] == "stage,m2_exact,m2_sampled,m2_err"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("config", [{"L": "abc"}, {"nq": "x"},
+                                    {"heavy": "a,b"}])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["groundstate", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -134,3 +134,29 @@ def test_overlap_and_fidelity():
     b = StateVector(np.array([1, 1, 0, 0]) / np.sqrt(2))
     assert a.overlap(b) == pytest.approx(1 / np.sqrt(2))
     assert a.fidelity(b) == pytest.approx(0.5)
+
+
+def test_exp_sum_apply_wide_commuting_generator_is_its_string_rotations():
+    # O_M2^(1,2) at L = 3 is one connected component on 10 qubits, wider
+    # than a dense unitary is built for; its strings commute
+    from su2lgt.ansatz import pool_by_name
+    from conftest import spec_for
+
+    spec = spec_for(3, (0,))
+    gen = pool_by_name(spec)["O_M2^(1,2)"].sum
+    assert len({j for t in gen.terms() for j in t.support()}) == 10
+    v = StateVector(random_state(spec.n_qubits, np.random.default_rng(11)),
+                    normalized=False)
+    theta = 0.2913
+    oracle = v
+    for t in gen.terms():
+        oracle = exp_apply(t, theta, oracle)
+    out = exp_sum_apply(gen, theta, v)
+    assert np.max(np.abs(out.amps - oracle.amps)) < 1e-12
+
+
+def test_exp_sum_apply_rejects_non_hermitian_generator():
+    h = PauliSum(2, [PauliString.from_label("XZ"),
+                     PauliString.from_label("YY", 0.5j)])
+    with pytest.raises(ValueError, match="Hermitian"):
+        exp_sum_apply(h, 0.3, StateVector.from_ket("01"))

@@ -1,6 +1,5 @@
 """
-Hadronic operator pool, layered variational preparation and Domain
-Decomposition.
+Hadronic operator pool and layered variational preparation.
 
 Meson operators O_Md connect a light quark with a light antiquark through a
 string of d^2+d+1 Z's; baryon operators O_Bd create a baryon-antibaryon
@@ -197,104 +196,6 @@ def optimize_angles(seq: AnsatzSequence, start: StateVector, target: StateVector
     if best_x is None:
         raise OptimizationError("optimizer produced no result")
     return seq.with_angles(best_x), best_val
-
-
-def adapt_optimize(pool: list[PoolOperator], start: StateVector, target: StateVector,
-                   L: int, max_layers: int = 10, tol: float = 1e-4,
-                   rng_seed: int = 0) -> tuple[AnsatzSequence, float]:
-    """Greedy ADAPT selection: add the pool operator giving the largest
-    objective decrease, then globally re-optimize all angles.  Ties are
-    broken by pool order (mesons before baryons, shorter range first)."""
-    seq = AnsatzSequence([])
-    current = np.inf
-    for _ in range(max_layers):
-        best = None
-        for op in pool:
-            trial = AnsatzSequence(seq.layers + [Layer(op.name, op.sum)])
-            trial_opt, val = optimize_angles(trial, start, target, L,
-                                             seed_angles=list(seq.angles) + [0.0],
-                                             rng_seed=rng_seed, n_starts=1)
-            if best is None or val < best[1] - 1e-12:
-                best = (trial_opt, val)
-        if best is None or best[1] >= current - 1e-12:
-            break
-        seq, current = best
-        if current < tol:
-            break
-    seq, current = optimize_angles(seq, start, target, L, rng_seed=rng_seed)
-    return seq, current
-
-
-# -- Domain Decomposition ---------------------------------------------
-
-@dataclass
-class DDecPlan:
-    """Interleaved segment layers plus boundary healing layers.
-
-    `stages` is the full-lattice layer order as pool-operator names (or
-    name tuples for summed layers); `seed_angles` are the segment-optimized
-    starting angles; `boundary` names the seam operators appended last.
-    """
-    stages: list
-    seed_angles: list[float]
-    boundary: list
-
-
-def ddec_plan_l3(spec: LatticeSpec) -> DDecPlan:
-    """L=3 with a heavy quark at x=0 as (L=2, Q at x=0) + (L=1 vacuum)."""
-    from .spectra import ground_state, sc_state
-
-    # segment 1: L=2 with the heavy quark at x=0
-    spec2 = LatticeSpec(L=2, g=spec.g, mq=spec.mq, heavy_positions=frozenset({0}))
-    seq2 = sequence_from_names(spec2, L2_Q1_SEQUENCE, L2_Q1_ANGLES)
-    _, psi2 = ground_state(spec2)
-    seq2, _ = optimize_angles(seq2, sc_state(spec2), psi2, 2, seed_angles=L2_Q1_ANGLES)
-
-    # segment 2: L=1 vacuum
-    spec1 = LatticeSpec(L=1, g=spec.g, mq=spec.mq)
-    seq1 = sequence_from_names(spec1, L1_Q0_SEQUENCE, L1_Q0_ANGLES)
-    _, psi1 = ground_state(spec1)
-    seq1, _ = optimize_angles(seq1, sc_state(spec1), psi1, 1, seed_angles=L1_Q0_ANGLES)
-
-    a2, a1 = list(seq2.angles), list(seq1.angles)
-    # interleave: the two L=1 layers ride along with the first L=2 layers
-    stages = ["O_M0^(0)", "O_M0^(2)", "O_M1^(0,1)", "O_B0^(2)",
-              "O_M0^(1)", "O_B0^(1)", "O_B1^(0,1)", "O_M0^(0)"]
-    seeds = [a2[0], a1[0], a2[1], a1[1], a2[2], a2[3], a2[4], a2[5]]
-    return DDecPlan(stages=stages, seed_angles=seeds,
-                    boundary=["O_M1^(1,2)", "O_M2^(1,2)"])
-
-
-def ddec_prepare(plan: DDecPlan, spec: LatticeSpec, target: StateVector,
-                 rng_seed: int = 0) -> tuple[AnsatzSequence, StateVector, list[float]]:
-    """Run the staged DDec schedule: globally re-optimize the interleaved
-    segment layers stage by stage, then append and optimize the boundary
-    operators.  Returns (sequence, prepared state, infidelity trace)."""
-    from .spectra import sc_state
-
-    start = sc_state(spec)
-    trace = []
-    seq = AnsatzSequence([])
-    seeds: list[float] = []
-    for name, seed in zip(plan.stages, plan.seed_angles, strict=True):
-        nxt = sequence_from_names(spec, [name]).layers[0]
-        seq = AnsatzSequence(seq.layers + [nxt])
-        seeds.append(seed)
-        seq, val = optimize_angles(seq, start, target, spec.L, seed_angles=seeds,
-                                   n_starts=1, maxiter=30)
-        seeds = list(seq.angles)
-        trace.append(val)
-    for i, name in enumerate(plan.boundary):
-        final = i == len(plan.boundary) - 1
-        nxt = sequence_from_names(spec, [name]).layers[0]
-        seq = AnsatzSequence(seq.layers + [nxt])
-        seeds.append(0.0)
-        seq, val = optimize_angles(seq, start, target, spec.L, seed_angles=seeds,
-                                   rng_seed=rng_seed, n_starts=1,
-                                   maxiter=150 if final else 30)
-        seeds = list(seq.angles)
-        trace.append(val)
-    return seq, seq.apply(start), trace
 
 
 # paper-level reference sequences at the canonical couplings: L = 1 here,

@@ -12,8 +12,8 @@ import numpy as np
 from .circuits import ghz_evolution_circuit
 from .hamiltonian import charge_cross, charge_square
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, StateVector, _bit, _sign_vector,
-                    apply_unitary_on, partial_trace)
+from .pauli import (PauliString, PauliSum, StateVector, _bit, _hadamard,
+                    _sign_vector, apply_unitary_on, partial_trace)
 
 _EIG_CLIP = 1e-14
 
@@ -82,59 +82,68 @@ class SreEstimate:
     samples: int = 0
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis (unnormalized)."""
-    a = a.copy()
-    h = 1
-    n = a.shape[-1]
-    while h < n:
-        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top, bot = a[..., 0, :].copy(), a[..., 1, :].copy()
-        a[..., 0, :] = top + bot
-        a[..., 1, :] = top - bot
-        a = a.reshape(a.shape[:-3] + (n,))
-        h *= 2
-    return a
-
-
 def _sre_dense(amps: np.ndarray, n: int) -> float:
-    """sum_P <P>^4 / 2^n over all Pauli strings, via per-x-mask transforms."""
-    dim = 1 << n
+    """sum_P <P>^4 / 2^n over all Pauli strings.  For each X-mask x, the
+    Walsh-Hadamard transform of conj(c_s) c_{s^x} over s gives every <P> with
+    that mask; on the (2^hi, 2^lo) reshape it is the product W_hi G W_lo."""
+    dim, lo = 1 << n, n // 2
+    w_hi, w_lo = _hadamard(n - lo), _hadamard(lo)
     idx = np.arange(dim)
     total = 0.0
-    block = max(1, (1 << 22) // dim)
+    block = max(1, (1 << 20) // dim)
     for x0 in range(0, dim, block):
         xs = np.arange(x0, min(x0 + block, dim))
-        g = amps.conj()[None, :] * amps[idx[None, :] ^ xs[:, None]]
-        f = _fwht(g)
-        total += float((np.abs(f) ** 4).sum())
+        g = amps.conj() * amps[idx ^ xs[:, None]]
+        sq = 0.0
+        for part in (g.real, g.imag):
+            f = w_hi @ (part.reshape(-1, 1 << lo) @ w_lo).reshape(xs.size, -1, 1 << lo)
+            sq = sq + f * f
+        total += float((sq * sq).sum())
     return total / dim
 
 
-def _sre_sparse_exact(amps: np.ndarray, n: int, tol: float = 1e-12) -> float:
-    """Exact sum_P <P>^4 / 2^n for a sparse real state.
+def _sre_sparse_exact(c: np.ndarray, pair: np.ndarray, counts: np.ndarray) -> float:
+    """Exact sum_P <P>^4 / 2^n from a state's support amplitudes c.
 
-    Uses sum_u sum_v |A(u, v)|^2 with A(u, v) the XOR autocorrelation of
-    h_u(s) = c_s c_{s XOR u}; cost ~ sum_u k_u^2 over the difference set.
+    `pair[a, b]` indexes s_a ^ s_b among the support's sorted XOR
+    differences, and counts[u] is how many pairs differ by u.  With h_u(s) =
+    conj(c_s) c_{s^u}, the sum is sum_u sum_v |A_u(v)|^2, where A_u(v) =
+    sum_s h_u(s) conj(h_u(s^v)) is the XOR autocorrelation of h_u; both s
+    and s^v run over the k_u support states that have a partner at u.
     """
-    if np.abs(amps.imag).max(initial=0.0) > 1e-12:
-        raise ValueError("sparse exact path requires real amplitudes")
-    c = amps.real
-    supp = np.flatnonzero(np.abs(c) > tol)
-    cs = c[supp]
-    lookup = {int(s): i for i, s in enumerate(supp)}
-    diffs = sorted({int(a ^ b) for a in supp for b in supp})
+    if not np.any(c.imag):
+        c = c.real
     total = 0.0
-    for u in diffs:
-        partner = np.array([lookup.get(int(s) ^ u, -1) for s in supp])
-        ok = partner >= 0
-        s_u = supp[ok]
-        h = cs[ok] * cs[partner[ok]]
-        v = s_u[:, None] ^ s_u[None, :]
-        keys, inv = np.unique(v.ravel(), return_inverse=True)
-        acc = np.bincount(inv, weights=np.outer(h, h).ravel())
-        total += float((acc ** 2).sum())
+    order = np.argsort(pair, axis=None, kind="stable")
+    for f in np.split(order, np.cumsum(counts)[:-1]):
+        a, b = np.divmod(f, c.size)  # s_a ^ s_b = u
+        h = c[a].conj() * c[b]
+        w = np.outer(h, h.conj()).ravel()
+        v = pair[np.ix_(a, a)].ravel()
+        for part in (w.real, w.imag) if np.iscomplexobj(w) else (w,):
+            acc = np.bincount(v, part)
+            total += float(acc @ acc)
     return total
+
+
+def _sre_exact(amps: np.ndarray, n: int, tol: float = 1e-12) -> float:
+    """sum_P <P>^4 / 2^n by the cheaper of two exact paths.
+
+    The dense transform costs ~n 4^n.  The support sum costs ~sum_u k_u^2
+    plus |D| per difference, over the support's XOR differences D; since
+    sum_u k_u^2 >= K^4 / |D| for K support states, a wide support goes to
+    the dense transform before its K^2 pair table is built.
+    """
+    supp = np.flatnonzero(np.abs(amps) > tol)
+    k, dense = supp.size, n * 4.0 ** n
+    if k ** 4 >= dense * min(k * k, 2.0 ** n):
+        return _sre_dense(amps, n)
+    diffs, pair = np.unique(supp[:, None] ^ supp, return_inverse=True)
+    pair = pair.reshape(k, k)
+    counts = np.bincount(pair.ravel())
+    if float(counts @ counts) + float(diffs.size) ** 2 >= dense:
+        return _sre_dense(amps, n)
+    return _sre_sparse_exact(amps[supp], pair, counts)
 
 
 def _sre_sampled(amps: np.ndarray, n: int, samples: int, seed,
@@ -171,17 +180,15 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
            seed=None) -> SreEstimate:
     """Stabilizer Renyi entropy M2 = -log2(sum_P <P>^4 / 2^n).
 
-    The exact method enumerates Pauli strings (dense transform up to 14
-    qubits, or an equivalent amplitude-space sum for larger sparse real
-    states); the sampled method draws replica quadruples with a bootstrap
+    The exact method sums over all Pauli strings, by a Walsh-Hadamard
+    transform of the whole register or by an equal sum over the state's
+    support, whichever costs fewer operations (`_sre_exact`); it samples
+    nothing.  The sampled method draws replica quadruples with a bootstrap
     uncertainty.
     """
     amps = state.amps
     if method == "exact":
-        if state.n <= 14:
-            val = _sre_dense(amps, state.n)
-        else:
-            val = _sre_sparse_exact(amps, state.n)
+        val = _sre_exact(amps, state.n)
         m2 = float(-np.log2(max(val, _EIG_CLIP)))
         return SreEstimate(value=max(m2, 0.0), std_error=0.0, method="exact")
     if method == "sampled":

@@ -43,6 +43,16 @@ def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
     return signs
 
 
+@functools.lru_cache(maxsize=32)
+def _hadamard(m: int) -> np.ndarray:
+    """The 2^m Sylvester-Hadamard matrix, W[a, b] = (-1)^{|a & b|}."""
+    from scipy.linalg import hadamard
+
+    w = hadamard(1 << m, dtype=float)
+    w.setflags(write=False)
+    return w
+
+
 @functools.lru_cache(maxsize=256)
 def _perm_vector(n_qubits: int, x_mask: int) -> np.ndarray:
     """sigma ^ x for every basis index sigma (an involutive permutation)."""
@@ -227,40 +237,48 @@ class PauliSum:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
     # -- statevector action -------------------------------------------
+    def _arrays(self):
+        """Every term's X-mask, Z-mask and phase c * i^{|x&z|}, in insertion
+        order."""
+        keys = np.array(list(self._terms), dtype=np.int64).reshape(-1, 2)
+        return keys[:, 0], keys[:, 1], np.array(
+            [c * 1j ** (_popcount(x & z) % 4) for (x, z), c in self._terms.items()],
+            dtype=complex)
+
+    def _groups(self):
+        """(x, vec) for each X-mask x in order of first use, with vec[sigma]
+        = <sigma ^ x| self |sigma>: the sum over the group's terms, in
+        insertion order, of phase * (-1)^{|sigma & z|}.  (Both orders keep
+        the sums equal, bit for bit, to adding the terms one at a time.)
+        The sign factors over sigma's high and low bit halves, so a group is
+        one product of (2^hi, T) Hadamard columns and (T, 2^lo) rows."""
+        x, z, phase = self._arrays()
+        lo = self.n // 2
+        w_hi, w_lo = _hadamard(self.n - lo), _hadamard(lo)
+        xs, first, counts = np.unique(x, return_index=True, return_counts=True)
+        members = np.split(np.argsort(x, kind="stable"), np.cumsum(counts)[:-1])
+        for g in np.argsort(first):
+            t = members[g]
+            c = phase[t, None] * w_lo[z[t] & ((1 << lo) - 1)]
+            re, im = np.hsplit(w_hi[:, z[t] >> lo] @ np.hstack([c.real, c.imag]), 2)
+            yield int(xs[g]), (re if np.abs(im).max() < 1e-15 else re + 1j * im).ravel()
+
     def _compile(self):
         """Group terms by X-mask.  Returns (diag, [(perm, phase), ...]) with
         perm = index ^ mask, so that H v = diag * v + sum(phase * v[perm])."""
         if self._compiled is not None:
             return self._compiled
-        dim = 1 << self.n
-        diag = np.zeros(dim, dtype=complex)
-        groups: dict[int, np.ndarray] = {}
-        # each Z-mask's signs are computed once and dropped after the last
-        # term that uses them; the tables below already fold them in
-        last_use = {z: i for i, (_, z) in enumerate(self._terms)}
-        signs: dict[int, np.ndarray] = {}
-        for i, ((x, z), c) in enumerate(self._terms.items()):
-            if z not in signs:
-                signs[z] = _sign_vector.__wrapped__(self.n, z)
-            sign = signs.pop(z) if last_use[z] == i else signs[z]
-            vec = (c * 1j ** (_popcount(x & z) % 4)) * sign
+        idx = np.arange(1 << self.n)
+        diag, groups = np.zeros(idx.size), []
+        for x, vec in self._groups():
             if x == 0:
-                diag += vec
+                diag = vec
             else:
-                if x in groups:
-                    groups[x] = groups[x] + vec
-                else:
-                    groups[x] = vec
-        idx = np.arange(dim)
-
-        def _realify(v):
-            return v.real.copy() if np.abs(v.imag).max(initial=0.0) < 1e-15 else v
-
-        # phase[c] multiplies v[c ^ x]: a gather, which is much faster than
-        # scatter-adding vec * v into out[perm] and gives the same sums
-        self._compiled = (_realify(diag),
-                          [(idx ^ x, _realify(vec)[idx ^ x])
-                           for x, vec in groups.items()])
+                # phase[c] multiplies v[c ^ x]: a gather, which is much faster
+                # than scatter-adding vec * v into out[perm]
+                perm = idx ^ x
+                groups.append((perm, vec[perm]))
+        self._compiled = (diag, groups)
         return self._compiled
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -279,19 +297,22 @@ class PauliSum:
         return StateVector(self.matvec(state.amps), normalized=False)
 
     def expectation(self, state: "StateVector") -> float:
-        """<state|H|state> for Hermitian H; asserts the imaginary residual."""
+        """<state|H|state> for Hermitian H; raises ValueError on an imaginary
+        residual of 1e-10 or more."""
         if not self.is_hermitian(1e-10):
             raise ValueError("expectation requires a Hermitian PauliSum")
         val = np.vdot(state.amps, self.apply(state).amps)
-        assert abs(val.imag) < 1e-10, f"imaginary residual {val.imag:g}"
+        if abs(val.imag) >= 1e-10:
+            raise ValueError(f"imaginary residual {val.imag:g} in expectation")
         return float(val.real)
 
     def to_dense(self) -> np.ndarray:
         if self.n > 12:
             raise ValueError("dense matrix limited to 12 qubits")
-        m = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
-        for t in self.terms():
-            m += t.to_dense()
+        idx = np.arange(1 << self.n)
+        m = np.zeros((idx.size, idx.size), dtype=complex)
+        for x, vec in self._groups():
+            m[idx ^ x, idx] = vec
         return m
 
     # -- text form ----------------------------------------------------
@@ -393,16 +414,13 @@ class Sector:
 
     @staticmethod
     def _term_table(op: PauliSum):
-        """op's terms sorted by X-mask: the distinct masks x_g, the index of
-        each group's first term, and every term's Z-mask and phase
+        """op's terms sorted by (X-mask, Z-mask): the distinct masks x_g, the
+        index of each group's first term, and every term's Z-mask and phase
         c * i^{|x&z|}."""
-        keys = sorted(op._terms)
-        xs, starts = np.unique(np.array([x for x, _ in keys], dtype=np.int64),
-                               return_index=True)
-        zs = np.array([z for _, z in keys], dtype=np.int64)
-        phase = np.array([op._terms[x, z] * 1j ** (_popcount(x & z) % 4)
-                          for x, z in keys], dtype=complex)
-        return xs, starts, zs, phase
+        x, z, phase = op._arrays()
+        order = np.lexsort((z, x))
+        xs, starts = np.unique(x[order], return_index=True)
+        return xs, starts, z[order], phase[order]
 
     @staticmethod
     def _elements(table, sigma: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ class Check:
     @property
     def passed(self) -> bool:
         if self.mode == "upper":
-            return self.value <= self.target + self.tol
-        return abs(self.value - self.target) <= self.tol
+            return bool(self.value <= self.target + self.tol)
+        return bool(abs(self.value - self.target) <= self.tol)
 
 
 def _spec(L: int, nq: int) -> LatticeSpec:

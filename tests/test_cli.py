@@ -136,6 +136,16 @@ def test_evolve_rejects_horizon_off_the_time_grid(capsys):
     assert "whole number" in err
 
 
+def test_report_out_writes_json(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code = main(["report", "--sections", "toy,mitigation", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.out + captured.err
+    payload = json.loads(path.read_text())
+    assert payload and all(row["passed"] is True for row in payload)
+
+
 def test_observables_magic_sampled_is_deterministic(tmp_path, capsys):
     outputs = []
     for name in ("a.csv", "b.csv"):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2lgt import observables
+from su2lgt.ansatz import prepared_state
 from su2lgt.observables import (delta_hg_operator, depolarized,
                                 energy_loss_estimator, evaluate_energy_loss,
                                 four_tangle, ghz_evolution_unitary,
@@ -119,6 +121,36 @@ def test_sre_sparse_exact_path_matches_dense():
                        method="exact").value
     sparse_val = sre_m2(StateVector(big), method="exact").value
     assert sparse_val == pytest.approx(dense_val, abs=1e-9)
+
+
+def _refuse(*args):
+    raise AssertionError("took the other exact M2 path")
+
+
+@pytest.mark.parametrize("heavy", [(), (0,)])
+def test_l2_prepared_states_take_the_sparse_m2_path(heavy, monkeypatch):
+    state = prepared_state(spec_for(2, heavy))
+    dense = -np.log2(observables._sre_dense(state.amps, state.n))
+    monkeypatch.setattr(observables, "_sre_dense", _refuse)
+    assert sre_m2(state, method="exact").value == pytest.approx(dense, abs=1e-12)
+
+
+def test_sre_sparse_path_is_exact_on_complex_amplitudes(monkeypatch):
+    rng = np.random.default_rng(17)
+    amps = np.zeros(1 << 10, dtype=complex)
+    amps[rng.choice(amps.size, 12, replace=False)] = (rng.standard_normal(12)
+                                                      + 1j * rng.standard_normal(12))
+    state = StateVector(amps / np.linalg.norm(amps))
+    dense = -np.log2(observables._sre_dense(state.amps, state.n))
+    monkeypatch.setattr(observables, "_sre_dense", _refuse)
+    assert sre_m2(state, method="exact").value == pytest.approx(dense, abs=1e-12)
+
+
+def test_sre_full_support_state_takes_the_dense_path(monkeypatch):
+    state = StateVector(random_state(6, np.random.default_rng(19)))
+    dense = -np.log2(observables._sre_dense(state.amps, state.n))
+    monkeypatch.setattr(observables, "_sre_sparse_exact", _refuse)
+    assert sre_m2(state, method="exact").value == pytest.approx(dense, abs=1e-12)
 
 
 def test_estimator_groups_sum_to_gauge_difference():

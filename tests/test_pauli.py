@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -160,3 +160,40 @@ def test_exp_sum_apply_rejects_non_hermitian_generator():
                      PauliString.from_label("YY", 0.5j)])
     with pytest.raises(ValueError, match="Hermitian"):
         exp_sum_apply(h, 0.3, StateVector.from_ket("01"))
+
+
+sums = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
+              coeffs), max_size=12)))
+
+
+@given(sums)
+@example((3, [(0, 0, 2.5 - 0.5j)]))                               # identity only
+@example((5, [(0, 3, 1.0), (0, 17, -0.5j), (0, 0, 0.25)]))      # diagonal only
+@example((7, []))
+@settings(max_examples=60, deadline=None)
+def test_compile_and_to_dense_match_per_term_oracle(case):
+    n, terms = case
+    h = PauliSum(n, [PauliString(n, x, z, c) for x, z, c in terms])
+    oracle = np.zeros((1 << n, 1 << n), dtype=complex)
+    for t in h.terms():
+        oracle += t.to_dense()
+    assert np.allclose(h.to_dense(), oracle, atol=1e-12)
+    diag, groups = h._compile()
+    idx = np.arange(1 << n)
+    rebuilt = np.zeros_like(oracle)
+    rebuilt[idx, idx] = diag
+    for perm, phase in groups:
+        assert perm[0] != 0 and np.array_equal(perm, idx ^ perm[0])
+        rebuilt[idx, perm] += phase
+    assert len({perm[0] for perm, _ in groups}) == len(groups)
+    assert np.allclose(rebuilt, oracle, atol=1e-12)
+
+
+def test_expectation_raises_on_imaginary_residual():
+    # each coefficient passes is_hermitian(1e-10); their sum on |00> does not
+    c = 1 + 9e-11j
+    h = PauliSum(2, [PauliString.from_label(label, c) for label in ("ZI", "IZ", "II")])
+    assert h.is_hermitian(1e-10)
+    with pytest.raises(ValueError, match="imaginary residual"):
+        h.expectation(StateVector.from_ket("00"))

@@ -1,0 +1,100 @@
+"""Write a BENCH_<n>.json record from paired benchmark runs.
+
+Each file RUNDIR/<workload>-<side>-<seed>.log holds the standard output of
+
+    python3 benchmark/run.py --workload <workload> --seed <seed> --seconds 10 --trace 0
+
+run from a checkout of the parent commit (side "parent") or of the change
+(side "change"); its last line is run.py's JSON result.  The record holds the
+parent commit, the git tree of the change's src/ (after commit, equal to
+`git rev-parse <commit>:src`), the machine, and for each workload and
+end-to-end metric each side's median and quartiles over the runs and how many
+same-seed pairs the change won.  Run it from the change's checkout, with the
+change staged:
+
+    python3 tools/bench_record.py BENCH_6.json --runs RUNDIR --parent fff7009 \\
+        --tier1 182.9 142.8
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+from importlib import metadata
+
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": values}
+
+
+def _load(rundir: pathlib.Path) -> dict:
+    """{workload: {side: {seed: result}}} from the run logs."""
+    runs: dict = {}
+    for path in sorted(rundir.glob("*.log")):
+        workload, side, seed = path.stem.rsplit("-", 2)
+        if side not in SIDES:
+            raise SystemExit(f"{path}: side must be one of {SIDES}")
+        last = path.read_text(encoding="utf-8").strip().splitlines()[-1]
+        runs.setdefault(workload, {}).setdefault(side, {})[int(seed)] = json.loads(last)
+    return runs
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=pathlib.Path)
+    ap.add_argument("--runs", type=pathlib.Path, required=True)
+    ap.add_argument("--parent", required=True, help="the parent commit")
+    ap.add_argument("--tier1", type=float, nargs=2, metavar=("PARENT_S", "CHANGE_S"),
+                    help="tier-1 test wall times on the same machine")
+    args = ap.parse_args()
+
+    workloads = {}
+    for workload, sides in sorted(_load(args.runs).items()):
+        seeds = sorted(set(sides["parent"]) & set(sides["change"]))
+        entry = {"seeds": seeds,
+                 "attempted": {s: sum(r["attempted"] for r in sides[s].values()) for s in SIDES},
+                 "failed": {s: sum(r["failed"] for r in sides[s].values()) for s in SIDES}}
+        for metric in METRICS:
+            vals = {s: [sides[s][seed]["metrics"][metric]["value"] for seed in seeds]
+                    for s in SIDES}
+            entry[metric] = {s: _spread(vals[s]) for s in SIDES}
+            entry[metric]["change_better_pairs"] = sum(
+                c < p for p, c in zip(vals["parent"], vals["change"]))
+            base = entry[metric]["parent"]["median"]
+            entry[metric]["median_change"] = entry[metric]["change"]["median"] / base - 1.0
+            print(f"{workload:8s} {metric:12s} {base:10.4g} -> "
+                  f"{entry[metric]['change']['median']:10.4g} "
+                  f"({entry[metric]['median_change']:+.1%}, better in "
+                  f"{entry[metric]['change_better_pairs']}/{len(seeds)} pairs)")
+        workloads[workload] = entry
+
+    record = {
+        "parent": {"commit": _git("rev-parse", args.parent),
+                   "src_tree": _git("rev-parse", f"{args.parent}:src")},
+        "change": {"src_tree": _git("write-tree", "--prefix=src/")},
+        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
+        "command": "python3 benchmark/run.py --workload W --seed N --seconds 10 --trace 0",
+        "workloads": workloads,
+        "tier1_wall_s": dict(zip(SIDES, args.tier1)) if args.tier1 else None,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -97,6 +97,25 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _opt(cfg: dict, key: str, default, kind=str, choices=None):
+    """cfg[key] converted by kind, or default when it is unset (None).  A
+    value that kind cannot convert exactly, or one outside choices, is a
+    configuration error."""
+    val = cfg.get(key)
+    if val is None:
+        return default
+    flag = "--" + key.replace("_", "-")
+    try:
+        out = kind(val)
+    except (TypeError, ValueError):
+        raise CliError(f"{flag}: cannot read {val!r}")
+    if isinstance(val, float) and out != val:  # 1.5 for an integer option
+        raise CliError(f"{flag}: cannot read {val!r}")
+    if choices is not None and out not in choices:
+        raise CliError(f"{flag} must be one of " + ", ".join(map(str, choices)))
+    return out
+
+
 def _spec_from(cfg: dict) -> LatticeSpec:
     try:
         L = int(cfg["L"])
@@ -104,7 +123,7 @@ def _spec_from(cfg: dict) -> LatticeSpec:
             raw = cfg["heavy"]
             positions = tuple(int(tok) for tok in str(raw).split(",") if tok != "")
         else:
-            nq = int(cfg.get("nq") or 0)
+            nq = _opt(cfg, "nq", 0, int)
             if nq == 0:
                 positions = ()
             elif nq == 1:
@@ -187,13 +206,10 @@ def cmd_hamiltonian(cfg: dict) -> int:
 def cmd_groundstate(cfg: dict) -> int:
     from .dynamics import _sector_expectations
     from .hamiltonian import build_hamiltonian, mass_offset
-    from .spectra import LanczosError, ground_state, hadron_mass
+    from .spectra import ground_state, hadron_mass
 
     spec = _spec_from(cfg)
-    try:
-        energy, psi = ground_state(spec)
-    except LanczosError as exc:
-        raise NumericalError(str(exc))
+    energy, psi = ground_state(spec)
     terms = build_hamiltonian(spec)
     components = _sector_expectations(terms.total, psi, terms.as_dict())
     components["mass"] += mass_offset(spec)
@@ -221,7 +237,7 @@ def cmd_prepare(cfg: dict) -> int:
     if cfg.get("optimize"):
         seq, _ = optimize_angles(seq, start, target, spec.L,
                                  seed_angles=angles, n_starts=1,
-                                 rng_seed=int(cfg["seed"]))
+                                 rng_seed=_opt(cfg, "seed", 0, int))
     var = seq.apply(start)
     payload = {
         "L": spec.L, "n_Q": spec.n_Q,
@@ -257,28 +273,34 @@ def _parse_moves(raw: str):
     return tuple(events)
 
 
-def _schedule(events, horizon: float, dt: float):
-    """A MotionSchedule; a schedule it rejects is a numerical failure."""
+def _schedule(spec: LatticeSpec, events, horizon: float, dt: float):
+    """A MotionSchedule on the lattice of spec; a schedule it rejects, or a
+    move that leaves the sites 0..L-1, is a numerical failure."""
     from .dynamics import MotionSchedule
 
+    for _, x_from, x_to in events:
+        if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
+            raise NumericalError(f"move {x_from}-{x_to} leaves the lattice "
+                                 f"0..{spec.L - 1}")
     try:
         return MotionSchedule(events=events, horizon=horizon, dt=dt)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise NumericalError(str(exc))
+
+
+_EVOLVERS = ("exact", "trotter")
 
 
 def cmd_evolve(cfg: dict) -> int:
-    from .dynamics import KrylovError, run_protocol
+    from .dynamics import run_protocol
 
     spec = _spec_from(cfg)
-    schedule = _schedule(_parse_moves(cfg.get("moves") or ""),
-                         horizon=float(cfg.get("horizon") or 10.0),
-                         dt=float(cfg.get("dt") or 0.25))
-    try:
-        run = run_protocol(spec, schedule, evolver=cfg.get("evolver") or "exact",
-                           order=int(cfg.get("order") or 2))
-    except KrylovError as exc:
-        raise NumericalError(str(exc))
+    evolver = _opt(cfg, "evolver", "exact", choices=_EVOLVERS)
+    order = _opt(cfg, "order", 2, int, choices=(1, 2))
+    schedule = _schedule(spec, _parse_moves(_opt(cfg, "moves", "")),
+                         horizon=_opt(cfg, "horizon", 10.0, float),
+                         dt=_opt(cfg, "dt", 0.25, float))
+    run = run_protocol(spec, schedule, evolver=evolver, order=order)
     header = ["t", "kinetic", "mass", "gauge", "penalty", "total"]
     if cfg.get("csv_z"):
         header += [f"z{j}" for j in range(spec.n_qubits)]
@@ -293,29 +315,24 @@ def cmd_evolve(cfg: dict) -> int:
 
 
 def cmd_dedx(cfg: dict) -> int:
-    from .dynamics import KrylovError, dedx_estimate, run_protocol
+    from .dynamics import dedx_estimate, run_protocol
     from .reference import MOTION
 
     spec = _spec_from(cfg)
-    schedule_name = cfg.get("schedule") or "vac-med-default"
-    if schedule_name not in ("vacuum", "medium", "vac-med-default"):
-        raise CliError("--schedule must be vacuum, medium or vac-med-default")
+    schedule_name = _opt(cfg, "schedule", "vac-med-default",
+                         choices=("vacuum", "medium", "vac-med-default"))
+    evolver = _opt(cfg, "evolver", "exact", choices=_EVOLVERS)
     t0, t1 = MOTION["move_times"]
-    schedule = _schedule(((t0, 0, 1), (t1, 1, 2)),
-                         horizon=float(cfg.get("horizon") or MOTION["horizon"]),
-                         dt=float(cfg.get("dt") or 0.5))
+    schedule = _schedule(spec, ((t0, 0, 1), (t1, 1, 2)),
+                         horizon=_opt(cfg, "horizon", MOTION["horizon"], float),
+                         dt=_opt(cfg, "dt", 0.5, float))
     vac_spec = spec.with_heavy(0)
     med_spec = spec.with_heavy(0, spec.L - 1)
-    try:
-        runs = {}
-        if schedule_name in ("vacuum", "vac-med-default"):
-            runs["vacuum"] = run_protocol(vac_spec, schedule,
-                                          evolver=cfg.get("evolver") or "exact")
-        if schedule_name in ("medium", "vac-med-default"):
-            runs["medium"] = run_protocol(med_spec, schedule,
-                                          evolver=cfg.get("evolver") or "exact")
-    except KrylovError as exc:
-        raise NumericalError(str(exc))
+    runs = {}
+    if schedule_name in ("vacuum", "vac-med-default"):
+        runs["vacuum"] = run_protocol(vac_spec, schedule, evolver=evolver)
+    if schedule_name in ("medium", "vac-med-default"):
+        runs["medium"] = run_protocol(med_spec, schedule, evolver=evolver)
     rows = []
     for name, run in runs.items():
         base = run.plateau_energies()[0]
@@ -340,16 +357,9 @@ def cmd_dedx(cfg: dict) -> int:
 
 def cmd_observables(cfg: dict) -> int:
     spec = _spec_from(cfg)
-    what = cfg.get("what") or "estimator"
-    if what == "estimator":
-        return _obs_estimator(cfg, spec)
-    if what == "entanglement":
-        return _obs_entanglement(cfg, spec)
-    if what == "tangles":
-        return _obs_tangles(cfg, spec)
-    if what == "magic":
-        return _obs_magic(cfg, spec)
-    raise CliError("--what must be estimator, entanglement, tangles or magic")
+    handlers = {"estimator": _obs_estimator, "entanglement": _obs_entanglement,
+                "tangles": _obs_tangles, "magic": _obs_magic}
+    return handlers[_opt(cfg, "what", "estimator", choices=tuple(handlers))](cfg, spec)
 
 
 def _obs_estimator(cfg: dict, spec: LatticeSpec) -> int:
@@ -392,9 +402,11 @@ def _obs_tangles(cfg: dict, spec: LatticeSpec) -> int:
     from .dynamics import run_protocol
     from .observables import four_tangle
 
-    schedule = _schedule(((0.0, 0, 1),), horizon=float(cfg.get("horizon") or 10.0),
-                         dt=float(cfg.get("dt") or 0.5))
-    run = run_protocol(spec, schedule, evolver=cfg.get("evolver") or "exact")
+    evolver = _opt(cfg, "evolver", "exact", choices=_EVOLVERS)
+    schedule = _schedule(spec, ((0.0, 0, 1),),
+                         horizon=_opt(cfg, "horizon", 10.0, float),
+                         dt=_opt(cfg, "dt", 0.5, float))
+    run = run_protocol(spec, schedule, evolver=evolver)
     x_q = 1  # position after the move
     header = (["t"] + [f"tau4q_x{x}" for x in range(spec.L)]
               + [f"tau4qbar_x{x}" for x in range(spec.L)])
@@ -422,20 +434,20 @@ def _obs_magic(cfg: dict, spec: LatticeSpec) -> int:
     stages = staged.get("stages", list(range(1, len(staged["angles"]) + 1)))
     _, target = ground_state(spec)
     start = sc_state(spec)
-    samples = int(cfg.get("samples") or 0)
+    samples = _opt(cfg, "samples", 0, int)
+    seed = _opt(cfg, "seed", 0, int)
     rows = []
     for k, seed_angles in zip(stages, staged["angles"]):
         seq = sequence_from_names(spec, staged["sequence"][:k], seed_angles)
         if cfg.get("optimize"):
             seq, _ = optimize_angles(seq, start, target, spec.L,
                                      seed_angles=seed_angles, n_starts=1,
-                                     rng_seed=int(cfg["seed"]))
+                                     rng_seed=seed)
         state = seq.apply(start)
         exact = sre_m2(state, method="exact")
         row = [k, exact.value]
         if samples:
-            est = sre_m2(state, method="sampled", samples=samples,
-                         seed=int(cfg["seed"]))
+            est = sre_m2(state, method="sampled", samples=samples, seed=seed)
             row += [est.value, est.std_error]
         rows.append(row)
     header = ["stage", "m2_exact"] + (["m2_sampled", "m2_err"] if samples else [])
@@ -448,9 +460,12 @@ def cmd_circuit(cfg: dict) -> int:
 
     spec = _spec_from(cfg)
     template = cfg.get("template")
-    theta = float(cfg.get("theta") if cfg.get("theta") is not None else 0.1)
-    x = int(cfg.get("x") or 0)
-    d = int(cfg.get("d") or 0)
+    theta = _opt(cfg, "theta", 0.1, float)
+    x = _opt(cfg, "x", 0, int)
+    d = _opt(cfg, "d", 0, int)
+    t = _opt(cfg, "t", 1.0, float)
+    order = _opt(cfg, "order", 2, int, choices=(1, 2))
+    steps = _opt(cfg, "steps", 1, int)
     try:
         if template == "scprep":
             circ = circuits.sc_prep_circuit(spec)
@@ -459,29 +474,25 @@ def cmd_circuit(cfg: dict) -> int:
         elif template == "baryon":
             circ = circuits.baryon_circuit(spec, d, x, theta)
         elif template == "fswap":
-            circ = circuits.fswap_circuit(spec, int(cfg.get("x_from") or 0),
-                                          int(cfg.get("x_to") or 1))
+            circ = circuits.fswap_circuit(spec, _opt(cfg, "x_from", 0, int),
+                                          _opt(cfg, "x_to", 1, int))
         elif template == "trotter":
-            circ = circuits.trotter_circuit(spec, float(cfg.get("t") or 1.0),
-                                            order=int(cfg.get("order") or 2),
-                                            steps=int(cfg.get("steps") or 1))
+            circ = circuits.trotter_circuit(spec, t, order=order, steps=steps)
         elif template == "measure":
             from .observables import energy_loss_estimator
 
             groups = {g.name: g for g in energy_loss_estimator(spec)}
-            name = cfg.get("group") or "hop_01_23"
+            name = _opt(cfg, "group", "hop_01_23")
             if name not in groups:
                 raise CliError(f"--group must be one of {sorted(groups)}")
             circ = circuits.measurement_basis_circuit(groups[name], spec.n_qubits)
         elif template == "pipeline":
-            circ = circuits.pipeline_circuit(spec, t=float(cfg.get("t") or 1.0),
-                                             order=int(cfg.get("order") or 2),
-                                             steps=int(cfg.get("steps") or 1))
+            circ = circuits.pipeline_circuit(spec, t=t, order=order, steps=steps)
         else:
             raise CliError("--template must be scprep, meson, baryon, fswap, "
                            "trotter, measure or pipeline")
-    except circuits.SynthesisError as exc:
-        raise NumericalError(str(exc))
+    except (ValueError, LookupError) as exc:  # the template's own input checks
+        raise CliError(f"{template} template: {exc}")
     report = circuits.count_resources(circ)
     payload = {
         "template": template,
@@ -514,7 +525,7 @@ def cmd_report(cfg: dict) -> int:
         if s not in REPORT_SECTIONS:
             raise CliError(f"unknown section {s!r}; available: "
                            + ", ".join(REPORT_SECTIONS))
-    checks = run_report(sections, seed=int(cfg["seed"]))
+    checks = run_report(sections, seed=_opt(cfg, "seed", 0, int))
     width = max(len(c.name) for c in checks) + 2
     lines = []
     n_fail = 0
@@ -630,6 +641,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    from .circuits import SynthesisError
+    from .dynamics import KrylovError
+    from .spectra import LanczosError
+
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -639,10 +654,10 @@ def main(argv=None) -> int:
         if cfg.get("template") is None and args.command == "circuit":
             raise CliError("circuit requires --template")
         return args.func(cfg)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # OSError: an unreadable or unwritable path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, LanczosError, KrylovError, SynthesisError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

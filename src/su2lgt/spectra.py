@@ -1,5 +1,5 @@
 """
-Strong-coupling states and exact/Lanczos ground states per charge sector.
+Strong-coupling states and exact ground states per charge sector.
 """
 from __future__ import annotations
 
@@ -40,63 +40,36 @@ def sc_state(spec: LatticeSpec) -> StateVector:
     return StateVector(amps.astype(complex))
 
 
-def lanczos_ground(h: PauliSum, start: StateVector, tol: float = 1e-10,
-                   max_iter: int = 400) -> tuple[float, StateVector]:
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+def lanczos_ground(h: PauliSum, start: StateVector,
+                   tol: float = 1e-10) -> tuple[float, StateVector]:
+    """Lowest eigenpair of h in the start vector's sector.
 
-    The start vector selects the sector: it must have nonzero overlap with
-    the target ground state.  The iteration runs on the basis states that h
-    reaches from the start's support (see Sector.closure), which hold the
-    whole Krylov space.  Residual ||H psi - E psi|| < tol on success.
+    The start vector selects the sector: the basis states that h reaches
+    from its support (see Sector.closure).  h restricted to them is
+    diagonalized densely, lowest eigenpair only; sectors at L <= 3 hold at
+    most 1200 states.  Raises LanczosError unless ||H psi - E psi|| < tol.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import eigh
 
     sector = Sector.closure(h, start)
     hs = sector.restrict(h)
-    v = sector.extract(start)
-    if np.abs(v.imag).max(initial=0.0) < 1e-15:
-        v = v.real.copy()  # H is real in this basis; stay in real arithmetic
-    v = v / np.linalg.norm(v)
-    basis = np.empty((64, v.size), dtype=v.dtype)
-    basis[0] = v
-    alphas, betas = [], []
-    best = (np.inf, np.inf)
-    for k in range(max_iter):
-        if k + 1 >= basis.shape[0]:
-            basis = np.concatenate([basis, np.empty_like(basis)], axis=0)
-        w = hs @ basis[k]
-        alphas.append(float(np.vdot(basis[k], w).real))
-        # full reorthogonalization (twice, for numerical safety)
-        for _ in range(2):
-            coefs = basis[:k + 1].conj() @ w
-            w = w - basis[:k + 1].T @ coefs
-        beta = float(np.linalg.norm(w))
-        evals, evecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        energy = float(evals[0])
-        resid = beta * abs(evecs[-1, 0])
-        best = min(best, (resid, energy))
-        if resid < tol or beta < 1e-14:
-            amps = evecs[:, 0] @ basis[:k + 1]
-            amps = amps / np.linalg.norm(amps)
-            true_resid = np.linalg.norm(hs @ amps - energy * amps)
-            if true_resid < max(tol, 100 * resid + 1e-12):
-                return energy, sector.embed(amps)
-        betas.append(beta)
-        basis[k + 1] = w / beta
-    raise LanczosError(f"Lanczos did not converge in {max_iter} iterations "
-                       f"(best residual {best[0]:.3e})",
-                       energy=best[1], residual=best[0])
+    evals, evecs = eigh(hs.toarray(), subset_by_index=(0, 0))
+    energy, amps = float(evals[0]), evecs[:, 0]
+    residual = float(np.linalg.norm(hs @ amps - energy * amps))
+    if not residual < tol:
+        raise LanczosError(f"ground-state residual {residual:.3e} is not below "
+                           f"{tol:.1e}", energy=energy, residual=residual)
+    return energy, sector.embed(amps)
 
 
-def ground_state(spec: LatticeSpec, tol: float = 1e-10,
-                 max_iter: int = 400) -> tuple[float, StateVector]:
+def ground_state(spec: LatticeSpec, tol: float = 1e-10) -> tuple[float, StateVector]:
     """Interacting ground state of the sector encoded in the spec.
 
     The reported energy restores the identity constant dropped by the mass
     builder, matching the convention of the quoted component energies.
     """
     h = build_hamiltonian(spec).total
-    e, psi = lanczos_ground(h, sc_state(spec), tol=tol, max_iter=max_iter)
+    e, psi = lanczos_ground(h, sc_state(spec), tol=tol)
     return e + mass_offset(spec), psi
 
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2lgt.cli import main
 
@@ -171,3 +176,181 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dedx", "--L", "2"],
+    ["dedx", "--L", "2", "--evolver", "trotter"],
+    ["evolve", "--L", "2", "--nq", "1", "--moves", "1-2@0", "--horizon", "1",
+     "--dt", "0.5"],
+    ["evolve", "--L", "1", "--nq", "1", "--moves", "0-1@0", "--horizon", "1",
+     "--dt", "0.5"],
+])
+def test_move_outside_the_lattice_is_rejected(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "leaves the lattice" in err
+    assert "Traceback" not in err
+
+
+def test_zero_horizon_prints_one_record(capsys):
+    code, out = run_cli(capsys, "evolve", "--L", "1", "--nq", "1",
+                        "--horizon", "0")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("0.0,")
+
+
+def test_zero_dt_is_rejected(capsys):
+    code = main(["evolve", "--L", "1", "--nq", "1", "--horizon", "1",
+                 "--dt", "0"])
+    assert code == 2
+    assert "dt > 0" in capsys.readouterr().err
+
+
+def test_trotter_circuit_at_zero_time_is_the_identity(tmp_path, capsys):
+    from su2lgt.circuits import parse_text
+    from su2lgt.pauli import StateVector
+
+    from conftest import random_state
+
+    path = tmp_path / "c.qasm"
+    code = main(["circuit", "--L", "1", "--nq", "1", "--template", "trotter",
+                 "--t", "0", "--emit", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    circ = parse_text(path.read_text())
+    v = random_state(circ.n_qubits, np.random.default_rng(4))
+    assert np.max(np.abs(circ.apply(StateVector(v)).amps - v)) < 1e-12
+
+
+def test_fswap_circuit_takes_site_zero_as_destination(capsys):
+    code, out = run_cli(capsys, "circuit", "--L", "2", "--nq", "1",
+                        "--template", "fswap", "--x-from", "1", "--x-to", "0")
+    assert code == 0
+    assert json.loads(out)["n_qubits"] == 12
+
+
+def _given(source, options, tmp_path):
+    """argv that sets the options as flags, or through a --config file."""
+    if source == "flag":
+        return [f"--{key.replace('_', '-')}={val}" for key, val in options.items()]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(options))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("options", [
+    {"evolver": "trotter", "order": 3},
+    {"order": 0},
+    {"evolver": "rk4"},
+    {"horizon": "soon"},
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_invalid_evolve_option_is_config_error(tmp_path, capsys, options, source):
+    argv = ["evolve", "--L", "1", "--nq", "1"]
+    code = main(argv + _given(source, {"horizon": 1, "dt": 0.5, **options}, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("options", [
+    {"template": "trotter", "steps": 0},
+    {"template": "trotter", "steps": -2},
+    {"template": "trotter", "order": 3},
+    {"template": "fswap", "x_from": 0, "x_to": 2},
+    {"template": "fswap", "x_from": 1, "x_to": 1},
+    {"template": "meson", "d": -1},
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_invalid_circuit_option_is_config_error(tmp_path, capsys, options, source):
+    argv = ["circuit", "--L", "2", "--nq", "1"]
+    code = main(argv + _given(source, options, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_fractional_integer_option_in_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 1.5}))
+    code = main(["circuit", "--L", "1", "--template", "trotter", "--config",
+                 str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--steps" in err
+
+
+def test_evolve_exits_2_when_energy_is_not_conserved(monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    exact = scipy.sparse.linalg.expm_multiply
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda a, v: exact(a, v) + 1e-4 * v[::-1])
+    code = main(["evolve", "--L", "2", "--nq", "1", "--moves", "0-1@0",
+                 "--horizon", "1", "--dt", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical failure" in err
+
+
+# -- the CLI contract over drawn argv ------------------------------------------
+
+_SITES = st.sampled_from(["-1", "0", "1", "2", "3"])
+_TIMES = st.sampled_from(["-1", "0", "0.5", "1", "1.5", "2"])
+_LATTICE = st.fixed_dictionaries({
+    "L": st.sampled_from(["1", "2", "0", "-1"])}, optional={
+    "nq": st.sampled_from(["0", "1", "2", "-1"]),
+    "heavy": st.sampled_from(["0", "1", "0,1", "-1"]),
+    "g": st.sampled_from(["0.5", "0"]),
+    "mq": st.sampled_from(["0", "-0.5"]),
+})
+_COMMANDS = {
+    "groundstate": st.fixed_dictionaries({}, optional={
+        "hadron-mass": st.just(None)}),
+    "evolve": st.fixed_dictionaries({"horizon": _TIMES}, optional={
+        "moves": st.lists(st.builds("{}-{}@{}".format, _SITES, _SITES, _TIMES),
+                          max_size=2).map(",".join),
+        "dt": st.sampled_from(["-0.5", "0", "0.3", "0.5", "1"]),
+        "evolver": st.sampled_from(["exact", "trotter"]),
+        "order": st.sampled_from(["-1", "0", "1", "2", "3"]),
+        "csv-z": st.just(None)}),
+    "dedx": st.fixed_dictionaries({"horizon": _TIMES}, optional={
+        "schedule": st.sampled_from(["vacuum", "medium", "vac-med-default"]),
+        "dt": st.sampled_from(["-0.5", "0", "0.5", "1"]),
+        "evolver": st.sampled_from(["exact", "trotter"])}),
+    "circuit": st.one_of(
+        st.fixed_dictionaries({"template": st.just("fswap")}, optional={
+            "x-from": _SITES, "x-to": _SITES}),
+        st.fixed_dictionaries({"template": st.just("trotter")}, optional={
+            "t": _TIMES, "order": st.sampled_from(["-1", "0", "1", "2", "3"]),
+            "steps": st.sampled_from(["-1", "0", "1", "2"])})),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = {**draw(_LATTICE), **draw(_COMMANDS[command])}
+    argv = [command]
+    for key, val in options.items():
+        argv.append(f"--{key}" if val is None else f"--{key}={val}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_contract_holds_for_drawn_argv(argv):
+    outputs = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1], argv

@@ -27,6 +27,20 @@ def test_evolve_exact_matches_dense_expm():
     assert np.max(np.abs(out.amps - oracle)) < 1e-10
 
 
+def test_evolve_exact_raises_when_energy_is_not_conserved(monkeypatch):
+    import scipy.sparse.linalg
+
+    from su2lgt.dynamics import KrylovError
+
+    exact = scipy.sparse.linalg.expm_multiply
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda a, v: exact(a, v) + 1e-4 * v[::-1])
+    spec = spec_for(1, (0,))
+    v = random_state(spec.n_qubits, np.random.default_rng(3))
+    with pytest.raises(KrylovError):
+        evolve_exact(StateVector(v), _full_h(spec), 0.5)
+
+
 def test_trotter_step_is_unitary_and_trivial_at_zero():
     spec = spec_for(2, (0,))
     rng = np.random.default_rng(9)

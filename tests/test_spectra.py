@@ -46,8 +46,22 @@ def test_lanczos_on_degenerate_diagonal_operator():
                      PauliString.from_label("III", -1.0)])
     rng = np.random.default_rng(5)
     v = rng.standard_normal(8)
-    e, _ = lanczos_ground(h, StateVector(v / np.linalg.norm(v)))
+    e, psi = lanczos_ground(h, StateVector(v / np.linalg.norm(v)))
     assert e == pytest.approx(-2.0, abs=1e-9)
+    assert np.linalg.norm(h.apply(psi).amps - e * psi.amps) < 1e-10
+
+
+def test_lanczos_on_one_state_sector_returns_that_state():
+    # a basis state of a diagonal operator is its own sector
+    from su2lgt.pauli import PauliString, PauliSum
+
+    h = PauliSum(3, [PauliString.from_label("ZII", 0.7),
+                     PauliString.from_label("IZZ", -0.3)])
+    start = StateVector.basis(3, 0b101)
+    e, psi = lanczos_ground(h, start)
+    assert e == pytest.approx(-0.7 + 0.3, abs=1e-14)
+    assert abs(np.vdot(start.amps, psi.amps)) == pytest.approx(1.0, abs=1e-14)
+    assert np.count_nonzero(psi.amps) == 1
 
 
 def test_sc_vacuum_is_charge_free_basis_state():

@@ -93,6 +93,40 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)  # rx
 
 
+# Simulation fuses runs of consecutive gates into blocks on at most this many
+# wires (gate fusion, Haener & Steiger, arXiv:1704.01127).  The 18-qubit
+# pipeline is 95 blocks at width 4; notes/decisions.md has the timings of
+# widths 1 to 6.
+_FUSE_WIDTH = 4
+
+
+def _block_matrix(wires: list[int], gates) -> np.ndarray:
+    """The 2^k x 2^k matrix of gates acting on the k listed wires (the first
+    the most significant): the identity, seen as a 2k-qubit state whose
+    first k qubits index the rows, with each gate applied to those."""
+    k = len(wires)
+    u = StateVector(np.eye(1 << k, dtype=complex).reshape(-1), normalized=False)
+    for g in gates:
+        u = apply_unitary_on(_gate_matrix(g), [wires.index(q) for q in g.qubits], u)
+    return u.amps.reshape(1 << k, 1 << k)
+
+
+def _fused_blocks(gates) -> list[tuple[list[int], np.ndarray]]:
+    """(wires, matrix) per block of consecutive gates, grouped greedily so
+    that each block's wires number at most _FUSE_WIDTH."""
+    runs: list[tuple[list[int], list[Gate]]] = []
+    for g in gates:
+        if runs:
+            wires, members = runs[-1]
+            new = [q for q in g.qubits if q not in wires]
+            if len(wires) + len(new) <= _FUSE_WIDTH:
+                wires += new
+                members.append(g)
+                continue
+        runs.append((list(g.qubits), [g]))
+    return [(wires, _block_matrix(wires, members)) for wires, members in runs]
+
+
 class Circuit:
     """Register size, time-ordered gate list and a tracked global phase."""
 
@@ -139,8 +173,8 @@ class Circuit:
         if state.n != self.n_qubits:
             raise ValueError("register size mismatch")
         out = state
-        for g in self.gates:
-            out = apply_unitary_on(_gate_matrix(g), list(g.qubits), out)
+        for wires, u in _fused_blocks(self.gates):
+            out = apply_unitary_on(u, wires, out)
         if self.phase:
             out = StateVector(np.exp(1j * self.phase) * out.amps, normalized=False)
         return out
@@ -379,49 +413,71 @@ class _Box:
         return self.a + 1
 
 
-def _anticommutes(t: PauliString, p: PauliString) -> bool:
-    return (_popcount(t.x & p.z) + _popcount(t.z & p.x)) % 2 == 1
+# Inside the synthesis a generator is a tuple of (x, z, coeff) terms on a
+# w-qubit register: the masks and coefficient of PauliString, without the
+# objects.
+
+_I_POW = (1, 1j, -1, -1j)
 
 
-def _conj_by_box(gen: PauliSum, box: _Box, n: int) -> PauliSum:
-    """B gen B^dag for B = exp(-i sign*pi/4 P1) exp(-i sign*sigma*pi/4 P2)."""
+def _terms_of(op: PauliSum) -> tuple:
+    return tuple((t.x, t.z, t.coeff) for t in op.terms())
+
+
+def _box_masks(box: _Box, w: int) -> tuple:
+    """The two strings of a box on w qubits as (x, z, turn): their masks and
+    the power of i in (-i sign) * i^|x & z|, with sign that of their pi/4
+    rotation."""
     (l1, l2, sigma) = _BOX_FACTORS[box.kind]
-    out = gen
+    out = []
     for letters, rel in ((l1, 1), (l2, sigma)):
-        p = PauliString.from_ops(n, {box.a: letters[0], box.b: letters[1]})
-        sgn = box.sign * rel
-        terms = []
-        for t in out.terms():
-            if _anticommutes(t, p):
-                terms.append((-1j * sgn) * (p * t))
+        p = PauliString.from_ops(w, {box.a: letters[0], box.b: letters[1]})
+        out.append((p.x, p.z, _popcount(p.x & p.z) + (3 if box.sign * rel > 0 else 1)))
+    return tuple(out)
+
+
+def _conj_by_box(gen: tuple, masks: tuple) -> tuple:
+    """B gen B^dag for B = exp(-i sign*pi/4 P1) exp(-i sign*sigma*pi/4 P2),
+    given the box's `_box_masks`.  A term t that anticommutes with P becomes
+    -i*sign * P t, with the phase of P t as in PauliString.__mul__."""
+    for px, pz, turn in masks:
+        out = []
+        for x, z, c in gen:
+            if _popcount((x & pz) ^ (z & px)) & 1:  # anticommutes
+                nx, nz = x ^ px, z ^ pz
+                e = (turn + _popcount(x & z) - _popcount(nx & nz)
+                     + 2 * _popcount(pz & x))
+                out.append((nx, nz, c * _I_POW[e % 4]))
             else:
-                terms.append(t)
-        out = PauliSum(n, terms)
-    return out
+                out.append((x, z, c))
+        gen = tuple(out)
+    return gen
 
 
-def _support_mask(gen: PauliSum) -> int:
+def _support_mask(gen: tuple) -> int:
     m = 0
-    for (x, z), _ in gen._terms.items():
+    for x, z, _ in gen:
         m |= x | z
     return m
 
 
-def _classify_pair(gen: PauliSum):
+def _classify_pair(gen: tuple, w: int):
     """(kind, base_coeff, (a, b)) if gen = base*(P1 + sigma*P2) on adjacent
     qubits in R-box form, else None."""
-    terms = gen.terms()
-    if len(terms) != 2:
+    if len(gen) != 2:
         return None
-    supp = sorted({j for t in terms for j in t.support()})
-    if len(supp) != 2 or supp[1] != supp[0] + 1:
+    m = _support_mask(gen)
+    low = m & -m
+    if m != 3 * low:  # exactly two adjacent qubits
         return None
-    a, b = supp
+    b = w - low.bit_length()
+    a = b - 1
     by_letters = {}
-    for t in terms:
-        if abs(t.coeff.imag) > 1e-10:
+    for x, z, c in gen:
+        if abs(c.imag) > 1e-10:
             return None
-        by_letters[(t.letter(a), t.letter(b))] = t.coeff.real
+        t = PauliString(w, x, z)
+        by_letters[(t.letter(a), t.letter(b))] = c.real
     keys = set(by_letters)
     if keys == {("X", "X"), ("Y", "Y")}:
         cxx, cyy = by_letters[("X", "X")], by_letters[("Y", "Y")]
@@ -446,7 +502,7 @@ class SynthesisError(RuntimeError):
 
 def _canon(gens) -> tuple:
     return tuple(tuple(sorted((x, z, round(c.real, 10), round(c.imag, 10))
-                              for (x, z), c in g._terms.items()))
+                              for x, z, c in g))
                  for g in gens)
 
 
@@ -460,10 +516,6 @@ def _box_layers(boxes) -> int:
     return depth
 
 
-def _total_support(gens) -> int:
-    return sum(_popcount(_support_mask(g)) for g in gens)
-
-
 _BEAM_WIDTH = 64
 
 
@@ -475,58 +527,54 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     assembled A + rotations + A^dag block, then the box count.  Box
     conjugation only permutes and negates coefficients, so the search on
     the rounded coefficients of `key` finds the boxes of the exact ones."""
-    gens = [PauliSum(w, [PauliString(w, x, z, complex(re, im))
-                         for x, z, re, im in g]) for g in key]
-
-    def finished(gs):
-        return all(_classify_pair(g) is not None for g in gs)
+    gens = tuple(tuple((x, z, complex(re, im)) for x, z, re, im in g)
+                 for g in key)
+    moves = [(box, _box_masks(box, w))
+             for box in (_Box(kind, sign, a) for a in range(w - 1)
+                         for kind in _RBOX_KINDS for sign in (1, -1))]
 
     def final_cost(gs, boxes):
-        pairs = [list(boxes)]
         seq = [(bx.a, bx.b) for bx in boxes]
-        seq += [_classify_pair(g)[2] for g in gs]
+        seq += [_classify_pair(g, w)[2] for g in gs]
         seq += [(bx.a, bx.b) for bx in reversed(boxes)]
         return (_box_layers(seq), len(boxes) + len(gs) + len(boxes))
 
     best: tuple | None = None  # (layers, boxes_total, boxes)
-    frontier = [(tuple(gens), ())]
+    frontier = [(gens, ())]
     seen = {key}
     while frontier:
         nxt: dict[tuple, tuple] = {}
         for gs, boxes in frontier:
-            if finished(gs):
+            if all(_classify_pair(g, w) is not None for g in gs):
                 cost = final_cost(gs, boxes)
                 cand = (cost[0], cost[1], boxes)
                 if best is None or cand < best:
                     best = cand
                 continue
-            total = _total_support(gs)
-            for a in range(w - 1):
-                for kind in _RBOX_KINDS:
-                    for sign in (1, -1):
-                        box = _Box(kind, sign, a)
-                        gs2 = []
-                        ok = True
-                        for g in gs:
-                            g2 = _conj_by_box(g, box, w)
-                            if _popcount(_support_mask(g2)) > _popcount(_support_mask(g)):
-                                ok = False
-                                break
-                            gs2.append(g2)
-                        if not ok:
-                            continue
-                        if _total_support(gs2) >= total:
-                            continue
-                        k2 = _canon(gs2)
-                        if k2 in seen:
-                            continue
-                        entry = (tuple(gs2), boxes + (box,))
-                        score = (_total_support(gs2),
-                                 _box_layers([(bx.a, bx.b) for bx in entry[1]]),
-                                 len(entry[1]))
-                        prev = nxt.get(k2)
-                        if prev is None or score < prev[0]:
-                            nxt[k2] = (score, entry)
+            sizes = [_popcount(_support_mask(g)) for g in gs]
+            total = sum(sizes)
+            for box, masks in moves:
+                gs2 = []
+                total2 = 0
+                for g, size in zip(gs, sizes):
+                    g2 = _conj_by_box(g, masks)
+                    size2 = _popcount(_support_mask(g2))
+                    if size2 > size:
+                        break
+                    gs2.append(g2)
+                    total2 += size2
+                else:
+                    if total2 >= total:
+                        continue
+                    k2 = _canon(gs2)
+                    if k2 in seen:
+                        continue
+                    seq = boxes + (box,)
+                    score = (total2, _box_layers([(bx.a, bx.b) for bx in seq]),
+                             len(seq))
+                    prev = nxt.get(k2)
+                    if prev is None or score < prev[0]:
+                        nxt[k2] = (score, (tuple(gs2), seq))
         ranked = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))
         frontier = [entry for _, (_, entry) in ranked[:_BEAM_WIDTH]]
         for k2, _ in ranked[:_BEAM_WIDTH]:
@@ -536,15 +584,14 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     return best[2]
 
 
-def _localize(gens: list[PauliSum], n: int) -> tuple[list[PauliSum], int, int]:
+def _localize(gens: list[tuple], n: int) -> tuple[list[tuple], int, int]:
     mask = 0
     for g in gens:
         mask |= _support_mask(g)
     supp = [j for j in range(n) if mask & _bit(n, j)]
     off, w = supp[0], supp[-1] - supp[0] + 1
     shift = n - off - w
-    local = [PauliSum(w, [PauliString(w, t.x >> shift, t.z >> shift, t.coeff)
-                          for t in g.terms()]) for g in gens]
+    local = [tuple((x >> shift, z >> shift, c) for x, z, c in g) for g in gens]
     return local, off, w
 
 
@@ -552,9 +599,10 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
     """Circuit for prod_k exp(-i lam_k gen_k) where the generators pairwise
     commute; connected support components are synthesized independently."""
     circ = Circuit(n)
+    gens = [_terms_of(g) for g, _ in gens_lams]
     remaining = list(range(len(gens_lams)))
     comps: list[list[int]] = []
-    masks = [_support_mask(g) for g, _ in gens_lams]
+    masks = [_support_mask(g) for g in gens]
     while remaining:
         comp = [remaining.pop(0)]
         mask = masks[comp[0]]
@@ -569,18 +617,18 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
                     changed = True
         comps.append(comp)
     for comp in comps:
-        gens = [gens_lams[i][0] for i in comp]
         lams = [gens_lams[i][1] for i in comp]
-        local, off, w = _localize(gens, n)
+        local, off, w = _localize([gens[i] for i in comp], n)
         boxes = _search_reduction(_canon(local), w)
         reduced = local
         for box in boxes:
-            reduced = [_conj_by_box(g, box, w) for g in reduced]
+            box_masks = _box_masks(box, w)
+            reduced = [_conj_by_box(g, box_masks) for g in reduced]
         for box in boxes:
             circ += rbox(box.kind, box.sign * math.pi / 2.0,
                          box.a + off, box.b + off, n)
         for g_red, lam in zip(reduced, lams):
-            info = _classify_pair(g_red)
+            info = _classify_pair(g_red, w)
             if info is None:
                 raise SynthesisError("reduced generator is not R-box expressible")
             kind, base, (a, b) = info
@@ -794,10 +842,21 @@ def sc_prep_circuit(spec: LatticeSpec) -> Circuit:
 # variational layer circuits
 # ---------------------------------------------------------------------------
 
+def _check_layer_site(spec: LatticeSpec, d: int, x: int, ds) -> None:
+    """A layer O_d on site x (and x + 1 for d > 0) must lie on the lattice."""
+    if d not in ds:
+        raise ValueError(f"d = {d} is not one of " + ", ".join(map(str, ds)))
+    if not 0 <= x <= spec.L - 1 - (d > 0):
+        span = "x" if d == 0 else "x and x + 1"
+        raise ValueError(f"d = {d} at x = {x}: sites {span} must lie in "
+                         f"0..{spec.L - 1}")
+
+
 def meson_circuit(spec: LatticeSpec, d: int, x: int, theta: float) -> Circuit:
     """exp(-i theta O_Md) starting at spatial site x."""
     from .ansatz import meson_operator
 
+    _check_layer_site(spec, d, x, (0, 1, 2))
     op = meson_operator(spec, d, x)
     by_start: dict[int, list[PauliString]] = {}
     for t in op.terms():
@@ -811,8 +870,7 @@ def baryon_circuit(spec: LatticeSpec, d: int, x: int, theta: float) -> Circuit:
     """exp(-i theta O_Bd) via the state-preparation GHZ conjugation."""
     from .ansatz import _BARYON_NZ, _BARYON_START, baryon_operator
 
-    if d not in (0, 1):
-        raise ValueError("baryon circuits are synthesized for d in {0, 1}")
+    _check_layer_site(spec, d, x, (0, 1))
     op = baryon_operator(spec, d, x)
     j0 = 6 * x + _BARYON_START[d]
     k = _BARYON_NZ[d]
@@ -907,7 +965,7 @@ def _factor_circuit(n: int, factor: TrotterFactor, t: float) -> Circuit:
         return _rotation_block(n, [(PauliSum(n, ts), lam)
                                    for _, ts in sorted(by_supp.items())])
     if factor.kind == "pair":
-        mask = _support_mask(gen)
+        mask = _support_mask(_terms_of(gen))
         wires = tuple(j for j in range(n) if mask & _bit(n, j))
         return _pair_diagonal_block(n, wires, gen, lam)
     circ = Circuit(n)
@@ -982,6 +1040,9 @@ def pipeline_circuit(spec: LatticeSpec | None = None, t: float = 1.0,
     evolution for the reference L=3 protocol."""
     if spec is None:
         spec = LatticeSpec(L=3, heavy_positions=frozenset({0}))
+    if spec.L != 3:
+        raise ValueError(f"the pipeline's reference sequence is defined for "
+                         f"L = 3, not L = {spec.L}")
     circ = sc_prep_circuit(spec)
     circ += ansatz_circuit(spec)
     circ += fswap_circuit(spec, 0, 1)

@@ -187,6 +187,11 @@ def trotter_step(state: StateVector, spec: LatticeSpec, t: float,
 # protocol driver
 # ---------------------------------------------------------------------------
 
+# The most records (steps of dt) a schedule may ask for; every CLI default,
+# report section and test uses at most a few hundred.
+_MAX_RECORDS = 100_000
+
+
 @dataclass(frozen=True)
 class MotionSchedule:
     """Timed sequence of single-site heavy-quark moves."""
@@ -198,6 +203,9 @@ class MotionSchedule:
         if self.dt <= 0 or self.horizon < 0:
             raise ValueError("need dt > 0 and horizon >= 0")
         steps = round(self.horizon / self.dt)
+        if steps > _MAX_RECORDS:
+            raise ValueError(f"horizon {self.horizon:g} / dt {self.dt:g} asks for "
+                             f"{steps} records; at most {_MAX_RECORDS} are allowed")
         if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"horizon {self.horizon:g} is not a whole number "
                              f"of steps dt = {self.dt:g}")

@@ -28,8 +28,7 @@ def _bit(n_qubits: int, j: int) -> int:
     return 1 << (n_qubits - 1 - j)
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
+_popcount = int.bit_count
 
 
 @functools.lru_cache(maxsize=256)

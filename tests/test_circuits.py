@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from su2lgt import circuits as circuits_module
 from su2lgt.circuits import (Circuit, CircuitParseError, Gate,
                              ansatz_circuit, baryon_circuit,
                              clifford_conjugate, count_resources, emit_text,
@@ -12,7 +15,7 @@ from su2lgt.circuits import (Circuit, CircuitParseError, Gate,
                              measurement_basis_circuit, meson_circuit,
                              parse_text, pipeline_circuit, rbox,
                              sc_prep_circuit, trotter_circuit)
-from su2lgt.pauli import PauliString, PauliSum, StateVector
+from su2lgt.pauli import PauliString, PauliSum, StateVector, apply_unitary_on
 
 from conftest import dense_label, random_state, spec_for
 
@@ -239,3 +242,139 @@ def test_pipeline_circuit_matches_module_pipeline():
     state = fswap_move(state, spec, 0, 1)
     oracle = trotter_step(state, spec, 1.0, order=2)
     assert np.max(np.abs(got.amps - oracle.amps)) < 1e-9
+
+
+# -- fused simulation against one kernel call per gate ------------------------
+
+@st.composite
+def fusable_circuits(draw):
+    n = draw(st.integers(1, 8))
+    phase = draw(st.floats(-3, 3, allow_nan=False).filter(lambda p: p != 0))
+    c = Circuit(n, phase=phase)
+    kinds = _KINDS_1Q + _KINDS_P + (["cx", "cz"] if n > 1 else [])
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("cx", "cz"):
+            a = draw(st.integers(0, n - 1))
+            b = draw(st.integers(0, n - 1).filter(lambda q: q != a))
+            c.add(kind, a, b)
+        else:
+            param = (draw(st.floats(-3, 3, allow_nan=False))
+                     if kind in _KINDS_P else None)
+            c.add(kind, draw(st.integers(0, n - 1)), param=param)
+    return c
+
+
+@given(fusable_circuits())
+@settings(max_examples=80, deadline=None)
+@example(Circuit(1, [Gate("ry", (0,), 0.4)], phase=0.5))
+@example(Circuit(8, [Gate("cx", (7, 0))], phase=-2.0))
+# runs of two-qubit gates that each cross the four-wire block boundary
+@example(Circuit(8, [Gate("cx", (0, 1)), Gate("cz", (2, 3)), Gate("cx", (3, 4)),
+                     Gate("h", (4,)), Gate("cx", (5, 6)), Gate("cz", (6, 7)),
+                     Gate("cx", (7, 0)), Gate("rz", (0,), 1.1)], phase=0.3))
+def test_fused_apply_matches_per_gate_reference(c):
+    v = StateVector(random_state(c.n_qubits, np.random.default_rng(c.n_qubits)))
+    ref = v
+    for g in c.gates:
+        ref = apply_unitary_on(circuits_module._gate_matrix(g), list(g.qubits), ref)
+    ref = np.exp(1j * c.phase) * ref.amps
+    assert np.max(np.abs(c.apply(v).amps - ref)) < 1e-12
+
+
+def test_fusion_groups_the_pipeline_into_four_wire_blocks():
+    spec = spec_for(3, (0,))
+    blocks = circuits_module._fused_blocks(pipeline_circuit(spec).gates)
+    assert len(blocks) == 95
+    assert max(len(wires) for wires, _ in blocks) == 4
+
+
+# -- synthesis pinned byte for byte (L = 3, n_Q = 1) -----------------------------
+
+_EMIT_SHA256 = {
+    "scprep": "f1d413ce854764a406578cab8dfd0987741f9df2bde20962363d2630b96f8b3a",
+    "meson0": "52bbf0da60666d2eb076595a5f3865123c55c35873f4f47d5b7d98467b07d8b4",
+    "meson1": "8e8f3fc6e133cb39f16b4e7009180f393db001da4459818d051f0fecf9fdc55b",
+    "meson2": "240d47fe98cb6cc6a4eafbc25bc793ad751c475e256831b4a1cf50256c1aea91",
+    "baryon0": "3d96a7e0a8cf7da220325a6ed7424449fef92f0a7cf9b4859aff27da54a2c274",
+    "baryon1": "89f244c13becffc2681a964e0cfca9f0ca6ba3fd0d7a9bc7b7a4aea77f381577",
+    "fswap": "ca4f487888cc5a9dcf52d5d3350ac7a97813d07966f30f6a1e619b86353e04bb",
+    "trotter-o1-s1": "87b34163de99049df20605abd9db5eba62764ebd5020ad2f41bae3d03e484326",
+    "trotter-o1-s2": "952c192aed98e60c69c00a76dfafc8cff5fdab417d768faf5613586fb682689e",
+    "trotter-o2-s1": "9e81098a70babb6d425fd1bbb96bcd90d9362e2dbfc8e17e1869410d7cec2afd",
+    "trotter-o2-s2": "e36e08eee8dd449445a169facb9fc60c7b41b48c3ae87e47e284475310efc66d",
+    "measure-diagonal": "aec721e608ac593525272fd5f17f448af42fe4a1e0ee1c7e04af0311b5a9c402",
+    "measure-hop_01_23": "9a15f9ff94ad0c362696570eb2cf53a4ea5befea71216b30d8c6dca7cdc7b28e",
+    "measure-hop_01_45": "09fed29ef17bf7ab96261f59d8ec90f76cbdb107100ba05f098105e66f7591d3",
+    "pipeline": "572c1e151bb5adcd5f05ba6c64f31073a4d5c8b3e52005c00430173db35c02be",
+}
+
+
+def test_emitted_text_is_pinned():
+    from su2lgt.observables import energy_loss_estimator
+
+    spec = spec_for(3, (0,))
+    made = {"scprep": sc_prep_circuit(spec), "fswap": fswap_circuit(spec, 0, 1),
+            "pipeline": pipeline_circuit(spec)}
+    for d in (0, 1, 2):
+        made[f"meson{d}"] = meson_circuit(spec, d, 0, 0.1)
+    for d in (0, 1):
+        made[f"baryon{d}"] = baryon_circuit(spec, d, 0, 0.1)
+    for order in (1, 2):
+        for steps in (1, 2):
+            made[f"trotter-o{order}-s{steps}"] = trotter_circuit(
+                spec, 1.0, order=order, steps=steps)
+    for group in energy_loss_estimator(spec):
+        made[f"measure-{group.name}"] = measurement_basis_circuit(
+            group, spec.n_qubits)
+    got = {name: hashlib.sha256(emit_text(c).encode()).hexdigest()
+           for name, c in made.items()}
+    assert got == _EMIT_SHA256
+
+
+# (w, `_canon` key) -> boxes as (kind, sign, a), for every search the
+# pipeline makes
+_SEARCHES = {
+    (4, (((10, 6, 1.0, 0.0), (10, 12, -1.0, 0.0)),
+         ((5, 3, 1.0, 0.0), (5, 6, -1.0, 0.0)))):
+        [("XX+", -1, 1)],
+    (6, (((34, 30, -1.0, 0.0), (34, 60, 1.0, 0.0)),
+         ((17, 15, -1.0, 0.0), (17, 30, 1.0, 0.0)))):
+        [("XX+", 1, 1), ("XX+", 1, 3), ("XY-", 1, 2), ("XX+", -1, 0),
+         ("XX+", -1, 4)],
+    (10, (((514, 510, 1.0, 0.0), (514, 1020, -1.0, 0.0)),
+          ((257, 255, 1.0, 0.0), (257, 510, -1.0, 0.0)))):
+        [("XX+", 1, 1), ("XX+", -1, 7), ("XY-", -1, 0), ("XY-", -1, 2),
+         ("XY-", 1, 8), ("XY-", 1, 6), ("XY-", -1, 1), ("XY-", 1, 3),
+         ("XY-", 1, 5), ("XY-", 1, 4), ("XX+", -1, 2), ("XY-", 1, 7),
+         ("XX+", -1, 6)],
+    (8, (((130, 124, -1.0, 0.0), (130, 254, -1.0, 0.0)),
+         ((65, 62, -1.0, 0.0), (65, 127, -1.0, 0.0)))):
+        [("XY-", -1, 1), ("XY-", 1, 5), ("XY-", -1, 0), ("XY-", 1, 2),
+         ("XY-", 1, 4), ("XY-", 1, 3), ("XX+", -1, 1), ("XY-", 1, 6),
+         ("XX+", -1, 5)],
+    (6, (((34, 28, -0.25, 0.0), (34, 62, -0.25, 0.0)),
+         ((17, 14, -0.25, 0.0), (17, 31, -0.25, 0.0)))):
+        [("XY-", 1, 1), ("XY-", 1, 3), ("XY-", 1, 2), ("XX+", -1, 0),
+         ("XX+", -1, 4)],
+    (4, (((10, 4, -0.25, 0.0), (10, 14, -0.25, 0.0)),
+         ((5, 2, -0.25, 0.0), (5, 7, -0.25, 0.0)))):
+        [("XX+", -1, 1)],
+}
+
+
+def test_box_searches_are_pinned(monkeypatch):
+    search = circuits_module._search_reduction
+    calls = {}
+
+    def recording(key, w):
+        calls[(w, key)] = search(key, w)
+        return calls[(w, key)]
+
+    monkeypatch.setattr(circuits_module, "_search_reduction", recording)
+    pipeline_circuit(spec_for(3, (0,)))
+    assert set(calls) == set(_SEARCHES)
+    for (w, key), boxes in _SEARCHES.items():
+        fresh = search.__wrapped__(key, w)  # past the cache
+        assert [(b.kind, b.sign, b.a) for b in fresh] == boxes
+        assert fresh == calls[(w, key)]

@@ -210,6 +210,33 @@ def test_zero_dt_is_rejected(capsys):
     assert "dt > 0" in capsys.readouterr().err
 
 
+def test_record_count_beyond_the_limit_is_rejected_at_once(capsys):
+    import time
+
+    start = time.perf_counter()
+    code = main(["evolve", "--dt", "1e-09", "--horizon", "10"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "10000000000 records" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--template", "meson", "--d", "3"], "d = 3"),
+    (["--template", "meson", "--x", "-1"], "x = -1"),
+    (["--template", "meson", "--d", "1", "--x", "2"], "x = 2"),
+    (["--template", "baryon", "--d", "2"], "d = 2"),
+    (["--template", "baryon", "--x", "3"], "x = 3"),
+    (["--template", "pipeline", "--L", "2"], "L = 3, not L = 2"),
+])
+def test_template_input_errors_name_the_value(capsys, argv, named):
+    code = main(["circuit", *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err
+    assert "outside register" not in err
+
+
 def test_trotter_circuit_at_zero_time_is_the_identity(tmp_path, capsys):
     from su2lgt.circuits import parse_text
     from su2lgt.pauli import StateVector
@@ -328,7 +355,15 @@ _COMMANDS = {
             "x-from": _SITES, "x-to": _SITES}),
         st.fixed_dictionaries({"template": st.just("trotter")}, optional={
             "t": _TIMES, "order": st.sampled_from(["-1", "0", "1", "2", "3"]),
-            "steps": st.sampled_from(["-1", "0", "1", "2"])})),
+            "steps": st.sampled_from(["-1", "0", "1", "2"])}),
+        st.fixed_dictionaries({"template": st.sampled_from(["scprep", "pipeline"])}),
+        st.fixed_dictionaries({"template": st.sampled_from(["meson", "baryon"])},
+                              optional={"d": st.sampled_from(["-1", "0", "1", "2", "3"]),
+                                        "x": _SITES,
+                                        "theta": st.sampled_from(["-1", "0", "0.3"])}),
+        st.fixed_dictionaries({"template": st.just("measure")}, optional={
+            "group": st.sampled_from(["diagonal", "hop_01_23", "hop_01_45",
+                                      "hop_07_89", "nope"])})),
 }
 
 

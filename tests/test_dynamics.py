@@ -129,6 +129,14 @@ def test_motion_schedule_validation():
     assert MotionSchedule(events=(), horizon=10.0, dt=0.1).horizon == 10.0
 
 
+def test_motion_schedule_limits_the_record_count():
+    from su2lgt.dynamics import _MAX_RECORDS
+
+    MotionSchedule(events=(), horizon=float(_MAX_RECORDS), dt=1.0)
+    with pytest.raises(ValueError, match="10000000000 records"):
+        MotionSchedule(events=(), horizon=10.0, dt=1e-9)
+
+
 def test_toy_model_closed_form():
     # amplitude algebra in the two-state subspace gives
     # R = sin^2(phi/2) cos^2(theta/2) + cos^2(phi/2) sin^2(theta/2)

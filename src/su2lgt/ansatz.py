@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, StateVector, exp_sum_apply
+from .pauli import PauliString, PauliSum, Sector, StateVector, exp_sum_apply
 from .reference import STAGED
 
 
@@ -96,10 +96,6 @@ def pool_by_name(spec: LatticeSpec) -> dict[str, PoolOperator]:
     return {op.name: op for op in build_pool(spec)}
 
 
-# exp(-i*theta*gen)|state> for a pool generator
-apply_generator_exp = exp_sum_apply
-
-
 # -- ansatz sequences -------------------------------------------------
 
 @dataclass
@@ -152,22 +148,72 @@ def infidelity_density(var: StateVector, target: StateVector, L: int) -> float:
     return (1.0 - var.fidelity(target)) / L
 
 
+# -- the ansatz sector ------------------------------------------------
+
+def _block_eigh(g):
+    """Eigendecomposition g = V w V^H of a Hermitian CSR matrix, one
+    connected block of its graph at a time, batched over blocks of equal
+    size.  Returns w and the block-diagonal V and V^H as CSR matrices."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(abs(g), directed=False)
+    blocks = np.split(np.argsort(labels, kind="stable"),
+                      np.cumsum(np.bincount(labels))[:-1])
+    w, rows, cols, vals = np.empty(labels.size), [], [], []
+    for size in sorted({b.size for b in blocks}):
+        members = np.array([b for b in blocks if b.size == size])
+        rows.append(np.repeat(members, size, axis=1).ravel())
+        cols.append(np.tile(members, size).ravel())
+        mats = np.asarray(g[rows[-1], cols[-1]]).reshape(-1, size, size)
+        w[members], vec = np.linalg.eigh(mats)
+        vals.append(vec.ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    v = sparse.csr_matrix((vals, (rows, cols)), shape=g.shape)
+    return w, v, v.conj().T.tocsr()
+
+
+class SectorPlan:
+    """A sequence's layers on the basis states that the summed generators
+    reach from a start state.  `Sector.restrict` raises ValueError for a
+    generator that leads out, so a cancellation in the sum cannot drop a
+    state.  A layer is V (e^{-i theta w} * V^H psi), with G = V w V^H."""
+
+    def __init__(self, seq: AnsatzSequence, start: StateVector):
+        gens = [ly.generator for ly in seq.layers]
+        self.sector = Sector.closure(sum(gens, PauliSum.zero(start.n)), start)
+        self.start = self.sector.extract(start)
+        self.layers = [_block_eigh(self.sector.restrict(gen)) for gen in gens]
+
+    def forward(self, thetas) -> tuple[np.ndarray, list]:
+        """The final state on the sector and each layer's output in its eigenbasis."""
+        psi, rotated = self.start, []
+        for (w, v, vh), theta in zip(self.layers, thetas, strict=True):
+            rotated.append(np.exp(-1j * theta * w) * (vh @ psi))
+            psi = v @ rotated[-1]
+        return psi, rotated
+
+    def infidelity_and_grad(self, thetas, target: np.ndarray, L: int):
+        """(1 - |<target|psi>|^2) / L and its gradient, for a target on the
+        sector, by adjoint differentiation (Jones & Gacon, arXiv:2009.02823):
+        the backward sweep pulls the target back through the later layers as
+        lambda_j, and d<target|psi>/d theta_j = -i <lambda_j|G_j|psi_j>."""
+        psi, rotated = self.forward(thetas)
+        amp = np.vdot(target, psi)
+        lam, grad = target, np.empty(len(self.layers))
+        for j in range(len(self.layers) - 1, -1, -1):
+            w, v, vh = self.layers[j]
+            mu = vh @ lam
+            d_amp = -1j * np.vdot(mu, w * rotated[j])
+            grad[j] = -2.0 * (np.conj(amp) * d_amp).real / L
+            lam = v @ (np.exp(1j * thetas[j] * w) * mu)
+        return float((1.0 - abs(amp) ** 2) / L), grad
+
+
 # -- angle optimization -----------------------------------------------
 
-def _central_diff_grad(f, x, step=1e-5):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2 * step)
-    return g
-
-
 class OptimizationError(RuntimeError):
-    def __init__(self, message, best_sequence=None, best_value=None):
-        super().__init__(message)
-        self.best_sequence = best_sequence
-        self.best_value = best_value
+    """No start of the optimizer ended at a finite value."""
 
 
 def optimize_angles(seq: AnsatzSequence, start: StateVector, target: StateVector,
@@ -175,21 +221,21 @@ def optimize_angles(seq: AnsatzSequence, start: StateVector, target: StateVector
                     n_starts: int = 3, maxiter: int = 500) -> tuple[AnsatzSequence, float]:
     """Minimize the infidelity density over the layer angles.
 
-    Quasi-Newton (BFGS) with central-difference gradients; multi-start with
-    the seed angles, zeros and a perturbed seed.
+    Quasi-Newton (BFGS) on the ansatz sector (`SectorPlan`) with the exact
+    adjoint gradient; multi-start with the seed angles, zeros and a
+    perturbed seed.
     """
     from scipy.optimize import minimize
 
-    def objective(thetas):
-        return infidelity_density(seq.with_angles(thetas).apply(start), target, L)
-
+    plan = SectorPlan(seq, start)
+    tgt = plan.sector.extract(target)
     rng = np.random.default_rng(rng_seed)
     k = len(seq.layers)
     seed = np.asarray(seed_angles, dtype=float) if seed_angles is not None else seq.angles
     starts = [seed, np.zeros(k), seed + rng.normal(0.0, 0.05, k)][:max(1, n_starts)]
     best_x, best_val = None, np.inf
     for x0 in starts:
-        res = minimize(objective, x0, jac=lambda x: _central_diff_grad(objective, x),
+        res = minimize(plan.infidelity_and_grad, x0, args=(tgt, L), jac=True,
                        method="BFGS", options={"gtol": 1e-8, "maxiter": maxiter})
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x

@@ -116,6 +116,14 @@ def _opt(cfg: dict, key: str, default, kind=str, choices=None):
     return out
 
 
+def _seed(cfg: dict) -> int:
+    """--seed for a random generator, which needs a non-negative integer."""
+    seed = _opt(cfg, "seed", 0, int)
+    if seed < 0:
+        raise CliError(f"--seed must be non-negative, not {seed}")
+    return seed
+
+
 def _spec_from(cfg: dict) -> LatticeSpec:
     try:
         L = int(cfg["L"])
@@ -237,7 +245,7 @@ def cmd_prepare(cfg: dict) -> int:
     if cfg.get("optimize"):
         seq, _ = optimize_angles(seq, start, target, spec.L,
                                  seed_angles=angles, n_starts=1,
-                                 rng_seed=_opt(cfg, "seed", 0, int))
+                                 rng_seed=_seed(cfg))
     var = seq.apply(start)
     payload = {
         "L": spec.L, "n_Q": spec.n_Q,
@@ -435,7 +443,7 @@ def _obs_magic(cfg: dict, spec: LatticeSpec) -> int:
     _, target = ground_state(spec)
     start = sc_state(spec)
     samples = _opt(cfg, "samples", 0, int)
-    seed = _opt(cfg, "seed", 0, int)
+    seed = _seed(cfg) if cfg.get("optimize") or samples else 0
     rows = []
     for k, seed_angles in zip(stages, staged["angles"]):
         seq = sequence_from_names(spec, staged["sequence"][:k], seed_angles)

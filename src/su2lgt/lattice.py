@@ -86,10 +86,6 @@ class LatticeSpec:
     def heavy_qubits(self) -> list[int]:
         return [j for n in self.staggered_sites(ROLE_HEAVY) for j in self.qubits_of(n)]
 
-    def light_qubits(self) -> list[int]:
-        return [j for n in range(self.n_staggered)
-                if self.role(n) != ROLE_HEAVY for j in self.qubits_of(n)]
-
     def with_heavy(self, *positions: int) -> "LatticeSpec":
         return replace(self, heavy_positions=frozenset(positions))
 

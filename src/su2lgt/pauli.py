@@ -489,14 +489,6 @@ class Sector:
 
 # -- operations on states ---------------------------------------------
 
-def apply(ps: PauliString, s: StateVector) -> StateVector:
-    return ps.apply(s)
-
-
-def expectation(h: PauliSum, s: StateVector) -> float:
-    return h.expectation(s)
-
-
 def exp_apply(ps: PauliString, theta: float, s: StateVector) -> StateVector:
     """exp(-i * theta * ps)|s> for a single Hermitian string.
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ansatz import SectorPlan
 from .lattice import LatticeSpec
 from . import reference as ref
 from .spectra import ground_state
@@ -80,71 +81,23 @@ Z_FIT_BOX = 2e-3
 Z_FIT_INFIDELITY_GUARD = 5e-5
 
 
-def _reachable_basis(generators, start) -> np.ndarray:
-    """Sorted basis indices joined to the support of `start` by the X-masks
-    of the generators' strings.  Every generator maps the span of these
-    states into itself, so layers built from them evolve exactly inside it."""
-    masks = {t.x for gen in generators for t in gen.terms()}
-    found = set(np.flatnonzero(start.amps).tolist())
-    frontier = list(found)
-    while frontier:
-        new = {b ^ m for b in frontier for m in masks} - found
-        found |= new
-        frontier = list(new)
-    return np.array(sorted(found))
-
-
-def _orbit_eigh(gen, basis: np.ndarray):
-    """Eigen-decomposition of `gen` on the span of `basis`, orbit by orbit.
-
-    A string with X-mask x sends |b> to |b ^ x>, so the generator is block
-    diagonal over the orbits of `basis` under the group its masks span, and
-    every orbit has the group's size.  `basis` must be closed under the
-    masks (see `_reachable_basis`).  Returns, one row per orbit, the
-    positions of its members in `basis`, the eigenvalues and the
-    eigenvectors of its block.
-    """
-    diag, groups = gen._compile()
-    elems = np.zeros(1, dtype=basis.dtype)
-    for perm, _ in groups:
-        if perm[0] not in elems:  # perm = arange ^ mask
-            elems = np.sort(np.concatenate([elems, elems ^ perm[0]]))
-    members = np.unique((basis[:, None] ^ elems).min(axis=1))[:, None] ^ elems
-    cols = np.arange(elems.size)
-    blocks = np.zeros(members.shape + (elems.size,), dtype=complex)
-    blocks[:, cols, cols] = diag[members]
-    for perm, phase in groups:  # <b|gen|b ^ mask> = phase[b]
-        blocks[:, cols, np.searchsorted(elems, elems ^ perm[0])] += phase[members]
-    w, v = np.linalg.eigh(blocks)
-    return np.searchsorted(basis, members), w, v
-
-
 def fit_z_row(seq, start, cols, row, box: float):
     """Least-squares fit of the layer angles of `seq` to a tabulated <Z>
     row, each angle bounded to its current value +- box.
 
-    The fit evolves only the basis states the layers can reach from
-    `start` (2048 of 2^18 at L = 3), with each layer exponentiated exactly
-    from its orbit blocks.  Returns the fitted sequence; callers judge the
-    misfit on the full register at its angles.
+    The fit evolves only the ansatz sector of the layers (`SectorPlan`:
+    at most 600 of 2^18 states at L = 3).  Returns the fitted sequence;
+    callers judge the misfit on the full register at its angles.
     """
     from scipy.optimize import least_squares
 
-    basis = _reachable_basis([ly.generator for ly in seq.layers], start)
-    layers = [_orbit_eigh(ly.generator, basis) for ly in seq.layers]
-    signs = 1.0 - 2.0 * ((basis[:, None] >> (start.n - 1 - np.asarray(cols)))
-                         & 1)
-    amps0 = start.amps[basis].astype(complex)
+    plan = SectorPlan(seq, start)
+    signs = 1.0 - 2.0 * ((plan.sector.indices[:, None]
+                          >> (start.n - 1 - np.asarray(cols))) & 1)
     row = np.asarray(row, dtype=float)
 
     def residual(thetas):
-        amps = amps0
-        for (pos, w, v), theta in zip(layers, thetas):
-            coef = np.exp(-1j * theta * w) * np.einsum("oji,oj->oi", v.conj(),
-                                                       amps[pos])
-            amps = np.empty_like(amps)
-            amps[pos] = np.einsum("oij,oj->oi", v, coef)
-        return np.abs(amps) ** 2 @ signs - row
+        return np.abs(plan.forward(thetas)[0]) ** 2 @ signs - row
 
     a0 = seq.angles
     fit = least_squares(residual, a0, bounds=(a0 - box, a0 + box))

@@ -1,13 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from su2lgt import LatticeSpec
-from su2lgt.ansatz import (AnsatzSequence, apply_generator_exp, build_pool,
+from su2lgt.ansatz import (AnsatzSequence, Layer, SectorPlan, build_pool,
                            infidelity_density, optimize_angles, pool_by_name,
                            sequence_from_names)
-from su2lgt.pauli import StateVector
-from su2lgt.spectra import sc_state
+from su2lgt.pauli import StateVector, exp_sum_apply
+from su2lgt.reference import STAGED
+from su2lgt.spectra import ground_state, sc_state
 
 from conftest import random_state, spec_for
 
@@ -33,7 +38,7 @@ def test_generator_exp_matches_expm(name):
     rng = np.random.default_rng(3)
     v = random_state(spec.n_qubits, rng)
     theta = 0.4217
-    out = apply_generator_exp(gen, theta, StateVector(v, normalized=False))
+    out = exp_sum_apply(gen, theta, StateVector(v, normalized=False))
     # oracle on the generator's support only
     sup = sorted({j for t in gen.terms() for j in t.support()})
     from su2lgt.pauli import apply_unitary_on
@@ -55,10 +60,8 @@ def test_sequence_roundtrip_and_apply():
     assert [l.name for l in seq.layers] == names
     assert seq.angles == pytest.approx(angles)
     s = sc_state(spec)
-    step = apply_generator_exp(pool_by_name(spec)["O_M0^(0)"].sum,
-                               0.3, s)
-    step = apply_generator_exp(pool_by_name(spec)["O_M1^(0,1)"].sum,
-                               -0.2, step)
+    step = exp_sum_apply(pool_by_name(spec)["O_M0^(0)"].sum, 0.3, s)
+    step = exp_sum_apply(pool_by_name(spec)["O_M1^(0,1)"].sum, -0.2, step)
     assert np.max(np.abs(seq.apply(s).amps - step.amps)) < 1e-12
     seq2 = seq.with_angles([0.0, 0.0])
     assert np.max(np.abs(seq2.apply(s).amps - s.amps)) < 1e-12
@@ -82,3 +85,66 @@ def test_optimize_angles_improves_infidelity(ground_cache):
     after = infidelity_density(opt.apply(start), psi, 1)
     assert achieved == pytest.approx(after, abs=1e-12)
     assert after < before
+
+
+# -- the ansatz sector and the adjoint gradient ---------------------------
+
+def _staged(L: int, n_q: int, k: int | None = None):
+    """The staged reference sequence of (L, n_Q) up to layer k at its
+    final angles, the strong-coupling start and the exact ground state."""
+    spec = spec_for(L, (0,) if n_q else ())
+    staged = STAGED[f"L{L}", n_q]
+    k = len(staged["sequence"]) if k is None else k
+    angles = staged["angles"][-1][:k]
+    seq = sequence_from_names(spec, staged["sequence"][:k], angles)
+    return seq, sc_state(spec), ground_state(spec)[1]
+
+
+@pytest.mark.parametrize("L,n_q,k", [(2, 0, None), (2, 1, None), (3, 1, 4)])
+def test_adjoint_gradient_matches_central_differences(L, n_q, k):
+    seq, start, target = _staged(L, n_q, k)
+    plan = SectorPlan(seq, start)
+    tgt = plan.sector.extract(target)
+    x = seq.angles + 0.05
+    _, grad = plan.infidelity_and_grad(x, tgt, L)
+    step = 1e-5
+    for j, e in enumerate(np.eye(x.size)):
+        fd = (plan.infidelity_and_grad(x + step * e, tgt, L)[0]
+              - plan.infidelity_and_grad(x - step * e, tgt, L)[0]) / (2 * step)
+        assert abs(grad[j] - fd) <= 1e-7, (j, grad[j], fd)
+
+
+@functools.lru_cache(maxsize=1)
+def _l2_q1_plan():
+    seq, start, target = _staged(2, 1)
+    return seq, start, target, SectorPlan(seq, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas=st.lists(st.floats(-np.pi, np.pi), min_size=len(STAGED["L2", 1]["sequence"]),
+                       max_size=len(STAGED["L2", 1]["sequence"])))
+def test_sector_objective_equals_full_register_infidelity(thetas):
+    seq, start, target, plan = _l2_q1_plan()
+    value, _ = plan.infidelity_and_grad(np.array(thetas), plan.sector.extract(target), 2)
+    full = infidelity_density(seq.with_angles(thetas).apply(start), target, 2)
+    assert abs(value - full) <= 1e-12
+    evolved = plan.sector.embed(plan.forward(thetas)[0]).amps
+    assert np.max(np.abs(evolved - seq.with_angles(thetas).apply(start).amps)) <= 1e-12
+
+
+def test_generator_leaving_the_sector_is_rejected():
+    # the two layers cancel in the sum, so its closure is the start's
+    # support alone; each layer leads out of it and must not be dropped
+    spec = spec_for(1)
+    gen = pool_by_name(spec)["O_M0^(0)"].sum
+    seq = AnsatzSequence([Layer("a", gen, 0.1), Layer("b", -1.0 * gen, 0.2)])
+    with pytest.raises(ValueError, match="out of the sector"):
+        SectorPlan(seq, sc_state(spec))
+
+
+@pytest.mark.parametrize("L,n_q,k", [(2, 0, None), (2, 1, None), (3, 1, 4)])
+def test_optimized_value_equals_full_register_recompute(L, n_q, k):
+    seq, start, target = _staged(L, n_q, k)
+    opt, value = optimize_angles(seq, start, target, L, n_starts=1)
+    assert abs(value - infidelity_density(opt.apply(start), target, L)) <= 1e-12
+    assert value <= infidelity_density(seq.apply(start), target, L) + 1e-15

@@ -148,7 +148,8 @@ def test_sc_prep_circuit_prepares_sc_state():
     (baryon_circuit, (0, 1)), (baryon_circuit, (1, 0)),
 ])
 def test_variational_blocks_match_generator_exponentials(maker, args):
-    from su2lgt.ansatz import apply_generator_exp, pool_by_name
+    from su2lgt.ansatz import pool_by_name
+    from su2lgt.pauli import exp_sum_apply
 
     spec = spec_for(2, (0,))
     theta = 0.317
@@ -159,7 +160,7 @@ def test_variational_blocks_match_generator_exponentials(maker, args):
     gen = pool_by_name(spec)[name].sum
     rng = np.random.default_rng(4)
     v = StateVector(random_state(spec.n_qubits, rng))
-    oracle = apply_generator_exp(gen, theta, v)
+    oracle = exp_sum_apply(gen, theta, v)
     got = circ.apply(v)
     assert np.max(np.abs(got.amps - oracle.amps)) < 1e-10
 

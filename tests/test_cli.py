@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -312,6 +314,13 @@ def test_fractional_integer_option_in_config_is_config_error(tmp_path, capsys):
     assert "--steps" in err
 
 
+def test_negative_seed_for_the_optimizer_is_config_error(capsys):
+    code = main(["prepare", "--L", "1", "--optimize", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--seed" in err and "Traceback" not in err
+
+
 def test_evolve_exits_2_when_energy_is_not_conserved(monkeypatch, capsys):
     import scipy.sparse.linalg
 
@@ -350,6 +359,8 @@ _COMMANDS = {
         "schedule": st.sampled_from(["vacuum", "medium", "vac-med-default"]),
         "dt": st.sampled_from(["-0.5", "0", "0.5", "1"]),
         "evolver": st.sampled_from(["exact", "trotter"])}),
+    "prepare": st.fixed_dictionaries({}, optional={
+        "optimize": st.just(None), "seed": st.sampled_from(["-1", "0", "3"])}),
     "circuit": st.one_of(
         st.fixed_dictionaries({"template": st.just("fswap")}, optional={
             "x-from": _SITES, "x-to": _SITES}),
@@ -367,6 +378,17 @@ _COMMANDS = {
 }
 
 
+# the content of a --config file: an object of drawn option values (flags
+# take precedence over it) or JSON that is not an object
+_CONFIG = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "nq": st.sampled_from([0, 1, 2, 1.5, "1"]),
+        "optimize": st.booleans(),
+        "seed": st.sampled_from([0, 3, -1, 1.5, "x"]),
+        "mQ": st.sampled_from([0.0, 0.5, "heavy"])}),
+    st.just([1, 2]))
+
+
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
@@ -374,18 +396,25 @@ def _cli_argv(draw):
     argv = [command]
     for key, val in options.items():
         argv.append(f"--{key}" if val is None else f"--{key}={val}")
-    return argv
+    return argv, draw(st.one_of(st.none(), _CONFIG))
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=_cli_argv())
-def test_cli_contract_holds_for_drawn_argv(argv):
+@given(drawn=_cli_argv())
+def test_cli_contract_holds_for_drawn_argv(drawn):
+    argv, config = drawn
     outputs = []
-    for _ in range(2):
-        with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(argv)
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue(), argv
-        outputs.append(out.getvalue())
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = argv + [f"--config={path}"]
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+            outputs.append(out.getvalue())
     assert outputs[0] == outputs[1], argv

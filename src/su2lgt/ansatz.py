@@ -150,32 +150,9 @@ def infidelity_density(var: StateVector, target: StateVector, L: int) -> float:
 
 # -- the ansatz sector ------------------------------------------------
 
-def _block_eigh(g):
-    """Eigendecomposition g = V w V^H of a Hermitian CSR matrix, one
-    connected block of its graph at a time, batched over blocks of equal
-    size.  Returns w and the block-diagonal V and V^H as CSR matrices."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(abs(g), directed=False)
-    blocks = np.split(np.argsort(labels, kind="stable"),
-                      np.cumsum(np.bincount(labels))[:-1])
-    w, rows, cols, vals = np.empty(labels.size), [], [], []
-    for size in sorted({b.size for b in blocks}):
-        members = np.array([b for b in blocks if b.size == size])
-        rows.append(np.repeat(members, size, axis=1).ravel())
-        cols.append(np.tile(members, size).ravel())
-        mats = np.asarray(g[rows[-1], cols[-1]]).reshape(-1, size, size)
-        w[members], vec = np.linalg.eigh(mats)
-        vals.append(vec.ravel())
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    v = sparse.csr_matrix((vals, (rows, cols)), shape=g.shape)
-    return w, v, v.conj().T.tocsr()
-
-
 class SectorPlan:
     """A sequence's layers on the basis states that the summed generators
-    reach from a start state.  `Sector.restrict` raises ValueError for a
+    reach from a start state.  `Sector.eigh` raises ValueError for a
     generator that leads out, so a cancellation in the sum cannot drop a
     state.  A layer is V (e^{-i theta w} * V^H psi), with G = V w V^H."""
 
@@ -183,7 +160,7 @@ class SectorPlan:
         gens = [ly.generator for ly in seq.layers]
         self.sector = Sector.closure(sum(gens, PauliSum.zero(start.n)), start)
         self.start = self.sector.extract(start)
-        self.layers = [_block_eigh(self.sector.restrict(gen)) for gen in gens]
+        self.layers = [self.sector.eigh(gen) for gen in gens]
 
     def forward(self, thetas) -> tuple[np.ndarray, list]:
         """The final state on the sector and each layer's output in its eigenbasis."""

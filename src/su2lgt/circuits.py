@@ -182,11 +182,8 @@ class Circuit:
     def unitary(self) -> np.ndarray:
         if self.n_qubits > 12:
             raise ValueError("dense unitary limited to 12 qubits")
-        dim = 1 << self.n_qubits
-        u = np.empty((dim, dim), dtype=complex)
-        for col in range(dim):
-            u[:, col] = self.apply(StateVector.basis(self.n_qubits, col)).amps
-        return u
+        u = _block_matrix(list(range(self.n_qubits)), self.gates)
+        return np.exp(1j * self.phase) * u if self.phase else u
 
     def __repr__(self):
         return f"Circuit(n={self.n_qubits}, {len(self.gates)} gates)"

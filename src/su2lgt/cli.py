@@ -126,7 +126,7 @@ def _seed(cfg: dict) -> int:
 
 def _spec_from(cfg: dict) -> LatticeSpec:
     try:
-        L = int(cfg["L"])
+        L = _opt(cfg, "L", None, int)
         if cfg.get("heavy"):
             raw = cfg["heavy"]
             positions = tuple(int(tok) for tok in str(raw).split(",") if tok != "")
@@ -281,15 +281,20 @@ def _parse_moves(raw: str):
     return tuple(events)
 
 
+def _check_move(spec: LatticeSpec, x_from: int, x_to: int) -> None:
+    """A move that leaves the sites 0..L-1 is a numerical failure."""
+    if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
+        raise NumericalError(f"move {x_from}-{x_to} leaves the lattice "
+                             f"0..{spec.L - 1}")
+
+
 def _schedule(spec: LatticeSpec, events, horizon: float, dt: float):
     """A MotionSchedule on the lattice of spec; a schedule it rejects, or a
     move that leaves the sites 0..L-1, is a numerical failure."""
     from .dynamics import MotionSchedule
 
     for _, x_from, x_to in events:
-        if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
-            raise NumericalError(f"move {x_from}-{x_to} leaves the lattice "
-                                 f"0..{spec.L - 1}")
+        _check_move(spec, x_from, x_to)
     try:
         return MotionSchedule(events=events, horizon=horizon, dt=dt)
     except (ValueError, OverflowError) as exc:
@@ -376,6 +381,7 @@ def _obs_estimator(cfg: dict, spec: LatticeSpec) -> int:
     from .observables import energy_loss_estimator, evaluate_energy_loss
 
     _sequence_for(spec)  # exit 1 for a sector without a reference sequence
+    _check_move(spec, 0, 1)
     state = prepared_state(spec)
     groups = energy_loss_estimator(spec)
     values, total = evaluate_energy_loss(groups, state)
@@ -394,8 +400,10 @@ def _obs_entanglement(cfg: dict, spec: LatticeSpec) -> int:
     from .observables import four_tangle, mutual_information
     from .spectra import ground_state
 
+    if spec.n_Q != 1:
+        raise CliError("--what entanglement needs exactly one heavy quark")
     _, psi = ground_state(spec)
-    x_q = min(spec.heavy_positions) if spec.heavy_positions else 0
+    x_q = min(spec.heavy_positions)
     payload = {}
     for flavor in ("quark", "antiquark"):
         payload[f"mutual_information_{flavor}"] = [
@@ -443,6 +451,8 @@ def _obs_magic(cfg: dict, spec: LatticeSpec) -> int:
     _, target = ground_state(spec)
     start = sc_state(spec)
     samples = _opt(cfg, "samples", 0, int)
+    if samples < 0:
+        raise CliError(f"--samples must be non-negative, not {samples}")
     seed = _seed(cfg) if cfg.get("optimize") or samples else 0
     rows = []
     for k, seed_angles in zip(stages, staged["angles"]):
@@ -533,7 +543,9 @@ def cmd_report(cfg: dict) -> int:
         if s not in REPORT_SECTIONS:
             raise CliError(f"unknown section {s!r}; available: "
                            + ", ".join(REPORT_SECTIONS))
-    checks = run_report(sections, seed=_opt(cfg, "seed", 0, int))
+    # only the magic section draws random numbers (optimizer starts, samples)
+    seed = _seed(cfg) if "magic" in sections else _opt(cfg, "seed", 0, int)
+    checks = run_report(sections, seed=seed)
     width = max(len(c.name) for c in checks) + 2
     lines = []
     n_fail = 0

@@ -253,7 +253,6 @@ def _dense_to_pauli(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> PauliSu
     terms = []
     for key in range(4 ** k):
         ops, kk = {}, key
-        local = PauliString.from_ops(k, {}, 1.0)
         for i in range(k):
             letter = "IXYZ"[kk % 4]
             kk //= 4

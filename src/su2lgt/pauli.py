@@ -393,13 +393,20 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
+# The most basis states one connected block may span in Sector.eigh, which
+# diagonalizes each block densely.  The widest block any caller makes is 64
+# states (the L = 3 intra-site kinetic Trotter factor).
+_MAX_BLOCK = 256
+
+
 class Sector:
     """A sorted set of basis states that an operator maps into itself.
 
     `closure` collects the basis states reachable from a state's support
     through the operator's non-zero matrix elements; `restrict` gives an
-    operator as a sparse matrix on those states, and `extract`/`embed` move
-    amplitudes between the full register and the sector.
+    operator as a sparse matrix on those states, `eigh` eigendecomposes it
+    there, and `extract`/`embed` move amplitudes between the full register
+    and the sector.
     """
 
     _CHUNK = 4096  # basis states per block of the (states x terms) sign table
@@ -486,106 +493,53 @@ class Sector:
             data = data.real
         return sparse.csr_matrix((data, (rows[keep], cols)), shape=(dim, dim))
 
+    def eigh(self, op: PauliSum):
+        """Eigendecomposition P_S op P_S = V w V^H of a Hermitian op on the
+        sector, one connected block of its graph at a time, batched over
+        blocks of equal size.  Returns w and the block-diagonal V and V^H as
+        CSR matrices.  Raises ValueError for an op that leads out of the
+        sector (see restrict) or a block of more than _MAX_BLOCK states."""
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+
+        g = self.restrict(op)
+        _, labels = connected_components(abs(g), directed=False)
+        order = np.argsort(labels, kind="stable")
+        size_at = np.bincount(labels)[labels[order]]
+        if size_at.max() > _MAX_BLOCK:
+            raise ValueError(f"a block of {size_at.max()} states exceeds the "
+                             f"{_MAX_BLOCK} that Sector.eigh takes")
+        w, rows, cols, vals = np.empty(labels.size), [], [], []
+        for size in np.unique(size_at):
+            members = order[size_at == size].reshape(-1, size)
+            rows.append(np.repeat(members, size, axis=1).ravel())
+            cols.append(np.tile(members, size).ravel())
+            mats = np.asarray(g[rows[-1], cols[-1]]).reshape(-1, size, size)
+            w[members], vec = np.linalg.eigh(mats)
+            vals.append(vec.ravel())
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        v = sparse.csr_matrix((vals, (rows, cols)), shape=g.shape)
+        return w, v, v.conj().T.tocsr()
+
 
 # -- operations on states ---------------------------------------------
-
-def exp_apply(ps: PauliString, theta: float, s: StateVector) -> StateVector:
-    """exp(-i * theta * ps)|s> for a single Hermitian string.
-
-    Any letter string W squares to the identity, so with ps = c*W (c real)
-    the exponential is cos(theta*c) - i sin(theta*c) W.
-    """
-    if abs(ps.coeff.imag) > 1e-12:
-        raise ValueError("exp_apply requires a Hermitian string (real coefficient)")
-    ang = theta * ps.coeff.real
-    rotated = PauliString(ps.n, ps.x, ps.z, 1.0).apply(s)  # bare letter string
-    return StateVector(np.cos(ang) * s.amps - 1j * np.sin(ang) * rotated.amps,
-                       normalized=False)
-
-
-def _connected_components(terms: list[PauliString]) -> list[list[PauliString]]:
-    """The terms grouped by connected support (strings sharing a qubit are
-    joined); a term without support is a component of its own."""
-    parent = list(range(len(terms)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            if (terms[i].x | terms[i].z) & (terms[j].x | terms[j].z):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[PauliString]] = {}
-    for i, t in enumerate(terms):
-        groups.setdefault(find(i), []).append(t)
-    return list(groups.values())
-
-
-def _strings_commute(a: PauliString, b: PauliString) -> bool:
-    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
-
-
-_DENSE_MAX_QUBITS = 8
-
-
-@functools.lru_cache(maxsize=512)
-def _component_plan(n: int, terms: tuple) -> tuple:
-    """Per connected-support component of sum(c * X^x Z^z ...) over the
-    (x, z, c) terms: ("dense", support, eigenvalues, eigenvectors, blocks)
-    for a component on at most 8 qubits, ("rot", strings) for a wider one,
-    whose strings must pairwise commute.  `blocks` marks the pairs of basis
-    states that the component's matrix connects: the exponential is zero
-    elsewhere, and masking it there keeps eigh's round-off from spreading a
-    state's support."""
-    from scipy.sparse.csgraph import connected_components
-
-    plan = []
-    for comp in _connected_components([PauliString(n, x, z, c) for x, z, c in terms]):
-        supp = sorted({j for t in comp for j in t.support()})
-        if len(supp) <= _DENSE_MAX_QUBITS:
-            k = len(supp)
-            mat = PauliSum(k, [PauliString.from_ops(
-                k, {supp.index(j): t.letter(j) for j in t.support()}, t.coeff)
-                for t in comp]).to_dense()
-            labels = connected_components(mat != 0, directed=False)[1]
-            plan.append(("dense", supp, *np.linalg.eigh(mat),
-                         labels[:, None] == labels[None, :]))
-        elif all(_strings_commute(a, b) for i, a in enumerate(comp) for b in comp[i + 1:]):
-            plan.append(("rot", comp))
-        else:
-            raise ValueError(f"non-commuting component on {len(supp)} > "
-                             f"{_DENSE_MAX_QUBITS} qubits")
-    return tuple(plan)
-
 
 def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:
     """exp(-i*theta*H)|s> exactly, for a Hermitian H.
 
-    H is split into connected-support components, which commute with each
-    other.  A component on at most 8 qubits is applied as one dense unitary
-    on its support, from a cached eigendecomposition; a wider component
-    must consist of pairwise commuting strings and is applied as their
-    single-string rotations.  Raises ValueError for a non-Hermitian H or a
-    wide non-commuting component.
+    Runs on the basis states that H reaches from the support of s
+    (Sector.closure), where Sector.eigh gives H = V w V^H one connected
+    block at a time: the result is V (e^{-i theta w} * V^H s), zero outside
+    the sector.  Raises ValueError for a non-Hermitian H or a block wider
+    than Sector.eigh takes.
     """
     if not h.is_hermitian():
         raise ValueError("exp_sum_apply requires a Hermitian generator")
-    plan = _component_plan(h.n, tuple(sorted((x, z, c.real)
-                                             for (x, z), c in h._terms.items())))
     if theta == 0.0:
         return s
-    for step in plan:
-        if step[0] == "rot":
-            for t in step[1]:
-                s = exp_apply(t, theta, s)
-        else:
-            _, supp, w, v, blocks = step
-            u = np.where(blocks, (v * np.exp(-1j * theta * w)) @ v.conj().T, 0.0)
-            s = apply_unitary_on(u, supp, s)
-    return s
+    sector = Sector.closure(h, s)
+    w, v, vh = sector.eigh(h)
+    return sector.embed(v @ (np.exp(-1j * theta * w) * (vh @ sector.extract(s))))
 
 
 def apply_unitary_on(u: np.ndarray, qubits: list[int], s: StateVector) -> StateVector:

@@ -169,7 +169,7 @@ def test_observables_magic_sampled_is_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config", [{"L": "abc"}, {"nq": "x"},
-                                    {"heavy": "a,b"}])
+                                    {"heavy": "a,b"}, {"L": 2.7}])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -187,6 +187,7 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
      "--dt", "0.5"],
     ["evolve", "--L", "1", "--nq", "1", "--moves", "0-1@0", "--horizon", "1",
      "--dt", "0.5"],
+    ["observables", "--what", "estimator", "--L", "1", "--nq", "0"],
 ])
 def test_move_outside_the_lattice_is_rejected(capsys, argv):
     code = main(argv)
@@ -314,6 +315,29 @@ def test_fractional_integer_option_in_config_is_config_error(tmp_path, capsys):
     assert "--steps" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["observables", "--what", "entanglement", "--L", "2", "--nq", "0"], "heavy quark"),
+    (["observables", "--what", "entanglement", "--L", "2", "--nq", "2"], "heavy quark"),
+    (["observables", "--what", "magic", "--L", "2", "--nq", "1", "--samples", "-5"],
+     "--samples"),
+])
+def test_observables_input_errors_are_config_errors(capsys, argv, named):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err and "Traceback" not in err
+
+
+def test_negative_seed_for_the_report_magic_section_is_config_error(capsys):
+    code = main(["report", "--sections", "components,magic", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--seed" in captured.err and captured.out == ""
+    # a section that draws no random numbers still takes any seed
+    code, out = run_cli(capsys, "report", "--sections", "components", "--seed", "-1")
+    assert code == 0 and "0 failures" in out
+
+
 def test_negative_seed_for_the_optimizer_is_config_error(capsys):
     code = main(["prepare", "--L", "1", "--optimize", "--seed", "-1"])
     err = capsys.readouterr().err
@@ -375,6 +399,17 @@ _COMMANDS = {
         st.fixed_dictionaries({"template": st.just("measure")}, optional={
             "group": st.sampled_from(["diagonal", "hop_01_23", "hop_01_45",
                                       "hop_07_89", "nope"])})),
+    "observables": st.fixed_dictionaries({
+        "what": st.sampled_from(["estimator", "entanglement", "tangles", "magic"])},
+        optional={"seed": st.sampled_from(["-1", "0", "3"]),
+                  "samples": st.sampled_from(["-5", "0", "40"]),
+                  "optimize": st.just(None), "horizon": _TIMES,
+                  "dt": st.sampled_from(["-0.5", "0", "0.5", "1"])}),
+    # report takes no lattice options; its cheap sections only
+    "report": st.fixed_dictionaries({
+        "sections": st.lists(st.sampled_from(["toy", "mitigation", "components"]),
+                             min_size=1, max_size=3, unique=True).map(",".join)},
+        optional={"seed": st.sampled_from(["-1", "0", "3"])}),
 }
 
 
@@ -392,7 +427,8 @@ _CONFIG = st.one_of(
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    options = {**draw(_LATTICE), **draw(_COMMANDS[command])}
+    lattice = draw(_LATTICE) if command != "report" else {}
+    options = {**lattice, **draw(_COMMANDS[command])}
     argv = [command]
     for key, val in options.items():
         argv.append(f"--{key}" if val is None else f"--{key}={val}")

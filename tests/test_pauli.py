@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from su2lgt.pauli import (PauliString, PauliSum, StateVector, apply_unitary_on,
-                          exp_apply, exp_sum_apply, partial_trace)
+                          exp_sum_apply, partial_trace)
 
 from conftest import dense_label, dense_sum, random_state, reduced_density
 
@@ -38,17 +38,6 @@ def test_string_apply_matches_matvec(label, seed):
     out = PauliString.from_label(label).apply(
         StateVector(v, normalized=False))
     assert np.allclose(out.amps, dense_label(label) @ v, atol=1e-12)
-
-
-@given(labels, st.floats(-3, 3), st.integers(0, 2**31 - 1))
-@settings(max_examples=40)
-def test_exp_apply_matches_expm(label, theta, seed):
-    rng = np.random.default_rng(seed)
-    v = random_state(len(label), rng)
-    out = exp_apply(PauliString.from_label(label), theta,
-                    StateVector(v, normalized=False))
-    oracle = expm(-1j * theta * dense_label(label)) @ v
-    assert np.allclose(out.amps, oracle, atol=1e-10)
 
 
 @given(st.lists(st.tuples(labels.filter(lambda s: len(s) == 3),
@@ -134,25 +123,6 @@ def test_overlap_and_fidelity():
     b = StateVector(np.array([1, 1, 0, 0]) / np.sqrt(2))
     assert a.overlap(b) == pytest.approx(1 / np.sqrt(2))
     assert a.fidelity(b) == pytest.approx(0.5)
-
-
-def test_exp_sum_apply_wide_commuting_generator_is_its_string_rotations():
-    # O_M2^(1,2) at L = 3 is one connected component on 10 qubits, wider
-    # than a dense unitary is built for; its strings commute
-    from su2lgt.ansatz import pool_by_name
-    from conftest import spec_for
-
-    spec = spec_for(3, (0,))
-    gen = pool_by_name(spec)["O_M2^(1,2)"].sum
-    assert len({j for t in gen.terms() for j in t.support()}) == 10
-    v = StateVector(random_state(spec.n_qubits, np.random.default_rng(11)),
-                    normalized=False)
-    theta = 0.2913
-    oracle = v
-    for t in gen.terms():
-        oracle = exp_apply(t, theta, oracle)
-    out = exp_sum_apply(gen, theta, v)
-    assert np.max(np.abs(out.amps - oracle.amps)) < 1e-12
 
 
 def test_exp_sum_apply_rejects_non_hermitian_generator():

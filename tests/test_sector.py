@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2lgt import LatticeSpec
-from su2lgt.dynamics import MotionSchedule, evolve_exact, run_protocol
+from su2lgt.dynamics import (MotionSchedule, _fswap_generator, evolve_exact,
+                             run_protocol, trotter_schedule)
 from su2lgt.hamiltonian import build_hamiltonian
-from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector
+from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector, exp_sum_apply
 from su2lgt.reference import ENERGIES
 from su2lgt.spectra import lanczos_ground, sc_state
 
@@ -76,6 +77,55 @@ def test_restrict_matches_dense_on_the_closure(pairs, start):
     assert start in sector.indices
     assert np.allclose(sector.restrict(h).toarray(),
                        dense[np.ix_(sector.indices, sector.indices)], atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="IXYZ", min_size=3, max_size=3),
+                          st.floats(-2.0, 2.0)), min_size=1, max_size=5),
+       st.integers(0, 7))
+def test_eigh_diagonalizes_the_restriction(pairs, start):
+    h = PauliSum(3, [PauliString.from_label(lab, c) for lab, c in pairs])
+    sector = Sector.closure(h, StateVector.basis(3, start))
+    w, v, vh = sector.eigh(h)
+    v, vh = v.toarray(), vh.toarray()
+    assert np.array_equal(vh, v.conj().T)
+    assert np.allclose(vh @ v, np.eye(len(sector)), atol=1e-12)
+    assert np.allclose(v @ np.diag(w) @ vh, sector.restrict(h).toarray(), atol=1e-12)
+
+
+def test_eigh_rejects_a_block_wider_than_its_limit():
+    # the L = 3 total H reaches 600 states from one basis state, all in one
+    # block; on a random 12-qubit state the L = 2 H's widest block is 104
+    spec = _published_spec(3, 1)
+    h = build_hamiltonian(spec).total
+    with pytest.raises(ValueError, match="block of 600 states"):
+        exp_sum_apply(h, 0.1, sc_state(spec))
+    l2 = _published_spec(2, 1)
+    v = StateVector(random_state(l2.n_qubits, np.random.default_rng(5)))
+    assert exp_sum_apply(build_hamiltonian(l2).total, 0.1, v).norm() == (
+        pytest.approx(1.0, abs=1e-12))
+
+
+def test_exp_sum_apply_stays_inside_the_closure():
+    # the L = 3 reference layers from the strong-coupling state, both FSWAP
+    # colours of the 0 -> 1 move, then each factor of an order-2 Trotter step
+    from su2lgt.ansatz import REFERENCE_SEQUENCES, sequence_from_names
+
+    spec = _published_spec(3, 1)
+    steps = [(ly.name, ly.generator, ly.theta) for ly in
+             sequence_from_names(spec, *REFERENCE_SEQUENCES[3, 1]).layers]
+    steps += [(f"fswap c={c}", _fswap_generator(spec, 0, c), np.pi / 4.0)
+              for c in range(spec.Nc)]
+    steps += [(f"trotter {k} {f.kind}", f.generator, f.fraction)
+              for k, f in enumerate(trotter_schedule(spec, 2))]
+    state = sc_state(spec)
+    for name, gen, theta in steps:
+        out = exp_sum_apply(gen, theta, state)
+        outside = np.ones(out.amps.size, dtype=bool)
+        outside[Sector.closure(gen, state).indices] = False
+        assert not np.any(out.amps[outside]), name
+        assert out.norm() == pytest.approx(1.0, abs=1e-12), name
+        state = out
 
 
 def test_extract_embed_roundtrip_and_full_support():

@@ -658,13 +658,6 @@ def _mapped_gates(local_gates, wires: tuple[int, ...]) -> list[Gate]:
     return out
 
 
-def ghz_state_prep_circuit(wires: tuple[int, int, int, int],
-                           n_qubits: int | None = None) -> Circuit:
-    """The Clifford G that maps the baryon generators to diagonal form."""
-    n = n_qubits if n_qubits is not None else max(wires) + 1
-    return Circuit(n, _mapped_gates(_GHZ_PREP_LOCAL, tuple(wires)))
-
-
 def ghz_evolution_circuit(wires: tuple[int, int, int, int],
                           n_qubits: int | None = None) -> Circuit:
     """The Clifford used for hop-hop gauge terms and grouped measurement."""

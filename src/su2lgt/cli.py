@@ -130,6 +130,9 @@ def _spec_from(cfg: dict) -> LatticeSpec:
         if cfg.get("heavy"):
             raw = cfg["heavy"]
             positions = tuple(int(tok) for tok in str(raw).split(",") if tok != "")
+            for i, x in enumerate(positions):
+                if x in positions[:i]:
+                    raise CliError(f"--heavy lists position {x} more than once")
         else:
             nq = _opt(cfg, "nq", 0, int)
             if nq == 0:

@@ -7,6 +7,7 @@ site carries Nc color components, mapped to qubits via i(n, c) = Nc*n + c.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 ROLE_HEAVY, ROLE_QUARK, ROLE_ANTIQUARK = "Q", "q", "qbar"
@@ -30,6 +31,10 @@ class LatticeSpec:
             raise ValueError("L must be >= 1")
         if self.Nc < 2:
             raise ValueError("Nc must be >= 2")
+        for name in ("g", "mq", "mQ", "lambda2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.g <= 0:
             raise ValueError("g must be positive")
         if self.penalty_strength < 0:
@@ -82,9 +87,6 @@ class LatticeSpec:
 
     def qubits_of(self, n: int) -> list[int]:
         return [self.fermion_index(n, c) for c in range(self.Nc)]
-
-    def heavy_qubits(self) -> list[int]:
-        return [j for n in self.staggered_sites(ROLE_HEAVY) for j in self.qubits_of(n)]
 
     def with_heavy(self, *positions: int) -> "LatticeSpec":
         return replace(self, heavy_positions=frozenset(positions))

@@ -66,8 +66,8 @@ def four_tangle(state: StateVector, spec: LatticeSpec, x_q: int, x: int,
                 flavor: str = "quark") -> float:
     """|<psi| Y_Qr Y_Qg Y_fr Y_fg |psi*>|^2 on the full register."""
     qubits = list(spec.qubits_of(3 * x_q)) + _flavor_qubits(spec, x, flavor)
-    ps = PauliString.from_ops(state.n, {j: "Y" for j in qubits})
-    rotated = ps.apply(StateVector(state.amps.conj(), normalized=False))
+    ys = PauliSum(state.n, [PauliString.from_ops(state.n, {j: "Y" for j in qubits})])
+    rotated = ys.apply(StateVector(state.amps.conj(), normalized=False))
     return float(abs(np.vdot(state.amps, rotated.amps)) ** 2)
 
 

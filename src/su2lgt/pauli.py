@@ -52,14 +52,6 @@ def _hadamard(m: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=256)
-def _perm_vector(n_qubits: int, x_mask: int) -> np.ndarray:
-    """sigma ^ x for every basis index sigma (an involutive permutation)."""
-    perm = np.arange(1 << n_qubits) ^ x_mask
-    perm.setflags(write=False)
-    return perm
-
-
 class PauliString:
     """A single weighted Pauli string on a fixed register."""
 
@@ -134,16 +126,6 @@ class PauliString:
     def adjoint(self) -> "PauliString":
         return PauliString(self.n, self.x, self.z, self.coeff.conjugate())
 
-    def apply(self, state: "StateVector") -> "StateVector":
-        """Matrix-free |out> = P|state>: bit flips for X/Y, signs for Y/Z."""
-        if state.n != self.n:
-            raise ValueError("register size mismatch")
-        c = self.coeff * 1j ** (_popcount(self.x & self.z) % 4)
-        amps = c * _sign_vector(self.n, self.z) * state.amps
-        if self.x:
-            amps = amps[_perm_vector(self.n, self.x)]
-        return StateVector(amps, normalized=False)
-
     def to_dense(self) -> np.ndarray:
         if self.n > 12:
             raise ValueError("dense matrix limited to 12 qubits")
@@ -170,7 +152,6 @@ class PauliSum:
         for t in terms:
             self._accumulate(t)
         self._prune()
-        self._compiled = None
 
     def _accumulate(self, t: PauliString):
         if t.n != self.n:
@@ -195,9 +176,6 @@ class PauliSum:
 
     def __len__(self):
         return len(self._terms)
-
-    def coeff_of(self, label: str) -> complex:
-        return self._terms.get(PauliString.from_label(label).key, 0.0)
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "PauliSum") -> "PauliSum":
@@ -245,49 +223,34 @@ class PauliSum:
             dtype=complex)
 
     def _groups(self):
-        """(x, vec) for each X-mask x in order of first use, with vec[sigma]
-        = <sigma ^ x| self |sigma>: the sum over the group's terms, in
-        insertion order, of phase * (-1)^{|sigma & z|}.  (Both orders keep
-        the sums equal, bit for bit, to adding the terms one at a time.)
-        The sign factors over sigma's high and low bit halves, so a group is
-        one product of (2^hi, T) Hadamard columns and (T, 2^lo) rows."""
+        """(x, vec) for each X-mask x, with vec[sigma] = <sigma ^ x| self
+        |sigma>: the sum over the group's terms, in insertion order, of
+        phase * (-1)^{|sigma & z|}.  The X = 0 group comes first and the
+        rest follow in order of first use.  (These orders keep the sums
+        equal, bit for bit, to adding the terms one at a time, diagonal
+        first.)  The sign factors over sigma's high and low bit halves, so a
+        group is one product of (2^hi, T) Hadamard columns and (T, 2^lo)
+        rows."""
         x, z, phase = self._arrays()
         lo = self.n // 2
         w_hi, w_lo = _hadamard(self.n - lo), _hadamard(lo)
         xs, first, counts = np.unique(x, return_index=True, return_counts=True)
         members = np.split(np.argsort(x, kind="stable"), np.cumsum(counts)[:-1])
-        for g in np.argsort(first):
+        for g in np.lexsort((first, xs != 0)):
             t = members[g]
             c = phase[t, None] * w_lo[z[t] & ((1 << lo) - 1)]
             re, im = np.hsplit(w_hi[:, z[t] >> lo] @ np.hstack([c.real, c.imag]), 2)
             yield int(xs[g]), (re if np.abs(im).max() < 1e-15 else re + 1j * im).ravel()
 
-    def _compile(self):
-        """Group terms by X-mask.  Returns (diag, [(perm, phase), ...]) with
-        perm = index ^ mask, so that H v = diag * v + sum(phase * v[perm])."""
-        if self._compiled is not None:
-            return self._compiled
-        idx = np.arange(1 << self.n)
-        diag, groups = np.zeros(idx.size), []
-        for x, vec in self._groups():
-            if x == 0:
-                diag = vec
-            else:
-                # phase[c] multiplies v[c ^ x]: a gather, which is much faster
-                # than scatter-adding vec * v into out[perm]
-                perm = idx ^ x
-                groups.append((perm, vec[perm]))
-        self._compiled = (diag, groups)
-        return self._compiled
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H @ v on a raw amplitude array (dtype preserved where possible)."""
-        diag, groups = self._compile()
-        dtype = np.result_type(v.dtype, diag.dtype, *(g[1].dtype for g in groups))
-        out = np.zeros(v.size, dtype=dtype)
-        out += diag * v
-        for perm, phase in groups:
-            out += phase * v[perm]
+        """H @ v on a raw amplitude array (dtype preserved where possible),
+        one X-mask group at a time: out[sigma ^ x] += vec[sigma] * v[sigma],
+        done as a gather.  Nothing is kept between calls."""
+        idx = np.arange(1 << self.n)
+        out = np.zeros(v.size, dtype=np.result_type(v.dtype, float))
+        for x, vec in self._groups():
+            term = vec * v
+            out = out + (term[idx ^ x] if x else term)
         return out
 
     def apply(self, state: "StateVector") -> "StateVector":
@@ -324,23 +287,6 @@ class PauliSum:
             cs = f"{c.real:+.12g}" if abs(c.imag) < 1e-14 else f"({c.real:+.12g}{c.imag:+.12g}j)"
             lines.append(f"{cs} " + " ".join(toks))
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "PauliSum":
-        terms = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            head, *toks = line.split()
-            coeff = complex(head.strip("()"))
-            ops = {}
-            for tok in toks:
-                if tok == "I":
-                    continue
-                ops[int(tok[1:])] = tok[0]
-            terms.append(PauliString.from_ops(n, ops, coeff))
-        return cls(n, terms)
 
     def __repr__(self):
         return f"PauliSum(n={self.n}, {len(self)} terms)"

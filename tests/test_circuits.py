@@ -11,10 +11,9 @@ from su2lgt.circuits import (Circuit, CircuitParseError, Gate,
                              ansatz_circuit, baryon_circuit,
                              clifford_conjugate, count_resources, emit_text,
                              fswap_circuit, ghz_evolution_circuit,
-                             ghz_state_prep_circuit, layer_circuit,
-                             measurement_basis_circuit, meson_circuit,
-                             parse_text, pipeline_circuit, rbox,
-                             sc_prep_circuit, trotter_circuit)
+                             layer_circuit, measurement_basis_circuit,
+                             meson_circuit, parse_text, pipeline_circuit,
+                             rbox, sc_prep_circuit, trotter_circuit)
 from su2lgt.pauli import PauliString, PauliSum, StateVector, apply_unitary_on
 
 from conftest import dense_label, random_state, spec_for

@@ -45,6 +45,26 @@ def test_bad_heavy_position_returns_config_error(capsys):
     code = main(["groundstate", "--L", "1", "--heavy", "7"])
     capsys.readouterr()
     assert code == 1
+    # a repeated position is rejected, not merged into one heavy quark
+    code = main(["groundstate", "--L", "2", "--heavy", "0,0"])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert "position 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["groundstate", "--L", "2", "--g", "inf"], "g must be finite"),
+    (["groundstate", "--L", "2", "--g", "nan"], "g must be finite"),
+    (["hamiltonian", "--L", "1", "--mq", "nan"], "mq must be finite"),
+    (["hamiltonian", "--L", "1", "--mQ=-inf"], "mQ must be finite"),
+    (["hamiltonian", "--L", "1", "--lambda2", "nan"], "lambda2 must be finite"),
+])
+def test_non_finite_coupling_is_config_error(capsys, argv, named):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert named in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -366,7 +386,7 @@ _LATTICE = st.fixed_dictionaries({
     "L": st.sampled_from(["1", "2", "0", "-1"])}, optional={
     "nq": st.sampled_from(["0", "1", "2", "-1"]),
     "heavy": st.sampled_from(["0", "1", "0,1", "-1"]),
-    "g": st.sampled_from(["0.5", "0"]),
+    "g": st.sampled_from(["0.5", "0", "nan", "inf"]),
     "mq": st.sampled_from(["0", "-0.5"]),
 })
 _COMMANDS = {

@@ -11,6 +11,9 @@ from conftest import dense_label, dense_sum, random_state, reduced_density
 
 labels = st.integers(1, 4).flatmap(
     lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n))
+# drawn directly: filtering `labels` to length 3 drops ~3 in 4 draws and
+# fails hypothesis' filter_too_much health check on some seeds
+labels3 = st.text(alphabet="IXYZ", min_size=3, max_size=3)
 coeffs = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                             allow_infinity=False)
 
@@ -35,12 +38,12 @@ def test_string_product_matches_dense(la, lb):
 def test_string_apply_matches_matvec(label, seed):
     rng = np.random.default_rng(seed)
     v = random_state(len(label), rng)
-    out = PauliString.from_label(label).apply(
+    out = PauliSum(len(label), [PauliString.from_label(label)]).apply(
         StateVector(v, normalized=False))
     assert np.allclose(out.amps, dense_label(label) @ v, atol=1e-12)
 
 
-@given(st.lists(st.tuples(labels.filter(lambda s: len(s) == 3),
+@given(st.lists(st.tuples(labels3,
                           st.floats(-2, 2)), min_size=1, max_size=5),
        st.floats(-2, 2), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
@@ -53,7 +56,7 @@ def test_exp_sum_apply_matches_expm(pairs, theta, seed):
     assert np.allclose(out.amps, oracle, atol=1e-9)
 
 
-@given(st.lists(st.tuples(labels.filter(lambda s: len(s) == 3),
+@given(st.lists(st.tuples(labels3,
                           st.floats(-2, 2)), min_size=1, max_size=6),
        st.integers(0, 2**31 - 1))
 def test_hermitian_expectation_is_real_and_matches_dense(pairs, seed):
@@ -72,15 +75,16 @@ def test_sum_accumulates_and_prunes_duplicates():
                      PauliString.from_label("XZ", -1.5),
                      PauliString.from_label("YY", 2.0)])
     assert len(h) == 1
-    assert h.coeff_of("YY") == pytest.approx(2.0)
+    [t] = h.terms()
+    assert t.label() == "YY" and t.coeff == pytest.approx(2.0)
 
 
 def test_sum_text_roundtrip():
     h = PauliSum(3, [PauliString.from_label("XYZ", 0.25),
                      PauliString.from_label("IIZ", -1.0),
                      PauliString.from_label("III", 0.5)])
-    assert PauliSum.from_text(3, h.to_text()).to_dense() == pytest.approx(
-        h.to_dense())
+    # terms sorted by (X-mask, Z-mask), qubit 0 the most significant bit
+    assert h.to_text() == "+0.5 I\n-1 Z2\n+0.25 X0 Y1 Z2"
 
 
 def test_basis_and_ket_conventions():
@@ -137,27 +141,22 @@ sums = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
               coeffs), max_size=12)))
 
 
-@given(sums)
-@example((3, [(0, 0, 2.5 - 0.5j)]))                               # identity only
-@example((5, [(0, 3, 1.0), (0, 17, -0.5j), (0, 0, 0.25)]))      # diagonal only
-@example((7, []))
+@given(sums, st.integers(0, 2**31 - 1))
+@example((3, [(0, 0, 2.5 - 0.5j)]), 0)                            # identity only
+@example((5, [(0, 3, 1.0), (0, 17, -0.5j), (0, 0, 0.25)]), 0)   # diagonal only
+@example((7, []), 0)
+@example((4, [(5, 3, 0.5 + 1j), (0, 6, -1.0), (9, 0, 2.0)]), 0)  # X != 0 first
 @settings(max_examples=60, deadline=None)
-def test_compile_and_to_dense_match_per_term_oracle(case):
+def test_compile_and_to_dense_match_per_term_oracle(case, seed):
     n, terms = case
     h = PauliSum(n, [PauliString(n, x, z, c) for x, z, c in terms])
     oracle = np.zeros((1 << n, 1 << n), dtype=complex)
     for t in h.terms():
         oracle += t.to_dense()
     assert np.allclose(h.to_dense(), oracle, atol=1e-12)
-    diag, groups = h._compile()
-    idx = np.arange(1 << n)
-    rebuilt = np.zeros_like(oracle)
-    rebuilt[idx, idx] = diag
-    for perm, phase in groups:
-        assert perm[0] != 0 and np.array_equal(perm, idx ^ perm[0])
-        rebuilt[idx, perm] += phase
-    assert len({perm[0] for perm, _ in groups}) == len(groups)
-    assert np.allclose(rebuilt, oracle, atol=1e-12)
+    v = random_state(n, np.random.default_rng(seed))
+    assert np.allclose(h.matvec(v), oracle @ v, atol=1e-12)
+    assert np.allclose(h.matvec(v.real), oracle @ v.real, atol=1e-12)
 
 
 def test_expectation_raises_on_imaginary_residual():

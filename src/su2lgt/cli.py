@@ -140,6 +140,9 @@ def _spec_from(cfg: dict) -> LatticeSpec:
             elif nq == 1:
                 positions = (0,)
             elif nq == 2:
+                if L is not None and L < 2:
+                    raise CliError(f"--nq 2 puts heavy quarks at x = 0 and x = L - 1, "
+                                   f"which needs L >= 2, not {L}")
                 positions = (0, L - 1)
             else:
                 raise CliError("--nq must be 0, 1 or 2 (use --heavy for other layouts)")

@@ -71,6 +71,32 @@ class KrylovError(RuntimeError):
     """Exact propagation failed its energy-conservation check."""
 
 
+def _propagate(hs, v: np.ndarray, start: float, stop: float, num: int,
+               tol: float) -> np.ndarray:
+    """exp(-i hs t) v for t = linspace(start, stop, num), one row each, by
+    scipy's expm_multiply (Al-Mohy and Higham's truncated Taylor series; a
+    grid of two or more times shares one norm estimate and steps from one
+    time to the next).
+
+    Raises KrylovError when <hs> at any of the times differs from <hs> in v
+    by more than tol * max(1, |<hs>|).
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    if num == 1:
+        w = expm_multiply(-1j * start * hs, v)[None]
+    else:
+        w = expm_multiply(-1j * hs, v, start=start, stop=stop, num=num,
+                          endpoint=True)
+    before = np.vdot(v, hs @ v).real
+    for t, wt in zip(np.linspace(start, stop, num), w):
+        after = np.vdot(wt, hs @ wt).real
+        if not abs(after - before) <= tol * max(1.0, abs(before)):
+            raise KrylovError(f"<H> drifted from {before:.12g} to {after:.12g} "
+                              f"over t = {t:g}")
+    return w
+
+
 def evolve_exact(state: StateVector, h: PauliSum, t: float,
                  tol: float = 1e-11) -> StateVector:
     """exp(-iHt)|state> on the basis states that h reaches from the state's
@@ -80,18 +106,9 @@ def evolve_exact(state: StateVector, h: PauliSum, t: float,
     Raises KrylovError when <H> drifts by more than tol * max(1, |<H>|)
     over the propagation.
     """
-    from scipy.sparse.linalg import expm_multiply
-
     sector = Sector.closure(h, state)
-    hs = sector.restrict(h)
-    v = sector.extract(state)
-    w = expm_multiply(-1j * t * hs, v)
-    before = np.vdot(v, hs @ v).real
-    after = np.vdot(w, hs @ w).real
-    if not abs(after - before) <= tol * max(1.0, abs(before)):
-        raise KrylovError(f"<H> drifted from {before:.12g} to {after:.12g} "
-                          f"over t = {t:g}")
-    return sector.embed(w)
+    return sector.embed(_propagate(sector.restrict(h), sector.extract(state),
+                                   t, t, 1, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +217,10 @@ class MotionSchedule:
     dt: float
 
     def __post_init__(self):
+        for name, value in [("dt", self.dt), ("horizon", self.horizon)] + [
+                ("event time", t) for t, _, _ in self.events]:
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0 or self.horizon < 0:
             raise ValueError("need dt > 0 and horizon >= 0")
         steps = round(self.horizon / self.dt)
@@ -255,6 +276,38 @@ def _sector_expectations(h: PauliSum, s: StateVector,
             for name, op in ops.items()}
 
 
+class _SectorMeter:
+    """The basis states h reaches from one state (Sector.closure), with h,
+    the named energy pieces and every qubit's Z restricted to them.  H
+    conserves the sector, so one meter serves a whole interval between two
+    moves."""
+
+    def __init__(self, h: PauliSum, pieces: dict[str, PauliSum],
+                 state: StateVector):
+        self.sector = Sector.closure(h, state)
+        self.h = self.sector.restrict(h)
+        self.pieces = {name: self.sector.restrict(op) for name, op in pieces.items()}
+        # qubit j is bit n-1-j of a basis index: Z_j = 1 - 2 * bit
+        bits = self.sector.indices >> np.arange(h.n - 1, -1, -1)[:, None] & 1
+        self.z_signs = 1.0 - 2.0 * bits
+
+    def holds(self, s: StateVector) -> bool:
+        """Whether s has no amplitude outside the sector."""
+        return np.count_nonzero(self.sector.extract(s)) == np.count_nonzero(s.amps)
+
+    def record(self, t: float, v: np.ndarray, offset: float,
+               state: StateVector | None = None) -> ProtocolRecord:
+        """The record at time t of the state with amplitudes v on the
+        sector (state, when given, is that state on the full register)."""
+        energies = {name: float(np.vdot(v, op @ v).real)
+                    for name, op in self.pieces.items()}
+        energies["mass"] += offset
+        energies["total"] = (energies["kinetic"] + energies["mass"]
+                             + energies["gauge"] + energies["penalty"])
+        return ProtocolRecord(t=t, state=self.sector.embed(v) if state is None else state,
+                              energies=energies, z=self.z_signs @ np.abs(v) ** 2)
+
+
 def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
                  evolver: str = "exact", order: int = 2,
                  initial: StateVector | None = None,
@@ -264,13 +317,19 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
     Starts from the interacting ground state of the given sector (or the
     supplied state) and records component energies and <Z_j> every dt.
     Reported energies include the identity constant dropped by the mass
-    builder, matching the convention used for the exact spectra.  Energies
-    are taken on the basis states that H reaches from the current state
-    (see Sector.closure), so no full-register operator is compiled.
+    builder, matching the convention used for the exact spectra.
+
+    H conserves the basis states it reaches from a state (Sector.closure),
+    so each interval between two moves works on one sector: the exact
+    evolver gets all of the interval's records from one expm_multiply over
+    their time grid (see _propagate), and energies and <Z_j> are taken
+    there, so no full-register operator is compiled.  The Trotter evolver
+    steps from record to record and measures each record on the
+    interval's sector, or on the record's own one if its state has left
+    that sector.
     """
     if evolver not in ("exact", "trotter"):
         raise ValueError("evolver must be 'exact' or 'trotter'")
-    from .observables import z_profile
     from .spectra import lanczos_ground, sc_state
 
     terms = build_hamiltonian(spec)
@@ -285,34 +344,47 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
     pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
               "gauge": terms.gauge, "penalty": terms.penalty}
 
-    def record(t: float, s: StateVector) -> ProtocolRecord:
-        energies = _sector_expectations(h, s, pieces)
-        energies["mass"] += offset
-        energies["total"] = (energies["kinetic"] + energies["mass"]
-                             + energies["gauge"] + energies["penalty"])
-        return ProtocolRecord(t=t, state=s, energies=energies, z=z_profile(s))
-
-    def advance(s: StateVector, delta: float) -> StateVector:
+    def advance(s: StateVector, delta: float, meter) -> StateVector:
+        """s evolved by delta, on meter's sector when there is one."""
         if delta <= 1e-12:
             return s
-        if evolver == "exact":
+        if evolver == "trotter":
+            return trotter_step(s, spec, delta, order=order)
+        if meter is None:
             return evolve_exact(s, h, delta, tol=krylov_tol)
-        return trotter_step(s, spec, delta, order=order)
+        v = meter.sector.extract(s)
+        return meter.sector.embed(_propagate(meter.h, v, delta, delta, 1, krylov_tol)[0])
 
     records: list[ProtocolRecord] = []
     events = list(schedule.events)
-    n_steps = int(round(schedule.horizon / schedule.dt))
-    t = 0.0
-    for k in range(n_steps + 1):
-        t_target = k * schedule.dt
-        while events and events[0][0] <= t_target + 1e-12:
-            t_ev, x_from, x_to = events.pop(0)
-            state = advance(state, t_ev - t)
-            state = fswap_move(state, spec, x_from, x_to)
-            t = t_ev
-        state = advance(state, t_target - t)
-        t = t_target
-        records.append(record(t, state))
+    dt, n_steps = schedule.dt, int(round(schedule.horizon / schedule.dt))
+    t, k = 0.0, 0
+    while k <= n_steps:
+        # records k, ..., end - 1 come before the next move
+        end = k
+        while end <= n_steps and not (events and events[0][0] <= end * dt + 1e-12):
+            end += 1
+        meter = None
+        if end > k:
+            meter = _SectorMeter(h, pieces, state)
+            if evolver == "exact":
+                # an advance of at most 1e-12 is none, and times count on from k dt
+                t0 = t if k * dt - t > 1e-12 else k * dt
+                w = _propagate(meter.h, meter.sector.extract(state), k * dt - t0,
+                               (end - 1) * dt - t0, end - k, krylov_tol)
+                records += [meter.record(j * dt, wj, offset)
+                            for j, wj in zip(range(k, end), w)]
+                state, t = records[-1].state, (end - 1) * dt
+            else:
+                for j in range(k, end):
+                    state, t = advance(state, j * dt - t, meter), j * dt
+                    m = meter if meter.holds(state) else _SectorMeter(h, pieces, state)
+                    records.append(m.record(t, m.sector.extract(state), offset, state))
+        if end <= n_steps:  # a move comes before record `end`
+            t_move, x_from, x_to = events.pop(0)
+            state = fswap_move(advance(state, t_move - t, meter), spec, x_from, x_to)
+            t = t_move
+        k = end
     return ProtocolResult(spec=spec, schedule=schedule, records=records,
                           initial_energy=e0_total)
 

@@ -222,36 +222,57 @@ class PauliSum:
             [c * 1j ** (_popcount(x & z) % 4) for (x, z), c in self._terms.items()],
             dtype=complex)
 
-    def _groups(self):
+    def _groups(self, rows):
         """(x, vec) for each X-mask x, with vec[sigma] = <sigma ^ x| self
-        |sigma>: the sum over the group's terms, in insertion order, of
-        phase * (-1)^{|sigma & z|}.  The X = 0 group comes first and the
-        rest follow in order of first use.  (These orders keep the sums
-        equal, bit for bit, to adding the terms one at a time, diagonal
-        first.)  The sign factors over sigma's high and low bit halves, so a
-        group is one product of (2^hi, T) Hadamard columns and (T, 2^lo)
-        rows."""
+        |sigma> for the sigma on the given rows of the (2^hi, 2^lo) grid
+        that splits sigma into its high and low bit halves (an index array,
+        or slice(None) for every row): the sum over the group's terms, in
+        insertion order, of phase * (-1)^{|sigma & z|}.  The X = 0 group
+        comes first and the rest follow in order of first use.  (These
+        orders keep the sums equal, bit for bit, to adding the terms one at
+        a time, diagonal first.)  The sign factors over the two halves, so
+        a group is one product of (rows, T) Hadamard columns and (T, 2^lo)
+        rows; the rows' imaginary half joins the product only when some
+        phase in the group has one."""
         x, z, phase = self._arrays()
         lo = self.n // 2
-        w_hi, w_lo = _hadamard(self.n - lo), _hadamard(lo)
+        w_hi, w_lo = _hadamard(self.n - lo)[rows], _hadamard(lo)
         xs, first, counts = np.unique(x, return_index=True, return_counts=True)
         members = np.split(np.argsort(x, kind="stable"), np.cumsum(counts)[:-1])
         for g in np.lexsort((first, xs != 0)):
             t = members[g]
             c = phase[t, None] * w_lo[z[t] & ((1 << lo) - 1)]
-            re, im = np.hsplit(w_hi[:, z[t] >> lo] @ np.hstack([c.real, c.imag]), 2)
-            yield int(xs[g]), (re if np.abs(im).max() < 1e-15 else re + 1j * im).ravel()
+            parts = [c.real, c.imag] if c.imag.any() else [c.real]
+            re, *im = np.hsplit(w_hi[:, z[t] >> lo] @ np.hstack(parts), len(parts))
+            real = not im or np.abs(im[0]).max(initial=0.0) < 1e-15
+            yield int(xs[g]), (re if real else re + 1j * im[0]).ravel()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H @ v on a raw amplitude array (dtype preserved where possible),
-        one X-mask group at a time: out[sigma ^ x] += vec[sigma] * v[sigma],
-        done as a gather.  Nothing is kept between calls."""
-        idx = np.arange(1 << self.n)
-        out = np.zeros(v.size, dtype=np.result_type(v.dtype, float))
-        for x, vec in self._groups():
-            term = vec * v
-            out = out + (term[idx ^ x] if x else term)
-        return out
+        one X-mask group at a time: out[sigma ^ x] += vec[sigma] * v[sigma].
+        Only the rows of the (2^hi, 2^lo) grid where v is non-zero are
+        evaluated.  Flipping x's high bits maps those rows one-to-one onto
+        output rows; with a row's low bits held as one length-2 axis each,
+        flipping x's low bits reverses axes, a view.  So each group adds
+        into whole rows.  Nothing is kept between calls."""
+        lo = self.n // 2
+        grid = v.reshape(-1, 1 << lo)
+        rows = np.flatnonzero(grid.any(axis=1))
+        if rows.size == 1:
+            # numpy hands a one-row product to gemv, whose sums can differ
+            # from gemm's in the last bit; a second row, all zero in v,
+            # keeps the sums equal to the full register's
+            rows = np.append(rows, rows ^ 1)
+        on_rows = grid[rows].reshape((rows.size,) + (2,) * lo)
+        out = np.zeros((grid.shape[0],) + (2,) * lo,
+                       dtype=np.result_type(v.dtype, float))
+        for x, vec in self._groups(rows):
+            term = vec.reshape(on_rows.shape) * on_rows
+            flip = tuple(slice(None, None, 1 - 2 * (x >> b & 1))
+                         for b in reversed(range(lo)))
+            out = out.astype(np.result_type(out, term), copy=False)
+            out[rows ^ (x >> lo)] += term[(slice(None),) + flip]
+        return out.ravel()
 
     def apply(self, state: "StateVector") -> "StateVector":
         if state.n != self.n:
@@ -273,7 +294,7 @@ class PauliSum:
             raise ValueError("dense matrix limited to 12 qubits")
         idx = np.arange(1 << self.n)
         m = np.zeros((idx.size, idx.size), dtype=complex)
-        for x, vec in self._groups():
+        for x, vec in self._groups(slice(None)):
             m[idx ^ x, idx] = vec
         return m
 

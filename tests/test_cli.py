@@ -226,6 +226,25 @@ def test_zero_horizon_prints_one_record(capsys):
     assert lines[1].startswith("0.0,")
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--dt", "inf"], "dt"),
+    (["--horizon", "inf"], "horizon"),
+    (["--moves", "0-1@nan", "--horizon", "1"], "event time"),
+])
+def test_non_finite_schedule_is_numerical_failure(capsys, argv, named):
+    code = main(["evolve", "--L", "2", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{named} must be finite" in err and "Traceback" not in err
+
+
+def test_two_heavy_quarks_need_two_sites(capsys):
+    code = main(["groundstate", "--L", "1", "--nq", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "L >= 2" in captured.err and captured.out == ""
+
+
 def test_zero_dt_is_rejected(capsys):
     code = main(["evolve", "--L", "1", "--nq", "1", "--horizon", "1",
                  "--dt", "0"])
@@ -370,7 +389,8 @@ def test_evolve_exits_2_when_energy_is_not_conserved(monkeypatch, capsys):
 
     exact = scipy.sparse.linalg.expm_multiply
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda a, v: exact(a, v) + 1e-4 * v[::-1])
+                        lambda a, v, *grid, **kw: exact(a, v, *grid, **kw)
+                        + 1e-4 * v[::-1])
     code = main(["evolve", "--L", "2", "--nq", "1", "--moves", "0-1@0",
                  "--horizon", "1", "--dt", "0.5"])
     err = capsys.readouterr().err
@@ -381,7 +401,7 @@ def test_evolve_exits_2_when_energy_is_not_conserved(monkeypatch, capsys):
 # -- the CLI contract over drawn argv ------------------------------------------
 
 _SITES = st.sampled_from(["-1", "0", "1", "2", "3"])
-_TIMES = st.sampled_from(["-1", "0", "0.5", "1", "1.5", "2"])
+_TIMES = st.sampled_from(["-1", "0", "0.5", "1", "1.5", "2", "inf"])
 _LATTICE = st.fixed_dictionaries({
     "L": st.sampled_from(["1", "2", "0", "-1"])}, optional={
     "nq": st.sampled_from(["0", "1", "2", "-1"]),
@@ -395,13 +415,13 @@ _COMMANDS = {
     "evolve": st.fixed_dictionaries({"horizon": _TIMES}, optional={
         "moves": st.lists(st.builds("{}-{}@{}".format, _SITES, _SITES, _TIMES),
                           max_size=2).map(",".join),
-        "dt": st.sampled_from(["-0.5", "0", "0.3", "0.5", "1"]),
+        "dt": st.sampled_from(["-0.5", "0", "0.3", "0.5", "1", "inf"]),
         "evolver": st.sampled_from(["exact", "trotter"]),
         "order": st.sampled_from(["-1", "0", "1", "2", "3"]),
         "csv-z": st.just(None)}),
     "dedx": st.fixed_dictionaries({"horizon": _TIMES}, optional={
         "schedule": st.sampled_from(["vacuum", "medium", "vac-med-default"]),
-        "dt": st.sampled_from(["-0.5", "0", "0.5", "1"]),
+        "dt": st.sampled_from(["-0.5", "0", "0.5", "1", "inf"]),
         "evolver": st.sampled_from(["exact", "trotter"])}),
     "prepare": st.fixed_dictionaries({}, optional={
         "optimize": st.just(None), "seed": st.sampled_from(["-1", "0", "3"])}),
@@ -424,7 +444,7 @@ _COMMANDS = {
         optional={"seed": st.sampled_from(["-1", "0", "3"]),
                   "samples": st.sampled_from(["-5", "0", "40"]),
                   "optimize": st.just(None), "horizon": _TIMES,
-                  "dt": st.sampled_from(["-0.5", "0", "0.5", "1"])}),
+                  "dt": st.sampled_from(["-0.5", "0", "0.5", "1", "inf"])}),
     # report takes no lattice options; its cheap sections only
     "report": st.fixed_dictionaries({
         "sections": st.lists(st.sampled_from(["toy", "mitigation", "components"]),

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su2lgt.dynamics import (MotionSchedule, ToyModelParams, dedx_estimate,
-                             evolve_exact, fswap_move, gauge_pair_rounds,
-                             run_protocol, toy_fswap_expectation, trotter_step)
-from su2lgt.hamiltonian import build_hamiltonian
+from su2lgt.dynamics import (MotionSchedule, ToyModelParams, _SectorMeter,
+                             _sector_expectations, dedx_estimate, evolve_exact, fswap_move,
+                             gauge_pair_rounds, run_protocol,
+                             toy_fswap_expectation, trotter_step)
+from su2lgt.hamiltonian import build_hamiltonian, mass_offset
 from su2lgt.observables import z_profile
-from su2lgt.pauli import StateVector
+from su2lgt.pauli import Sector, StateVector
+from su2lgt.spectra import lanczos_ground, sc_state
 
 from conftest import random_state, spec_for
 
@@ -34,7 +36,8 @@ def test_evolve_exact_raises_when_energy_is_not_conserved(monkeypatch):
 
     exact = scipy.sparse.linalg.expm_multiply
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda a, v: exact(a, v) + 1e-4 * v[::-1])
+                        lambda a, v, *grid, **kw: exact(a, v, *grid, **kw)
+                        + 1e-4 * v[::-1])
     spec = spec_for(1, (0,))
     v = random_state(spec.n_qubits, np.random.default_rng(3))
     with pytest.raises(KrylovError):
@@ -108,6 +111,107 @@ def test_run_protocol_conserves_energy_between_moves():
     assert totals[0] > result.initial_energy
 
 
+def _chained_records(spec, schedule, state):
+    """(t, energies, <Z>) at every record, the state advanced from record to
+    record by evolve_exact, energies taken on each record's own sector and
+    <Z> over the full register."""
+    terms = build_hamiltonian(spec)
+    pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
+              "gauge": terms.gauge, "penalty": terms.penalty}
+    events, t, out = list(schedule.events), 0.0, []
+    for k in range(round(schedule.horizon / schedule.dt) + 1):
+        t_k = k * schedule.dt
+        while events and events[0][0] <= t_k + 1e-12:
+            t_ev, x_from, x_to = events.pop(0)
+            if t_ev - t > 1e-12:
+                state = evolve_exact(state, terms.total, t_ev - t, tol=1e-9)
+            state, t = fswap_move(state, spec, x_from, x_to), t_ev
+        if t_k - t > 1e-12:
+            state = evolve_exact(state, terms.total, t_k - t, tol=1e-9)
+        t = t_k
+        energies = _sector_expectations(terms.total, state, pieces)
+        energies["mass"] += mass_offset(spec)
+        out.append((t, energies, z_profile(state)))
+    return out
+
+
+@pytest.mark.parametrize("L,schedule", [
+    # moves on the time grid, off it, and two between one pair of records
+    (2, MotionSchedule(events=((0.0, 0, 1), (0.3, 1, 0), (1.2, 0, 1),
+                               (1.4, 1, 0), (2.0, 0, 1)), horizon=3.0, dt=0.5)),
+    # the benchmark's motion workload
+    (3, MotionSchedule(events=((0.0, 0, 1),), horizon=2.5, dt=2.5)),
+])
+def test_interval_records_match_chained_evolution(L, schedule):
+    spec = spec_for(L, (0,))
+    _, psi = lanczos_ground(build_hamiltonian(spec).total, sc_state(spec))
+    run = run_protocol(spec, schedule, initial=psi, krylov_tol=1e-9)
+    chained = _chained_records(spec, schedule, psi)
+    assert [r.t for r in run.records] == [t for t, _, _ in chained]
+    for rec, (_, energies, z) in zip(run.records, chained):
+        for name, value in energies.items():
+            assert rec.energies[name] == pytest.approx(value, rel=0, abs=1e-12)
+        assert np.max(np.abs(rec.z - z)) < 1e-12
+        assert rec.energies["total"] == pytest.approx(
+            sum(energies.values()), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("evolver", ["exact", "trotter"])
+def test_one_sector_closure_per_interval(monkeypatch, evolver):
+    spec = spec_for(2, (0,))
+    h = build_hamiltonian(spec).total
+    _, psi = lanczos_ground(h, sc_state(spec))
+    closures = []
+    closure = Sector.closure
+
+    def counting(cls, op, state):
+        if op.n == h.n and op.to_text() == h.to_text():
+            closures.append(op)
+        return closure(op, state)
+
+    monkeypatch.setattr(Sector, "closure", classmethod(counting))
+    # three intervals: [0, 0.25) with 1 record, [0.25, 1) with 1, [1, 2] with 3
+    schedule = MotionSchedule(events=((0.25, 0, 1), (1.0, 1, 0)), horizon=2.0,
+                              dt=0.5)
+    run = run_protocol(spec, schedule, evolver=evolver, initial=psi)
+    assert len(run.records) == 5
+    # one for the starting energy of the supplied state, one per interval
+    assert len(closures) == 1 + 3
+
+
+def test_trotter_records_off_the_interval_sector_are_measured_on_their_own(
+        monkeypatch):
+    # a Trotter state that leaves the interval's sector is measured on the
+    # sector h reaches from that state; force that path for every record
+    spec = spec_for(2, (0,))
+    terms = build_hamiltonian(spec)
+    pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
+              "gauge": terms.gauge, "penalty": terms.penalty}
+    _, psi = lanczos_ground(terms.total, sc_state(spec))
+    meters = []
+    init = _SectorMeter.__init__
+
+    def counting(self, *args):
+        meters.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_SectorMeter, "__init__", counting)
+    monkeypatch.setattr(_SectorMeter, "holds", lambda self, s: False)
+    schedule = MotionSchedule(events=((0.25, 0, 1), (1.0, 1, 0)), horizon=2.0,
+                              dt=0.5)
+    run = run_protocol(spec, schedule, evolver="trotter", initial=psi)
+    # one meter per interval (3) and one more per record (5)
+    assert len(run.records) == 5 and len(meters) == 3 + 5
+    for rec in run.records:
+        energies = _sector_expectations(terms.total, rec.state, pieces)
+        energies["mass"] += mass_offset(spec)
+        for name, value in energies.items():
+            assert rec.energies[name] == pytest.approx(value, rel=0, abs=1e-12)
+        assert rec.energies["total"] == pytest.approx(
+            sum(energies.values()), rel=0, abs=1e-12)
+        assert np.max(np.abs(rec.z - z_profile(rec.state))) < 1e-12
+
+
 def test_dedx_estimate_plateau_arithmetic():
     spec = spec_for(2, (0,))
     schedule = MotionSchedule(events=((0.0, 0, 1),), horizon=1.0, dt=0.5)
@@ -127,6 +231,19 @@ def test_motion_schedule_validation():
     with pytest.raises(ValueError):
         MotionSchedule(events=((9.5, 0, 1),), horizon=10.0, dt=3.0)
     assert MotionSchedule(events=(), horizon=10.0, dt=0.1).horizon == 10.0
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("dt", dict(events=(), horizon=1.0, dt=float("inf"))),
+    ("dt", dict(events=(), horizon=1.0, dt=float("nan"))),
+    ("horizon", dict(events=(), horizon=float("inf"), dt=0.5)),
+    ("horizon", dict(events=(), horizon=float("nan"), dt=0.5)),
+    ("event time", dict(events=((float("nan"), 0, 1),), horizon=1.0, dt=0.5)),
+    ("event time", dict(events=((float("inf"), 0, 1),), horizon=1.0, dt=0.5)),
+])
+def test_motion_schedule_rejects_non_finite_values(field, kwargs):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MotionSchedule(**kwargs)
 
 
 def test_motion_schedule_limits_the_record_count():

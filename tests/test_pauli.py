@@ -159,6 +159,39 @@ def test_compile_and_to_dense_match_per_term_oracle(case, seed):
     assert np.allclose(h.matvec(v.real), oracle @ v.real, atol=1e-12)
 
 
+_SUPPORTS = ("empty", "basis state", "grid row", "scattered rows", "full register")
+
+
+@given(sums, st.sampled_from(_SUPPORTS), st.booleans(), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_matvec_on_any_support_matches_per_term_oracle(case, support, is_complex,
+                                                       seed):
+    # matvec evaluates only the rows of the (2^hi, 2^lo) index grid that v
+    # touches, from none of them to all
+    n, terms = case
+    h = PauliSum(n, [PauliString(n, x, z, c) for x, z, c in terms])
+    rng = np.random.default_rng(seed)
+    shape = (1 << (n - n // 2), 1 << (n // 2))
+    v = rng.standard_normal(shape)
+    if is_complex:
+        v = v + 1j * rng.standard_normal(shape)
+    keep = np.zeros(shape, dtype=bool)
+    if support == "basis state":
+        keep.flat[rng.integers(keep.size)] = True
+    elif support == "grid row":
+        keep[rng.integers(shape[0])] = True
+    elif support == "scattered rows":
+        keep[rng.choice(shape[0], min(3, shape[0]), replace=False)] = True
+    elif support == "full register":
+        keep[:] = True
+    v = np.where(keep, v, 0).ravel()
+    oracle = sum((t.to_dense() for t in h.terms()), np.zeros((v.size, v.size)))
+    out = h.matvec(v)
+    assert np.allclose(out, oracle @ v, rtol=0, atol=1e-12)
+    if support == "empty":
+        assert out.dtype == np.result_type(v.dtype, float) and not out.any()
+
+
 def test_expectation_raises_on_imaginary_residual():
     # each coefficient passes is_hermitian(1e-10); their sum on |00> does not
     c = 1 + 9e-11j

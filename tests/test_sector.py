@@ -36,6 +36,37 @@ def test_published_sector_is_closed_under_h(L, n_q):
                        atol=1e-13)
 
 
+def test_l3_matvec_of_the_ground_state_stays_on_its_sector():
+    spec = _published_spec(3, 1)
+    h = build_hamiltonian(spec).total
+    sector = Sector.closure(h, sc_state(spec))
+    _, psi = lanczos_ground(h, sc_state(spec))
+    out = h.matvec(psi.amps)
+    assert np.allclose(out[sector.indices], sector.restrict(h) @ sector.extract(psi),
+                       rtol=0, atol=1e-12)
+    outside = np.ones(out.size, dtype=bool)
+    outside[sector.indices] = False
+    assert not out[outside].any()
+
+
+@pytest.mark.parametrize("L,n_q", [(1, 0), (2, 1)])
+def test_matvec_on_few_rows_gives_the_bits_of_the_whole_register_gather(L, n_q):
+    # matvec evaluates only the index-grid rows v touches; its sums must not
+    # depend on how many there are (numpy hands a one-row product to gemv,
+    # whose sums can differ from gemm's in the last bit)
+    spec = _published_spec(L, n_q)
+    h = build_hamiltonian(spec).total
+    idx = np.arange(1 << h.n)
+    rng = np.random.default_rng(L)
+    few = [sc_state(spec).amps] + [np.eye(1, idx.size, s, dtype=complex)[0]
+                                   for s in rng.choice(idx.size, 4)]
+    for v in few:
+        gathered = np.zeros(idx.size, dtype=complex)
+        for x, vec in h._groups(slice(None)):
+            gathered = gathered + (vec * v)[idx ^ x]
+        assert h.matvec(v).tobytes() == gathered.tobytes()
+
+
 def test_l3_sector_sizes():
     sizes = [len(Sector.closure(build_hamiltonian(spec).total, sc_state(spec)))
              for spec in (_published_spec(3, n_q) for n_q in (0, 1, 2))]

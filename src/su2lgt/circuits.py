@@ -172,12 +172,17 @@ class Circuit:
     def apply(self, state: StateVector) -> StateVector:
         if state.n != self.n_qubits:
             raise ValueError("register size mismatch")
-        out = state
+        # one n-axis tensor throughout: each block's new axes move back as a view
+        psi = state.amps.reshape((2,) * self.n_qubits)
         for wires, u in _fused_blocks(self.gates):
-            out = apply_unitary_on(u, wires, out)
+            k = len(wires)
+            psi = np.tensordot(u.reshape((2,) * 2 * k), psi,
+                               axes=(list(range(k, 2 * k)), wires))
+            psi = np.moveaxis(psi, range(k), wires)
+        amps = np.ascontiguousarray(psi).reshape(-1)
         if self.phase:
-            out = StateVector(np.exp(1j * self.phase) * out.amps, normalized=False)
-        return out
+            amps = np.exp(1j * self.phase) * amps
+        return StateVector(amps, normalized=False)
 
     def unitary(self) -> np.ndarray:
         if self.n_qubits > 12:
@@ -453,7 +458,7 @@ def _conj_by_box(gen: tuple, masks: tuple) -> tuple:
 
 def _support_mask(gen: tuple) -> int:
     m = 0
-    for x, z, _ in gen:
+    for x, z, *_ in gen:
         m |= x | z
     return m
 
@@ -516,6 +521,16 @@ def _box_layers(boxes) -> int:
 _BEAM_WIDTH = 64
 
 
+def _box_table(kind: str, sign: int) -> tuple:
+    """`_conj_by_box` of a box on qubits (a, a + 1) as a table on a term's
+    bits there, which are all it reads: index (x_a x_b z_a z_b) ->
+    (x flip, z flip, power of i), each flip as bits (a, a + 1)."""
+    masks = _box_masks(_Box(kind, sign, 0), 2)
+    terms = [_conj_by_box(((i >> 2, i & 3, 1),), masks)[0] for i in range(16)]
+    return tuple((nx ^ i >> 2, nz ^ i & 3, _I_POW.index(c))
+                 for i, (nx, nz, c) in enumerate(terms))
+
+
 @functools.lru_cache(maxsize=256)
 def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     """Deterministic beam search for a pi/2-box sequence A such that every
@@ -523,55 +538,59 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     `_canon` turned into `key`; minimizes the layered depth of the
     assembled A + rotations + A^dag block, then the box count.  Box
     conjugation only permutes and negates coefficients, so the search on
-    the rounded coefficients of `key` finds the boxes of the exact ones."""
-    gens = tuple(tuple((x, z, complex(re, im)) for x, z, re, im in g)
-                 for g in key)
-    moves = [(box, _box_masks(box, w))
-             for box in (_Box(kind, sign, a) for a in range(w - 1)
-                         for kind in _RBOX_KINDS for sign in (1, -1))]
+    the rounded coefficients of `key` finds the boxes of the exact ones,
+    and a conjugated generator with its terms sorted is its own `_canon`."""
+    tables = {(kind, sign): _box_table(kind, sign)
+              for kind in _RBOX_KINDS for sign in (1, -1)}
+    moves = [_Box(kind, sign, a) for a in range(w - 1)
+             for kind in _RBOX_KINDS for sign in (1, -1)]
+    memo: dict[tuple, list] = {}  # generator -> (conjugate, support) by move
 
-    def final_cost(gs, boxes):
-        seq = [(bx.a, bx.b) for bx in boxes]
-        seq += [_classify_pair(g, w)[2] for g in gs]
-        seq += [(bx.a, bx.b) for bx in reversed(boxes)]
-        return (_box_layers(seq), len(boxes) + len(gs) + len(boxes))
+    def conjugates(g: tuple) -> list:
+        row = memo.get(g)
+        if row is None:
+            row = memo[g] = []
+            for box in moves:
+                s, table = w - 2 - box.a, tables[box.kind, box.sign]
+                terms, m = [], 0
+                for x, z, re_, im in g:
+                    fx, fz, k = table[(x >> s & 3) << 2 | (z >> s & 3)]
+                    x, z = x ^ fx << s, z ^ fz << s
+                    m |= x | z
+                    terms.append((x, z) + ((re_, im), (-im, re_), (-re_, -im),
+                                           (im, -re_))[k])
+                row.append((tuple(sorted(terms)), _popcount(m)))
+        return row
 
     best: tuple | None = None  # (layers, boxes_total, boxes)
-    frontier = [(gens, ())]
+    frontier = [(key, (), (0,) * w, 0)]  # generators, boxes, free layer, depth
     seen = {key}
     while frontier:
         nxt: dict[tuple, tuple] = {}
-        for gs, boxes in frontier:
-            if all(_classify_pair(g, w) is not None for g in gs):
-                cost = final_cost(gs, boxes)
-                cand = (cost[0], cost[1], boxes)
+        for gs, boxes, free, depth in frontier:
+            pairs = [_classify_pair(tuple((x, z, complex(re_, im))
+                                          for x, z, re_, im in g), w) for g in gs]
+            if None not in pairs:
+                seq = [(bx.a, bx.b) for bx in boxes]
+                seq += [pair[2] for pair in pairs] + seq[::-1]
+                cand = (_box_layers(seq), 2 * len(boxes) + len(gs), boxes)
                 if best is None or cand < best:
                     best = cand
                 continue
             sizes = [_popcount(_support_mask(g)) for g in gs]
             total = sum(sizes)
-            for box, masks in moves:
-                gs2 = []
-                total2 = 0
-                for g, size in zip(gs, sizes):
-                    g2 = _conj_by_box(g, masks)
-                    size2 = _popcount(_support_mask(g2))
-                    if size2 > size:
-                        break
-                    gs2.append(g2)
-                    total2 += size2
-                else:
-                    if total2 >= total:
-                        continue
-                    k2 = _canon(gs2)
-                    if k2 in seen:
-                        continue
-                    seq = boxes + (box,)
-                    score = (total2, _box_layers([(bx.a, bx.b) for bx in seq]),
-                             len(seq))
-                    prev = nxt.get(k2)
-                    if prev is None or score < prev[0]:
-                        nxt[k2] = (score, (tuple(gs2), seq))
+            for box, conj in zip(moves, zip(*map(conjugates, gs))):
+                k2, sizes2 = zip(*conj)
+                total2 = sum(sizes2)
+                if (total2 >= total or any(map(int.__gt__, sizes2, sizes))
+                        or k2 in seen):
+                    continue
+                layer = max(free[box.a], free[box.b]) + 1
+                score = (total2, max(depth, layer), len(boxes) + 1)
+                prev = nxt.get(k2)
+                if prev is None or score < prev[0]:
+                    free2 = free[:box.a] + (layer, layer) + free[box.b + 1:]
+                    nxt[k2] = (score, (k2, boxes + (box,), free2, score[1]))
         ranked = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))
         frontier = [entry for _, (_, entry) in ranked[:_BEAM_WIDTH]]
         for k2, _ in ranked[:_BEAM_WIDTH]:

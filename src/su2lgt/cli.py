@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -490,6 +491,9 @@ def cmd_circuit(cfg: dict) -> int:
     t = _opt(cfg, "t", 1.0, float)
     order = _opt(cfg, "order", 2, int, choices=(1, 2))
     steps = _opt(cfg, "steps", 1, int)
+    for flag, value in (("--theta", theta), ("--t", t)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, not {value}")
     try:
         if template == "scprep":
             circ = circuits.sc_prep_circuit(spec)

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -287,6 +287,75 @@ def test_fusion_groups_the_pipeline_into_four_wire_blocks():
     blocks = circuits_module._fused_blocks(pipeline_circuit(spec).gates)
     assert len(blocks) == 95
     assert max(len(wires) for wires, _ in blocks) == 4
+
+
+@pytest.mark.parametrize("start", ["basis", "random"])
+def test_apply_gives_the_bits_of_one_kernel_call_per_block(start):
+    spec = spec_for(3, (0,))
+    circ = pipeline_circuit(spec)
+    s = (StateVector.basis(spec.n_qubits, 0) if start == "basis" else
+         StateVector(random_state(spec.n_qubits, np.random.default_rng(13))))
+    ref = s
+    for wires, u in circuits_module._fused_blocks(circ.gates):
+        ref = apply_unitary_on(u, wires, ref)
+    assert np.array_equal(circ.apply(s).amps, np.exp(1j * circ.phase) * ref.amps)
+
+
+# -- the box search on drawn generators ------------------------------------------
+
+def _rbox_generator(w, kind, a, base):
+    """base * (P1 + sigma * P2) of an R-box kind on qubits (a, a + 1), as the
+    search's (x, z, coeff) terms."""
+    l1, l2, sigma = circuits_module._BOX_FACTORS[kind]
+    strings = [PauliString.from_ops(w, {a: letters[0], a + 1: letters[1]})
+               for letters in (l1, l2)]
+    return tuple((p.x, p.z, complex(base * rel))
+                 for p, rel in zip(strings, (1, sigma)))
+
+
+def _as_sum(w, gen):
+    return PauliSum(w, [PauliString(w, x, z, c) for x, z, c in gen])
+
+
+@st.composite
+def scrambled_generators(draw):
+    """(w, generators, angles): one or two commuting R-box generators on
+    w <= 6 qubits, each conjugated by the same one to three drawn boxes."""
+    w = draw(st.integers(2, 6))
+    kinds = st.sampled_from(circuits_module._RBOX_KINDS)
+    gens = [_rbox_generator(w, draw(kinds), draw(st.integers(0, w - 2)),
+                            draw(st.sampled_from([-1.0, -0.25, 0.5, 0.75])))
+            for _ in range(draw(st.integers(1, 2)))]
+    first, last = (_as_sum(w, g).to_dense() for g in (gens[0], gens[-1]))
+    assume(np.allclose(first @ last, last @ first))
+    for _ in range(draw(st.integers(1, 3))):
+        box = circuits_module._Box(draw(kinds), draw(st.sampled_from([1, -1])),
+                                   draw(st.integers(0, w - 2)))
+        masks = circuits_module._box_masks(box, w)
+        gens = [circuits_module._conj_by_box(g, masks) for g in gens]
+    lams = [draw(st.floats(-2, 2, allow_nan=False)) for _ in gens]
+    return w, gens, lams
+
+
+@given(scrambled_generators())
+@settings(max_examples=60, deadline=None)
+def test_box_search_reduces_drawn_generators(drawn):
+    w, gens, lams = drawn
+    key = circuits_module._canon(gens)
+    try:
+        boxes = circuits_module._search_reduction.__wrapped__(key, w)
+    except circuits_module.SynthesisError:
+        return
+    reduced = gens
+    for box in boxes:
+        masks = circuits_module._box_masks(box, w)
+        reduced = [circuits_module._conj_by_box(g, masks) for g in reduced]
+    assert all(circuits_module._classify_pair(g, w) is not None for g in reduced)
+    circ = circuits_module._rotation_block(
+        w, [(_as_sum(w, g), lam) for g, lam in zip(gens, lams)])
+    oracle = expm(-1j * sum(lam * _as_sum(w, g).to_dense()
+                            for g, lam in zip(gens, lams)))
+    assert np.max(np.abs(circ.unitary() - oracle)) < 1e-10
 
 
 # -- synthesis pinned byte for byte (L = 3, n_Q = 1) -----------------------------

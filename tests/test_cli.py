@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -277,6 +278,23 @@ def test_template_input_errors_name_the_value(capsys, argv, named):
     assert code == 1
     assert named in err
     assert "outside register" not in err
+
+
+@pytest.mark.parametrize("template,key,value", [
+    ("trotter", "t", math.inf),
+    ("pipeline", "t", -math.inf),
+    ("meson", "theta", math.inf),
+    ("baryon", "theta", -math.inf),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_infinite_circuit_angle_is_config_error(tmp_path, capsys, template, key,
+                                                value, source):
+    code = main(["circuit", "--L", "2", "--nq", "1", "--template", template,
+                 *_given(source, {key: value}, tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"--{key} must be finite" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_trotter_circuit_at_zero_time_is_the_identity(tmp_path, capsys):

@@ -162,20 +162,22 @@ class SectorPlan:
         self.start = self.sector.extract(start)
         self.layers = [self.sector.eigh(gen) for gen in gens]
 
-    def forward(self, thetas) -> tuple[np.ndarray, list]:
-        """The final state on the sector and each layer's output in its eigenbasis."""
-        psi, rotated = self.start, []
+    def forward(self, thetas) -> tuple[np.ndarray, list, list]:
+        """The final state on the sector, each layer's output in its
+        eigenbasis, and each layer's phases e^{-i theta w}."""
+        psi, rotated, phases = self.start, [], []
         for (w, v, vh), theta in zip(self.layers, thetas, strict=True):
-            rotated.append(np.exp(-1j * theta * w) * (vh @ psi))
+            phases.append(np.exp(-1j * theta * w))
+            rotated.append(phases[-1] * (vh @ psi))
             psi = v @ rotated[-1]
-        return psi, rotated
+        return psi, rotated, phases
 
     def infidelity_and_grad(self, thetas, target: np.ndarray, L: int):
         """(1 - |<target|psi>|^2) / L and its gradient, for a target on the
         sector, by adjoint differentiation (Jones & Gacon, arXiv:2009.02823):
         the backward sweep pulls the target back through the later layers as
         lambda_j, and d<target|psi>/d theta_j = -i <lambda_j|G_j|psi_j>."""
-        psi, rotated = self.forward(thetas)
+        psi, rotated, phases = self.forward(thetas)
         amp = np.vdot(target, psi)
         lam, grad = target, np.empty(len(self.layers))
         for j in range(len(self.layers) - 1, -1, -1):
@@ -183,7 +185,8 @@ class SectorPlan:
             mu = vh @ lam
             d_amp = -1j * np.vdot(mu, w * rotated[j])
             grad[j] = -2.0 * (np.conj(amp) * d_amp).real / L
-            lam = v @ (np.exp(1j * thetas[j] * w) * mu)
+            if j:
+                lam = v @ (phases[j].conj() * mu)
         return float((1.0 - abs(amp) ** 2) / L), grad
 
 

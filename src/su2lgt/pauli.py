@@ -366,6 +366,36 @@ class StateVector:
 _MAX_BLOCK = 256
 
 
+class BlockDiagonal:
+    """A block-diagonal matrix on a sector, kept entry by entry: entry e
+    holds m = mr + i mi at (rows[e], cols[e]), and each row's entries come
+    in column order.  The positions `ones` are one-state blocks that hold 1
+    and have no entries."""
+
+    __slots__ = ("rows", "cols", "re", "im", "ones")
+
+    def __init__(self, rows, cols, vals, ones):
+        self.rows, self.cols, self.ones = rows, cols, ones
+        # the two parts round their products apart, (mr xr - mi xi,
+        # mr xi + mi xr), as a sparse product does
+        self.re = vals.real.astype(complex) if vals.dtype.kind == "c" else vals
+        self.im = 1j * vals.imag if vals.dtype.kind == "c" else None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector x on the sector, as a complex vector.
+        add.at adds each row's terms one at a time, in column order, from
+        0: the sums of a sparse matrix product, bit for bit."""
+        x = np.asarray(x, dtype=complex)
+        at = x[self.cols]
+        terms = self.re * at
+        if self.im is not None:
+            terms += self.im * at
+        out = np.zeros_like(x)
+        np.add.at(out, self.rows, terms)
+        out[self.ones] = x[self.ones]
+        return out
+
+
 class Sector:
     """A sorted set of basis states that an operator maps into itself.
 
@@ -373,7 +403,8 @@ class Sector:
     through the operator's non-zero matrix elements; `restrict` gives an
     operator as a sparse matrix on those states, `eigh` eigendecomposes it
     there, and `extract`/`embed` move amplitudes between the full register
-    and the sector.
+    and the sector.  A sector built by `closure` keeps the matrix elements
+    it swept, and `restrict`/`eigh` of the same operator reuse them.
     """
 
     _CHUNK = 4096  # basis states per block of the (states x terms) sign table
@@ -381,6 +412,7 @@ class Sector:
     def __init__(self, n: int, indices):
         self.n = n
         self.indices = np.asarray(indices, dtype=np.int64)
+        self._swept = None  # (op, its elements on the sector) from closure
 
     def __len__(self):
         return self.indices.size
@@ -420,12 +452,24 @@ class Sector:
         if not front.size:
             raise ValueError("the zero state spans no sector")
         reached[front] = True
+        fronts, swept = [], []
         while front.size:
             vals = cls._elements(table, front)
+            fronts.append(front)
+            swept.append(vals)
+            if front.size == reached.size:  # the whole register
+                break
             hit = (front[:, None] ^ table[0])[np.abs(vals) > PauliSum.ZERO_TOL]
             front = np.unique(hit[~reached[hit]])
             reached[front] = True
-        return cls(op.n, np.flatnonzero(reached))
+        sector = cls(op.n, np.flatnonzero(reached))
+        vals = swept[0]  # a lone front is the sector, in order
+        if len(swept) > 1:
+            vals = np.empty((len(sector), vals.shape[1]), dtype=complex)
+            for front, part in zip(fronts, swept):
+                vals[np.searchsorted(sector.indices, front)] = part
+        sector._swept = (op, vals)
+        return sector
 
     def extract(self, state: StateVector) -> np.ndarray:
         """The state's amplitudes on the sector's basis states."""
@@ -437,71 +481,131 @@ class Sector:
         amps[self.indices] = v
         return StateVector(amps, normalized=False)
 
+    def _table(self, op: PauliSum):
+        """op's elements on the sector as (rows, keep, vals): vals[j, g] =
+        <sigma_j ^ x_g| op |sigma_j>, rows[j, g] the sector position of
+        sigma_j ^ x_g (j itself where that state is outside), and keep
+        marking the non-zero elements inside.  vals is real when every kept
+        element is.  Raises ValueError if an element above
+        PauliSum.ZERO_TOL leads out of the sector."""
+        if op.n != self.n:
+            raise ValueError("register size mismatch")
+        idx, dim = self.indices, self.indices.size
+        table = self._term_table(op)
+        if self._swept is not None and self._swept[0] is op:
+            vals = self._swept[1]
+        else:
+            vals = self._elements(table, idx)
+        target = idx[:, None] ^ table[0]
+        if dim == 1 << self.n:
+            rows, inside = target, True
+        else:
+            rows = np.searchsorted(idx, target).clip(max=dim - 1)
+            inside = idx[rows] == target
+            if np.any(~inside & (np.abs(vals) > PauliSum.ZERO_TOL)):
+                raise ValueError("operator leads out of the sector")
+            rows = np.where(inside, rows, np.arange(dim)[:, None])
+        keep = inside & (vals != 0)
+        if np.abs(vals.imag[keep]).max(initial=0.0) < 1e-15:
+            vals = vals.real
+        return rows, keep, vals
+
     def restrict(self, op: PauliSum):
         """P_S op P_S as a CSR matrix on the sector (real when op's elements
         are).  Raises ValueError if an element above PauliSum.ZERO_TOL
         leads out of the sector."""
         from scipy import sparse
 
-        if op.n != self.n:
-            raise ValueError("register size mismatch")
-        idx, dim = self.indices, self.indices.size
-        table = self._term_table(op)
-        vals = self._elements(table, idx)
-        target = idx[:, None] ^ table[0]
-        rows = np.searchsorted(idx, target).clip(max=dim - 1)
-        inside = idx[rows] == target
-        if np.any(~inside & (np.abs(vals) > PauliSum.ZERO_TOL)):
-            raise ValueError("operator leads out of the sector")
-        keep = inside & (vals != 0)
-        cols = np.broadcast_to(np.arange(dim)[:, None], keep.shape)[keep]
-        data = vals[keep]
-        if np.abs(data.imag).max(initial=0.0) < 1e-15:
-            data = data.real
-        return sparse.csr_matrix((data, (rows[keep], cols)), shape=(dim, dim))
+        rows, keep, vals = self._table(op)
+        cols = np.broadcast_to(np.arange(len(self))[:, None], keep.shape)
+        return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                 shape=(len(self), len(self)))
 
     def eigh(self, op: PauliSum):
         """Eigendecomposition P_S op P_S = V w V^H of a Hermitian op on the
-        sector, one connected block of its graph at a time, batched over
-        blocks of equal size.  Returns w and the block-diagonal V and V^H as
-        CSR matrices.  Raises ValueError for an op that leads out of the
-        sector (see restrict) or a block of more than _MAX_BLOCK states."""
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components
-
-        g = self.restrict(op)
-        _, labels = connected_components(abs(g), directed=False)
-        order = np.argsort(labels, kind="stable")
-        size_at = np.bincount(labels)[labels[order]]
+        sector, one connected block of its graph at a time.  Each block
+        lists its states in sector order and its eigenvalues at those
+        positions of w.  A one-state block is its diagonal element; the
+        blocks of each larger size are diagonalized as one batch, and blocks
+        with equal matrices share one eigendecomposition.  Returns w and V
+        and V^H as BlockDiagonal.  Raises ValueError for an op that leads
+        out of the sector (see restrict) or a block of more than _MAX_BLOCK
+        states."""
+        rows_of, keep, vals = self._table(op)
+        own = np.arange(len(self))
+        on_diagonal = keep & (rows_of == own[:, None])
+        w = np.zeros(len(self))
+        w[on_diagonal.nonzero()[0]] = vals[on_diagonal].real
+        # label every state by the least sector position in its block: take
+        # the least label over the undirected edges, then the label's own
+        # label, until nothing moves (a state without edges keeps its own)
+        edge = (keep | keep[rows_of, np.arange(keep.shape[1])]) & ~on_diagonal
+        linked = np.flatnonzero(edge.any(axis=1))
+        near = np.where(edge[linked], rows_of[linked], linked[:, None]).T.copy()
+        label = own.copy()
+        while True:
+            least = label[linked]
+            for column in near:
+                np.minimum(least, label[column], out=least)
+            moved = label.copy()
+            moved[linked] = least
+            moved[linked] = moved[least]
+            if np.array_equal(moved, label):
+                break
+            label = moved
+        order = np.argsort(label, kind="stable")
+        size_at = np.bincount(label)[label[order]]
         if size_at.max() > _MAX_BLOCK:
             raise ValueError(f"a block of {size_at.max()} states exceeds the "
                              f"{_MAX_BLOCK} that Sector.eigh takes")
-        w, rows, cols, vals = np.empty(labels.size), [], [], []
-        for size in np.unique(size_at):
+        # V's entries, block by block, row by row, column by column
+        ones = order[size_at == 1]
+        nnz = int(size_at.sum()) - ones.size
+        rows, cols = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.int64)
+        vecs = np.empty(nnz, dtype=vals.dtype)
+        block, local = np.empty_like(own), np.empty_like(own)
+        end = 0
+        for size in np.flatnonzero(np.bincount(size_at)[2:]) + 2:
             members = order[size_at == size].reshape(-1, size)
-            rows.append(np.repeat(members, size, axis=1).ravel())
-            cols.append(np.tile(members, size).ravel())
-            mats = np.asarray(g[rows[-1], cols[-1]]).reshape(-1, size, size)
-            w[members], vec = np.linalg.eigh(mats)
-            vals.append(vec.ravel())
-        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-        v = sparse.csr_matrix((vals, (rows, cols)), shape=g.shape)
-        return w, v, v.conj().T.tocsr()
+            span = slice(end, end + members.size * size)
+            end = span.stop
+            rows[span].reshape(-1, size, size)[:] = members[:, :, None]
+            cols[span].reshape(-1, size, size)[:] = members[:, None, :]
+            block[members] = np.arange(len(members))[:, None]
+            local[members] = np.arange(size)
+            at = members.ravel()
+            on = keep[at]
+            flat = (block[at][:, None] * size + local[rows_of[at]]) * size + local[at][:, None]
+            mats = np.zeros((len(members), size, size), dtype=vals.dtype)
+            mats.reshape(-1)[flat[on]] = vals[at][on]
+            # blocks whose matrices are equal, bit for bit, share one eigh
+            raw = mats.reshape(len(mats), -1).view(f"V{size * size * mats.itemsize}")
+            _, first, which = np.unique(raw.ravel(), return_index=True,
+                                        return_inverse=True)
+            w_of, vec_of = np.linalg.eigh(mats[first])
+            w[members] = w_of[which]
+            vec_of.take(which, axis=0, out=vecs[span].reshape(-1, size, size))
+        # V^H holds conj(V[r, c]) at (c, r); taken in V's entry order, each
+        # of its rows still comes in column order
+        return (w, BlockDiagonal(rows, cols, vecs, ones),
+                BlockDiagonal(cols, rows, vecs.conj(), ones))
 
 
 # -- operations on states ---------------------------------------------
 
 def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:
-    """exp(-i*theta*H)|s> exactly, for a Hermitian H.
+    """exp(-i*theta*H)|s> exactly, for a Hermitian H and a finite theta.
 
     Runs on the basis states that H reaches from the support of s
     (Sector.closure), where Sector.eigh gives H = V w V^H one connected
     block at a time: the result is V (e^{-i theta w} * V^H s), zero outside
-    the sector.  Raises ValueError for a non-Hermitian H or a block wider
-    than Sector.eigh takes.
+    the sector.  Raises ValueError for a non-Hermitian H, a non-finite theta
+    or a block wider than Sector.eigh takes.
     """
     if not h.is_hermitian():
         raise ValueError("exp_sum_apply requires a Hermitian generator")
+    if not np.isfinite(theta):
+        raise ValueError(f"exp_sum_apply requires a finite angle, not {theta}")
     if theta == 0.0:
         return s
     sector = Sector.closure(h, s)

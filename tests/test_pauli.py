@@ -136,6 +136,55 @@ def test_exp_sum_apply_rejects_non_hermitian_generator():
         exp_sum_apply(h, 0.3, StateVector.from_ket("01"))
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_angle_is_rejected(theta):
+    # it gave an all-NaN state; the Trotter step and the ansatz pass it on
+    from su2lgt import LatticeSpec
+    from su2lgt.ansatz import REFERENCE_SEQUENCES, sequence_from_names
+    from su2lgt.dynamics import trotter_step
+    from su2lgt.spectra import sc_state
+
+    h = PauliSum(2, [PauliString.from_label("XX"), PauliString.from_label("YY")])
+    with pytest.raises(ValueError, match="finite angle"):
+        exp_sum_apply(h, theta, StateVector.from_ket("01"))
+    spec = LatticeSpec(L=2, heavy_positions=frozenset({0}))
+    with pytest.raises(ValueError, match="finite angle"):
+        trotter_step(sc_state(spec), spec, theta)
+    names, angles = REFERENCE_SEQUENCES[2, 1]
+    seq = sequence_from_names(spec, names, [theta] + list(angles[1:]))
+    with pytest.raises(ValueError, match="finite angle"):
+        seq.apply(sc_state(spec))
+
+
+def test_gate_level_path_imports_no_scipy():
+    # a fresh interpreter: preparation, FSWAP move, Trotter step, the GHZ
+    # estimator and a gate-level circuit run on numpy alone
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import sys
+from su2lgt import LatticeSpec, circuits
+from su2lgt.ansatz import prepared_state
+from su2lgt.dynamics import fswap_move, trotter_step
+from su2lgt.observables import energy_loss_estimator, evaluate_energy_loss
+spec = LatticeSpec(L=2, heavy_positions=frozenset({0}))
+state = prepared_state(spec)
+moved = fswap_move(state, spec, 0, 1)
+trotter_step(moved, spec, 0.5)
+evaluate_energy_loss(energy_loss_estimator(spec), moved)
+circuits.fswap_circuit(spec, 0, 1).apply(state)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 sums = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
               coeffs), max_size=12)))

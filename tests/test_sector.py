@@ -3,7 +3,7 @@ restriction against the dense operator, and the exact solvers running on it
 without a full-register compile."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2lgt import LatticeSpec
@@ -110,18 +110,61 @@ def test_restrict_matches_dense_on_the_closure(pairs, start):
                        dense[np.ix_(sector.indices, sector.indices)], atol=1e-12)
 
 
+def _dense(b, dim):
+    """A BlockDiagonal as a dense matrix, from its entries and one-state blocks."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[b.rows, b.cols] = b.re if b.im is None else b.re + b.im
+    m[b.ones, b.ones] = 1.0
+    return m
+
+
+def _state_on(support):
+    amps = np.zeros(8, dtype=complex)
+    amps[sorted(support)] = 1.0
+    return StateVector(amps, normalized=False)
+
+
+terms3 = st.lists(st.tuples(st.text(alphabet="IXYZ", min_size=3, max_size=3),
+                            st.floats(-2.0, 2.0)), min_size=1, max_size=5)
+supports = st.sets(st.integers(0, 7), min_size=1)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.text(alphabet="IXYZ", min_size=3, max_size=3),
-                          st.floats(-2.0, 2.0)), min_size=1, max_size=5),
-       st.integers(0, 7))
-def test_eigh_diagonalizes_the_restriction(pairs, start):
+@given(terms3, supports)
+@example([("XYZ", 0.7), ("YXI", -0.3)], {5})                  # Y terms: complex elements
+@example([("ZZI", 0.5), ("IZZ", -1.2), ("ZII", 0.3)], {0, 3, 6})  # one-state blocks only
+@example([("XII", 1.0), ("IIZ", 0.25)], set(range(8)))       # repeated block matrices
+def test_eigh_diagonalizes_the_restriction(pairs, support):
     h = PauliSum(3, [PauliString.from_label(lab, c) for lab, c in pairs])
-    sector = Sector.closure(h, StateVector.basis(3, start))
+    sector = Sector.closure(h, _state_on(support))
     w, v, vh = sector.eigh(h)
-    v, vh = v.toarray(), vh.toarray()
+    v, vh = _dense(v, len(sector)), _dense(vh, len(sector))
     assert np.array_equal(vh, v.conj().T)
     assert np.allclose(vh @ v, np.eye(len(sector)), atol=1e-12)
     assert np.allclose(v @ np.diag(w) @ vh, sector.restrict(h).toarray(), atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(terms3, supports, st.integers(0, 2**31 - 1))
+@example([("XYZ", 0.7), ("YXI", -0.3)], {5}, 0)
+@example([("XII", 1.0), ("IIZ", 0.25)], set(range(8)), 0)
+def test_block_product_gives_the_bits_of_a_sparse_product(pairs, support, seed):
+    # each row adds its terms one at a time in column order, as scipy's CSR
+    # product does, so V and V^H give the bits the sparse V and V^H gave
+    from scipy import sparse
+
+    h = PauliSum(3, [PauliString.from_label(lab, c) for lab, c in pairs])
+    sector = Sector.closure(h, _state_on(support))
+    x = random_state(3, np.random.default_rng(seed))[:len(sector)]
+    for b in sector.eigh(h)[1:]:
+        dense = _dense(b, len(sector))
+        if not dense.imag.any():
+            dense = dense.real
+        kept = sparse.csr_matrix((dense[b.rows, b.cols], (b.rows, b.cols)),
+                                 shape=dense.shape)
+        ones = sparse.csr_matrix((np.ones(b.ones.size), (b.ones, b.ones)),
+                                 shape=dense.shape)
+        assert (b @ x).tobytes() == ((kept + ones) @ x).tobytes()
 
 
 def test_eigh_rejects_a_block_wider_than_its_limit():
@@ -157,6 +200,37 @@ def test_exp_sum_apply_stays_inside_the_closure():
         assert not np.any(out.amps[outside]), name
         assert out.norm() == pytest.approx(1.0, abs=1e-12), name
         state = out
+
+
+def _generator_steps(spec):
+    """(name, generator, angle) for every reference layer, both FSWAP colours
+    of the 0 -> 1 move (L >= 2) and every order-2 Trotter factor."""
+    from su2lgt.ansatz import REFERENCE_SEQUENCES, sequence_from_names
+
+    steps = [(ly.name, ly.generator, ly.theta) for ly in sequence_from_names(
+        spec, *REFERENCE_SEQUENCES[spec.L, spec.n_Q]).layers]
+    if spec.L >= 2:
+        steps += [(f"fswap c={c}", _fswap_generator(spec, 0, c), np.pi / 4.0)
+                  for c in range(spec.Nc)]
+    return steps + [(f"trotter {k} {f.kind}", f.generator, f.fraction)
+                    for k, f in enumerate(trotter_schedule(spec, 2))]
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_exp_sum_apply_matches_expm_of_the_restriction(L):
+    # a seeded state on the whole register at L = 1, the prepared state at L = 2
+    from scipy.linalg import expm
+
+    from su2lgt.ansatz import prepared_state
+
+    spec = _published_spec(L, 1)
+    state = (StateVector(random_state(spec.n_qubits, np.random.default_rng(11)))
+             if L == 1 else prepared_state(spec))
+    for name, gen, theta in _generator_steps(spec):
+        sector = Sector.closure(gen, state)
+        oracle = expm(-1j * theta * sector.restrict(gen).toarray()) @ sector.extract(state)
+        got = exp_sum_apply(gen, theta, state)
+        assert np.abs(got.amps[sector.indices] - oracle).max() < 1e-12, name
 
 
 def test_extract_embed_roundtrip_and_full_support():

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import ghz_evolution_circuit
+from .circuits import clifford_conjugate, ghz_evolution_circuit
 from .hamiltonian import charge_cross, charge_square
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, StateVector, _bit, _hadamard,
-                    _sign_vector, apply_unitary_on, partial_trace)
+from .pauli import (PauliString, PauliSum, StateVector, _bit, _sign_vector,
+                    apply_unitary_on, partial_trace)
 
 _EIG_CLIP = 1e-14
 
@@ -81,6 +81,12 @@ class SreEstimate:
     std_error: float
     method: str
     samples: int = 0
+
+
+def _hadamard(m: int) -> np.ndarray:
+    """The 2^m Sylvester-Hadamard matrix, W[a, b] = (-1)^{|a & b|}."""
+    a = np.arange(1 << m)
+    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & a) & 1)
 
 
 def _sre_dense(amps: np.ndarray, n: int) -> float:
@@ -205,12 +211,12 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
 # GHZ-grouped energy-loss estimator
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def ghz_evolution_unitary(n: int = 4) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def ghz_evolution_unitary() -> np.ndarray:
     """Dense matrix of the evolution/measurement GHZ transformation, which
     diagonalizes sigma+ sigma- sigma- sigma+ + h.c. on qubits 0..3 (its
     adjoint maps the hop-hop terms to Z strings).  Cached and read-only."""
-    u = ghz_evolution_circuit((0, 1, 2, 3), n).unitary()
+    u = ghz_evolution_circuit((0, 1, 2, 3)).unitary()
     u.setflags(write=False)
     return u
 
@@ -238,32 +244,12 @@ class EstimatorGroup:
 
     def as_pauli_sum(self, n: int) -> PauliSum:
         """O^dagger (C . P) O as an operator on the full register."""
-        out = PauliSum.zero(n)
-        k = len(self.qubits)
-        u = ghz_evolution_unitary() if self.ghz else np.eye(1 << k)
-        for label, coeff in zip(self.paulis, self.coeffs):
-            local = PauliSum(k, [PauliString.from_label(label, coeff)])
-            dense = u @ local.to_dense() @ u.conj().T
-            out = out + _dense_to_pauli(dense, self.qubits, n)
-        return out
-
-
-def _dense_to_pauli(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> PauliSum:
-    k = len(qubits)
-    terms = []
-    for key in range(4 ** k):
-        ops, kk = {}, key
-        for i in range(k):
-            letter = "IXYZ"[kk % 4]
-            kk //= 4
-            if letter != "I":
-                ops[i] = letter
-        local = PauliString.from_ops(k, ops)
-        coeff = np.trace(local.to_dense().conj().T @ mat) / (1 << k)
-        if abs(coeff) > 1e-12:
-            terms.append(PauliString.from_ops(
-                n, {qubits[i]: local.letter(i) for i in ops}, coeff))
-    return PauliSum(n, terms)
+        op = PauliSum(n, [
+            PauliString.from_ops(n, dict(zip(self.qubits, label)), coeff)
+            for label, coeff in zip(self.paulis, self.coeffs)])
+        if not self.ghz:
+            return op
+        return clifford_conjugate(ghz_evolution_circuit(self.qubits, n).gates, op)
 
 
 def delta_hg_operator(spec: LatticeSpec) -> PauliSum:
@@ -372,9 +358,12 @@ def _apply_split_evolution(h: PauliSum, t: float, s: StateVector) -> StateVector
     return s
 
 
+# the polynomial orders of the t -> 0 fit
+_FIT_ORDERS = (1, 2, 3)
+
+
 def hadamard_test_energy(state: StateVector, h, dt_grid,
-                         evolver: str = "exact",
-                         fit_orders=(1, 2, 3)) -> tuple[float, float]:
+                         evolver: str = "exact") -> tuple[float, float]:
     """<H> from ancilla-probability differences extrapolated to t -> 0.
 
     Simulates the one-ancilla circuit (H, S, controlled-U(t), H) for each
@@ -388,7 +377,7 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
     if isinstance(h, LatticeSpec):
         h = delta_hg_operator(h)
     ts = np.asarray(sorted(dt_grid), dtype=float)
-    if ts.size < max(fit_orders) + 2 or np.any(ts <= 0):
+    if ts.size < max(_FIT_ORDERS) + 2 or np.any(ts <= 0):
         raise ValueError("need a positive grid with more points than the fit order")
     ys = []
     for t in ts:
@@ -409,7 +398,7 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
         ys.append((p0 - p1) / t)
     ys = np.array(ys)
     intercepts = []
-    for order in fit_orders:
+    for order in _FIT_ORDERS:
         for start in range(0, ts.size - (order + 2)):
             coeffs = np.polynomial.polynomial.polyfit(ts[start:], ys[start:], order)
             intercepts.append(coeffs[0])

@@ -42,16 +42,6 @@ def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
     return signs
 
 
-@functools.lru_cache(maxsize=32)
-def _hadamard(m: int) -> np.ndarray:
-    """The 2^m Sylvester-Hadamard matrix, W[a, b] = (-1)^{|a & b|}."""
-    from scipy.linalg import hadamard
-
-    w = hadamard(1 << m, dtype=float)
-    w.setflags(write=False)
-    return w
-
-
 class PauliString:
     """A single weighted Pauli string on a fixed register."""
 
@@ -222,57 +212,20 @@ class PauliSum:
             [c * 1j ** (_popcount(x & z) % 4) for (x, z), c in self._terms.items()],
             dtype=complex)
 
-    def _groups(self, rows):
-        """(x, vec) for each X-mask x, with vec[sigma] = <sigma ^ x| self
-        |sigma> for the sigma on the given rows of the (2^hi, 2^lo) grid
-        that splits sigma into its high and low bit halves (an index array,
-        or slice(None) for every row): the sum over the group's terms, in
-        insertion order, of phase * (-1)^{|sigma & z|}.  The X = 0 group
-        comes first and the rest follow in order of first use.  (These
-        orders keep the sums equal, bit for bit, to adding the terms one at
-        a time, diagonal first.)  The sign factors over the two halves, so
-        a group is one product of (rows, T) Hadamard columns and (T, 2^lo)
-        rows; the rows' imaginary half joins the product only when some
-        phase in the group has one."""
-        x, z, phase = self._arrays()
-        lo = self.n // 2
-        w_hi, w_lo = _hadamard(self.n - lo)[rows], _hadamard(lo)
-        xs, first, counts = np.unique(x, return_index=True, return_counts=True)
-        members = np.split(np.argsort(x, kind="stable"), np.cumsum(counts)[:-1])
-        for g in np.lexsort((first, xs != 0)):
-            t = members[g]
-            c = phase[t, None] * w_lo[z[t] & ((1 << lo) - 1)]
-            parts = [c.real, c.imag] if c.imag.any() else [c.real]
-            re, *im = np.hsplit(w_hi[:, z[t] >> lo] @ np.hstack(parts), len(parts))
-            real = not im or np.abs(im[0]).max(initial=0.0) < 1e-15
-            yield int(xs[g]), (re if real else re + 1j * im[0]).ravel()
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H @ v on a raw amplitude array (dtype preserved where possible),
-        one X-mask group at a time: out[sigma ^ x] += vec[sigma] * v[sigma].
-        Only the rows of the (2^hi, 2^lo) grid where v is non-zero are
-        evaluated.  Flipping x's high bits maps those rows one-to-one onto
-        output rows; with a row's low bits held as one length-2 axis each,
-        flipping x's low bits reverses axes, a view.  So each group adds
-        into whole rows.  Nothing is kept between calls."""
-        lo = self.n // 2
-        grid = v.reshape(-1, 1 << lo)
-        rows = np.flatnonzero(grid.any(axis=1))
-        if rows.size == 1:
-            # numpy hands a one-row product to gemv, whose sums can differ
-            # from gemm's in the last bit; a second row, all zero in v,
-            # keeps the sums equal to the full register's
-            rows = np.append(rows, rows ^ 1)
-        on_rows = grid[rows].reshape((rows.size,) + (2,) * lo)
-        out = np.zeros((grid.shape[0],) + (2,) * lo,
-                       dtype=np.result_type(v.dtype, float))
-        for x, vec in self._groups(rows):
-            term = vec.reshape(on_rows.shape) * on_rows
-            flip = tuple(slice(None, None, 1 - 2 * (x >> b & 1))
-                         for b in reversed(range(lo)))
-            out = out.astype(np.result_type(out, term), copy=False)
-            out[rows ^ (x >> lo)] += term[(slice(None),) + flip]
-        return out.ravel()
+        """H @ v on a raw amplitude array: out[sigma ^ x] += <sigma ^ x| H
+        |sigma> v[sigma] over the sigma where v is non-zero, with the
+        elements of Sector._elements.  Each output entry adds its terms in
+        order of sigma, from 0, as a sparse product with Sector.restrict's
+        matrix does.  The output is real when v and every element are."""
+        sigma = np.flatnonzero(v)
+        table = Sector._term_table(self)
+        vals = Sector._elements(table, sigma)
+        if np.abs(vals.imag).max(initial=0.0) < 1e-15:
+            vals = vals.real
+        out = np.zeros(v.size, dtype=np.result_type(v.dtype, vals.dtype, float))
+        np.add.at(out, sigma[:, None] ^ table[0], vals * v[sigma, None])
+        return out
 
     def apply(self, state: "StateVector") -> "StateVector":
         if state.n != self.n:
@@ -293,9 +246,9 @@ class PauliSum:
         if self.n > 12:
             raise ValueError("dense matrix limited to 12 qubits")
         idx = np.arange(1 << self.n)
+        table = Sector._term_table(self)
         m = np.zeros((idx.size, idx.size), dtype=complex)
-        for x, vec in self._groups(slice(None)):
-            m[idx ^ x, idx] = vec
+        m[idx[:, None] ^ table[0], idx[:, None]] = Sector._elements(table, idx)
         return m
 
     # -- text form ----------------------------------------------------
@@ -432,8 +385,8 @@ class Sector:
         """<sigma ^ x_g| op |sigma> for every sigma and group g: the sum of
         phase * (-1)^{|sigma&z|} over the group's terms."""
         _, starts, zs, phase = table
-        if not zs.size:
-            return np.zeros((sigma.size, 0), dtype=complex)
+        if not zs.size or not sigma.size:
+            return np.zeros((sigma.size, starts.size), dtype=complex)
         blocks = []
         for lo in range(0, sigma.size, Sector._CHUNK):
             odd = np.bitwise_count(sigma[lo:lo + Sector._CHUNK, None] & zs) & 1

@@ -158,7 +158,8 @@ def test_non_finite_angle_is_rejected(theta):
 
 def test_gate_level_path_imports_no_scipy():
     # a fresh interpreter: preparation, FSWAP move, Trotter step, the GHZ
-    # estimator and a gate-level circuit run on numpy alone
+    # estimator, a gate-level circuit, a first matvec and to_dense and the
+    # dense magic path run on numpy alone
     import os
     import subprocess
     import sys
@@ -168,13 +169,18 @@ import sys
 from su2lgt import LatticeSpec, circuits
 from su2lgt.ansatz import prepared_state
 from su2lgt.dynamics import fswap_move, trotter_step
-from su2lgt.observables import energy_loss_estimator, evaluate_energy_loss
+from su2lgt.hamiltonian import build_hamiltonian
+from su2lgt.observables import energy_loss_estimator, evaluate_energy_loss, sre_m2
+from su2lgt.pauli import StateVector
 spec = LatticeSpec(L=2, heavy_positions=frozenset({0}))
 state = prepared_state(spec)
+build_hamiltonian(spec).total.matvec(state.amps)
 moved = fswap_move(state, spec, 0, 1)
 trotter_step(moved, spec, 0.5)
 evaluate_energy_loss(energy_loss_estimator(spec), moved)
 circuits.fswap_circuit(spec, 0, 1).apply(state)
+build_hamiltonian(LatticeSpec(L=1, heavy_positions=frozenset())).total.to_dense()
+sre_m2(StateVector([0.25] * 16))  # full support: the Walsh-Hadamard path
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -215,8 +221,8 @@ _SUPPORTS = ("empty", "basis state", "grid row", "scattered rows", "full registe
 @settings(max_examples=80, deadline=None)
 def test_matvec_on_any_support_matches_per_term_oracle(case, support, is_complex,
                                                        seed):
-    # matvec evaluates only the rows of the (2^hi, 2^lo) index grid that v
-    # touches, from none of them to all
+    # matvec evaluates only the basis states where v is non-zero, from none
+    # of them to all
     n, terms = case
     h = PauliSum(n, [PauliString(n, x, z, c) for x, z, c in terms])
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, Sector, StateVector, exp_sum_apply
+from .pauli import PauliString, PauliSum, Sector, StateVector, exp_chain_apply
 from .reference import STAGED
 
 
@@ -120,10 +120,10 @@ class AnsatzSequence:
                                for ly, t in zip(self.layers, thetas, strict=True)])
 
     def apply(self, start: StateVector, upto: int | None = None) -> StateVector:
-        state = start
-        for ly in self.layers[:upto]:
-            state = exp_sum_apply(ly.generator, ly.theta, state)
-        return state
+        """The first `upto` layers (all by default) applied to start, as one
+        chain on one sector (exp_chain_apply)."""
+        return exp_chain_apply([(ly.generator, ly.theta) for ly in self.layers[:upto]],
+                               start)
 
 
 def sequence_from_names(spec: LatticeSpec, names: list, angles=None) -> AnsatzSequence:
@@ -151,14 +151,14 @@ def infidelity_density(var: StateVector, target: StateVector, L: int) -> float:
 # -- the ansatz sector ------------------------------------------------
 
 class SectorPlan:
-    """A sequence's layers on the basis states that the summed generators
-    reach from a start state.  `Sector.eigh` raises ValueError for a
-    generator that leads out, so a cancellation in the sum cannot drop a
-    state.  A layer is V (e^{-i theta w} * V^H psi), with G = V w V^H."""
+    """A sequence's layers on the basis states that its generators reach
+    from a start state (Sector.closure_under, whatever the angles, so
+    generators that cancel in their sum drop no state).  A layer is
+    V (e^{-i theta w} * V^H psi), with G = V w V^H."""
 
     def __init__(self, seq: AnsatzSequence, start: StateVector):
         gens = [ly.generator for ly in seq.layers]
-        self.sector = Sector.closure(sum(gens, PauliSum.zero(start.n)), start)
+        self.sector = Sector.closure_under(gens, start)
         self.start = self.sector.extract(start)
         self.layers = [self.sector.eigh(gen) for gen in gens]
 

@@ -127,6 +127,32 @@ def _fused_blocks(gates) -> list[tuple[list[int], np.ndarray]]:
     return [(wires, _block_matrix(wires, members)) for wires, members in runs]
 
 
+# Circuit.apply works on the support while it holds at most 2^n / this many
+# states: there, gathering the touched groups costs less than a pass over
+# the whole register (notes/decisions.md has the crossover).
+_SPARSE_SHARE = 32
+
+
+def _apply_on_support(n: int, wires: list[int], u: np.ndarray, idx: np.ndarray,
+                      vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's matrix u on the state with amplitudes vals at the basis
+    indices idx: the 2^k-amplitude groups that idx touches on the block's k
+    wires, gathered as the columns of one (2^k x groups) matrix, times u.
+    Returns the indices and amplitudes of the outputs above eps times the
+    largest output; the outputs dropped are rounding residue."""
+    shifts = n - 1 - np.array(wires)
+    bits = np.arange(len(wires) - 1, -1, -1)  # the first wire most significant
+    local = ((idx[:, None] >> shifts) & 1) @ (1 << bits)
+    groups, column = np.unique(idx & ~int((1 << shifts).sum()), return_inverse=True)
+    gathered = np.zeros((u.shape[1], groups.size), dtype=complex)
+    gathered[local, column] = vals
+    out = u @ gathered
+    size = np.abs(out)
+    keep = size > np.finfo(float).eps * size.max(initial=0.0)
+    offsets = ((np.arange(u.shape[0])[:, None] >> bits) & 1) @ (1 << shifts)
+    return (offsets[:, None] | groups)[keep], out[keep]
+
+
 class Circuit:
     """Register size, time-ordered gate list and a tracked global phase."""
 
@@ -170,11 +196,26 @@ class Circuit:
                        -self.phase)
 
     def apply(self, state: StateVector) -> StateVector:
+        """The state after the circuit, one fused block at a time.  While the
+        support (the non-zero amplitudes) holds at most 2^n / _SPARSE_SHARE
+        states, each block acts on the groups the support touches
+        (_apply_on_support); from there on, on the whole register as one
+        n-axis tensor, each block's new axes moved back as a view."""
         if state.n != self.n_qubits:
             raise ValueError("register size mismatch")
-        # one n-axis tensor throughout: each block's new axes move back as a view
-        psi = state.amps.reshape((2,) * self.n_qubits)
-        for wires, u in _fused_blocks(self.gates):
+        n = self.n_qubits
+        blocks = iter(_fused_blocks(self.gates))
+        amps, idx = state.amps, np.flatnonzero(state.amps)
+        if _SPARSE_SHARE * idx.size <= 1 << n:
+            vals = amps[idx]
+            for wires, u in blocks:
+                idx, vals = _apply_on_support(n, wires, u, idx, vals)
+                if _SPARSE_SHARE * idx.size > 1 << n:
+                    break
+            amps = np.zeros(1 << n, dtype=complex)
+            amps[idx] = vals
+        psi = amps.reshape((2,) * n)
+        for wires, u in blocks:  # the blocks the support loop left
             k = len(wires)
             psi = np.tensordot(u.reshape((2,) * 2 * k), psi,
                                axes=(list(range(k, 2 * k)), wires))

@@ -14,7 +14,8 @@ from .hamiltonian import (build_hamiltonian, build_kinetic_parts, build_mass,
                           charge_cross, charge_square, mass_offset,
                           symmetric_boundary_sites)
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, Sector, StateVector, exp_sum_apply
+from .pauli import (PauliString, PauliSum, Sector, StateVector, exp_chain_apply,
+                    exp_sum_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +58,8 @@ def fswap_move(state: StateVector, spec: LatticeSpec, x_from: int,
     if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
         raise ValueError("move outside the lattice")
     x = min(x_from, x_to)
-    out = state
-    for c in range(spec.Nc):
-        out = exp_sum_apply(_fswap_generator(spec, x, c), np.pi / 4.0, out)
-    return out
+    return exp_chain_apply([(_fswap_generator(spec, x, c), np.pi / 4.0)
+                            for c in range(spec.Nc)], state)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +193,10 @@ def trotter_schedule(spec: LatticeSpec, order: int = 2) -> tuple[TrotterFactor, 
 def trotter_step(state: StateVector, spec: LatticeSpec, t: float,
                  order: int = 2) -> StateVector:
     """One Trotter step of exp(-i t (H_k + H_m + H_g)): the factors of
-    trotter_schedule, each exponentiated exactly."""
-    for factor in trotter_schedule(spec, order):
-        state = exp_sum_apply(factor.generator, factor.fraction * t, state)
-    return state
+    trotter_schedule, each exponentiated exactly, as one chain on one sector
+    (exp_chain_apply)."""
+    return exp_chain_apply([(factor.generator, factor.fraction * t)
+                            for factor in trotter_schedule(spec, order)], state)
 
 
 # ---------------------------------------------------------------------------

@@ -352,10 +352,8 @@ def _trotter_groups(h: PauliSum):
 
 
 def _apply_split_evolution(h: PauliSum, t: float, s: StateVector) -> StateVector:
-    from .pauli import exp_sum_apply
-    for g in _trotter_groups(h):
-        s = exp_sum_apply(g, t, s)
-    return s
+    from .pauli import exp_chain_apply
+    return exp_chain_apply([(g, t) for g in _trotter_groups(h)], s)
 
 
 # the polynomial orders of the t -> 0 fit

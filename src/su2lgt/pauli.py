@@ -365,7 +365,7 @@ class Sector:
     def __init__(self, n: int, indices):
         self.n = n
         self.indices = np.asarray(indices, dtype=np.int64)
-        self._swept = None  # (op, its elements on the sector) from closure
+        self._swept = []  # (op, its elements on the sector) from closure_under
 
     def __len__(self):
         return self.indices.size
@@ -397,31 +397,45 @@ class Sector:
     def closure(cls, op: PauliSum, state: StateVector) -> "Sector":
         """The support of state and every basis state that op connects to it
         through a matrix element above PauliSum.ZERO_TOL."""
-        if state.n != op.n:
+        return cls.closure_under([op], state)
+
+    @classmethod
+    def closure_under(cls, ops, state: StateVector) -> "Sector":
+        """The support of state and every basis state that any product of
+        the ops connects to it: each op's matrix elements above
+        PauliSum.ZERO_TOL are followed on their own, so ops that cancel in
+        their sum lose no state.  Unless the support is the whole register,
+        the sector keeps each distinct op's elements, swept once per state."""
+        ops = list({id(op): op for op in ops}.values())
+        if any(op.n != state.n for op in ops):
             raise ValueError("register size mismatch")
-        table = cls._term_table(op)
-        reached = np.zeros(1 << op.n, dtype=bool)
+        tables = [cls._term_table(op) for op in ops]
+        reached = np.zeros(1 << state.n, dtype=bool)
         front = np.flatnonzero(state.amps)
         if not front.size:
             raise ValueError("the zero state spans no sector")
+        if front.size == reached.size:  # nothing left to reach
+            return cls(state.n, front)
         reached[front] = True
         fronts, swept = [], []
         while front.size:
-            vals = cls._elements(table, front)
+            vals = [cls._elements(table, front) for table in tables]
             fronts.append(front)
             swept.append(vals)
-            if front.size == reached.size:  # the whole register
-                break
-            hit = (front[:, None] ^ table[0])[np.abs(vals) > PauliSum.ZERO_TOL]
+            hit = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                (front[:, None] ^ table[0])[np.abs(part) > PauliSum.ZERO_TOL]
+                for table, part in zip(tables, vals)])
             front = np.unique(hit[~reached[hit]])
             reached[front] = True
-        sector = cls(op.n, np.flatnonzero(reached))
-        vals = swept[0]  # a lone front is the sector, in order
-        if len(swept) > 1:
-            vals = np.empty((len(sector), vals.shape[1]), dtype=complex)
-            for front, part in zip(fronts, swept):
-                vals[np.searchsorted(sector.indices, front)] = part
-        sector._swept = (op, vals)
+        sector = cls(state.n, np.flatnonzero(reached))
+        at = [np.searchsorted(sector.indices, front) for front in fronts]
+        for j, op in enumerate(ops):
+            vals = swept[0][j]  # a lone front is the sector, in order
+            if len(swept) > 1:
+                vals = np.empty((len(sector), vals.shape[1]), dtype=complex)
+                for rows, parts in zip(at, swept):
+                    vals[rows] = parts[j]
+            sector._swept.append((op, vals))
         return sector
 
     def extract(self, state: StateVector) -> np.ndarray:
@@ -445,9 +459,8 @@ class Sector:
             raise ValueError("register size mismatch")
         idx, dim = self.indices, self.indices.size
         table = self._term_table(op)
-        if self._swept is not None and self._swept[0] is op:
-            vals = self._swept[1]
-        else:
+        vals = next((vals for swept, vals in self._swept if swept is op), None)
+        if vals is None:
             vals = self._elements(table, idx)
         target = idx[:, None] ^ table[0]
         if dim == 1 << self.n:
@@ -546,24 +559,48 @@ class Sector:
 
 # -- operations on states ---------------------------------------------
 
-def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:
-    """exp(-i*theta*H)|s> exactly, for a Hermitian H and a finite theta.
+def exp_chain_apply(chain, s: StateVector) -> StateVector:
+    """exp(-i theta_m H_m) ... exp(-i theta_1 H_1)|s> exactly, for the
+    (H_j, theta_j) of chain in the order they act, each H_j Hermitian and
+    each theta_j finite.
 
-    Runs on the basis states that H reaches from the support of s
-    (Sector.closure), where Sector.eigh gives H = V w V^H one connected
-    block at a time: the result is V (e^{-i theta w} * V^H s), zero outside
-    the sector.  Raises ValueError for a non-Hermitian H, a non-finite theta
-    or a block wider than Sector.eigh takes.
+    Runs on one sector: the basis states that the generators of non-zero
+    angle reach from the support of s (Sector.closure_under).  It extracts
+    s once, steps it through V (e^{-i theta w} * V^H psi) with H = V w V^H
+    from Sector.eigh (one decomposition per distinct generator object, kept
+    until its last step) and embeds once.  Each step gives the bits that
+    exp_sum_apply gives on its own closure: a state the step's generator
+    does not reach holds a zero whose sign the chain clears.  Raises
+    ValueError for a non-Hermitian generator, a non-finite angle or a block
+    wider than Sector.eigh takes.
     """
-    if not h.is_hermitian():
-        raise ValueError("exp_sum_apply requires a Hermitian generator")
-    if not np.isfinite(theta):
-        raise ValueError(f"exp_sum_apply requires a finite angle, not {theta}")
-    if theta == 0.0:
+    chain = list(chain)
+    for h, theta in chain:
+        if not h.is_hermitian():
+            raise ValueError("exp_sum_apply requires a Hermitian generator")
+        if not np.isfinite(theta):
+            raise ValueError(f"exp_sum_apply requires a finite angle, not {theta}")
+    chain = [(h, theta) for h, theta in chain if theta != 0.0]
+    if not chain:
         return s
-    sector = Sector.closure(h, s)
-    w, v, vh = sector.eigh(h)
-    return sector.embed(v @ (np.exp(-1j * theta * w) * (vh @ sector.extract(s))))
+    sector = Sector.closure_under([h for h, _ in chain], s)
+    psi, kept = sector.extract(s), {}
+    for j, (h, theta) in enumerate(chain):
+        w, v, vh = kept.pop(id(h), None) or sector.eigh(h)
+        if any(later is h for later, _ in chain[j + 1:]):
+            kept[id(h)] = w, v, vh
+        psi = v @ (np.exp(-1j * theta * w) * (vh @ psi))
+    psi[psi == 0] = 0
+    return sector.embed(psi)
+
+
+def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:
+    """exp(-i*theta*H)|s> exactly, for a Hermitian H and a finite theta: the
+    one-generator chain of exp_chain_apply, on the basis states that H
+    reaches from the support of s.  Raises ValueError for a non-Hermitian
+    H, a non-finite theta or a block wider than Sector.eigh takes.
+    """
+    return exp_chain_apply([(h, theta)], s)
 
 
 def apply_unitary_on(u: np.ndarray, qubits: list[int], s: StateVector) -> StateVector:

@@ -132,14 +132,21 @@ def test_sector_objective_equals_full_register_infidelity(thetas):
     assert np.max(np.abs(evolved - seq.with_angles(thetas).apply(start).amps)) <= 1e-12
 
 
-def test_generator_leaving_the_sector_is_rejected():
-    # the two layers cancel in the sum, so its closure is the start's
-    # support alone; each layer leads out of it and must not be dropped
+def test_generators_that_cancel_in_their_sum_keep_their_states():
+    # the two layers cancel in their sum, whose closure is the start's
+    # support alone; the plan's sector follows each layer on its own
     spec = spec_for(1)
     gen = pool_by_name(spec)["O_M0^(0)"].sum
     seq = AnsatzSequence([Layer("a", gen, 0.1), Layer("b", -1.0 * gen, 0.2)])
-    with pytest.raises(ValueError, match="out of the sector"):
-        SectorPlan(seq, sc_state(spec))
+    start = sc_state(spec)
+    plan = SectorPlan(seq, start)
+    assert len(plan.sector) > np.count_nonzero(start.amps)
+    applied = seq.apply(start)
+    assert np.array_equal(plan.sector.embed(plan.forward(seq.angles)[0]).amps,
+                          applied.amps)
+    opt, value = optimize_angles(seq, start, applied, 1, n_starts=1)
+    assert abs(value - infidelity_density(opt.apply(start), applied, 1)) <= 1e-12
+    assert value <= 1e-12
 
 
 @pytest.mark.parametrize("L,n_q,k", [(2, 0, None), (2, 1, None), (3, 1, 4)])

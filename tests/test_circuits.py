@@ -289,16 +289,57 @@ def test_fusion_groups_the_pipeline_into_four_wire_blocks():
     assert max(len(wires) for wires, _ in blocks) == 4
 
 
-@pytest.mark.parametrize("start", ["basis", "random"])
+@pytest.mark.parametrize("start", ["basis", "random", "zero"])
 def test_apply_gives_the_bits_of_one_kernel_call_per_block(start):
+    # a full-support state runs on the whole register: the bits of one
+    # kernel call per block.  A sparse one runs on its support, where each
+    # block drops the outputs at or below eps times its largest: that stays
+    # within 1e-15 of the whole-register path, and the reference holds
+    # nothing above that bound where a block dropped an output
     spec = spec_for(3, (0,))
+    n = spec.n_qubits
     circ = pipeline_circuit(spec)
-    s = (StateVector.basis(spec.n_qubits, 0) if start == "basis" else
-         StateVector(random_state(spec.n_qubits, np.random.default_rng(13))))
+    s = {"basis": StateVector.basis(n, 0),
+         "random": StateVector(random_state(n, np.random.default_rng(13))),
+         "zero": StateVector(np.zeros(1 << n), normalized=False)}[start]
+    blocks = circuits_module._fused_blocks(circ.gates)
     ref = s
-    for wires, u in circuits_module._fused_blocks(circ.gates):
+    for wires, u in blocks:
         ref = apply_unitary_on(u, wires, ref)
-    assert np.array_equal(circ.apply(s).amps, np.exp(1j * circ.phase) * ref.amps)
+    got = circ.apply(s).amps
+    ref = np.exp(1j * circ.phase) * ref.amps
+    if start == "random":
+        assert np.array_equal(got, ref)
+        return
+    assert np.abs(got - ref).max() <= 1e-15
+    if start == "zero":
+        assert not got.any()
+        return
+    idx = np.flatnonzero(s.amps)
+    vals = s.amps[idx]
+    eps = np.finfo(float).eps
+    for wires, u in blocks:
+        before = np.zeros(1 << n, dtype=complex)
+        before[idx] = vals
+        dense = apply_unitary_on(u, wires, StateVector(before, normalized=False)).amps
+        idx, vals = circuits_module._apply_on_support(n, wires, u, idx, vals)
+        outside = np.ones(1 << n, dtype=bool)
+        outside[idx] = False
+        assert np.abs(dense[outside]).max() <= eps * np.abs(dense).max()
+    assert np.array_equal(np.flatnonzero(got), np.sort(idx))
+
+
+def test_support_kernel_drops_only_outputs_at_or_below_eps_of_the_largest():
+    # the identity on wire 0 copies each amplitude exactly; one at eps times
+    # the largest goes, one at twice that stays, and a zero state stays empty
+    eps = np.finfo(float).eps
+    idx = np.array([0b000, 0b011, 0b101, 0b110])
+    vals = np.array([1.0, eps / 2, -eps, 2 * eps], dtype=complex)
+    out_idx, out_vals = circuits_module._apply_on_support(3, [0], np.eye(2), idx, vals)
+    kept = dict(zip(out_idx.tolist(), out_vals.tolist()))
+    assert kept == {0b000: 1.0, 0b110: 2 * eps}
+    empty = circuits_module._apply_on_support(3, [0], np.eye(2), idx[:0], vals[:0])
+    assert empty[0].size == empty[1].size == 0
 
 
 # -- the box search on drawn generators ------------------------------------------

@@ -10,7 +10,8 @@ from su2lgt import LatticeSpec
 from su2lgt.dynamics import (MotionSchedule, _fswap_generator, evolve_exact,
                              run_protocol, trotter_schedule)
 from su2lgt.hamiltonian import build_hamiltonian
-from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector, exp_sum_apply
+from su2lgt.pauli import (PauliString, PauliSum, Sector, StateVector, exp_chain_apply,
+                          exp_sum_apply)
 from su2lgt.reference import ENERGIES
 from su2lgt.spectra import lanczos_ground, sc_state
 
@@ -230,6 +231,90 @@ def test_exp_sum_apply_matches_expm_of_the_restriction(L):
         oracle = expm(-1j * theta * sector.restrict(gen).toarray()) @ sector.extract(state)
         got = exp_sum_apply(gen, theta, state)
         assert np.abs(got.amps[sector.indices] - oracle).max() < 1e-12, name
+
+
+def _one_call_per_generator(chain, state):
+    for gen, theta in chain:
+        state = exp_sum_apply(gen, theta, state)
+    return state
+
+
+def _chain_cases():
+    """(name, chain function, the same chain as (generator, angle) pairs,
+    start) for the reference sequence of every heavy layout at L = 1 and 2
+    (the published sequence of the layout's L; full, cut short by upto and
+    with zero angles), the FSWAP move at L = 2 and orders 1 and 2 of the
+    Trotter step on the prepared and moved states; at L = 3 the same on
+    the published layout."""
+    from su2lgt.ansatz import REFERENCE_SEQUENCES, sequence_from_names
+    from su2lgt.dynamics import fswap_move, trotter_step
+
+    layouts = [(1, ()), (1, (0,)), (2, ()), (2, (0,)), (2, (1,)), (2, (0, 1)),
+               (3, (0,))]
+    for L, heavy in layouts:
+        spec = LatticeSpec(L=L, heavy_positions=frozenset(heavy))
+        seq = sequence_from_names(spec, *REFERENCE_SEQUENCES[L, 1])
+        tag = f"L={L} heavy={heavy}"
+
+        def layers(s, upto=None):
+            return [(ly.generator, ly.theta) for ly in s.layers[:upto]]
+
+        zeroed = seq.with_angles(np.where(np.arange(len(seq.layers)) % 2, 0.0,
+                                          seq.angles))
+        yield f"{tag} sequence", seq.apply, layers(seq), sc_state(spec)
+        yield f"{tag} upto", lambda s, q=seq: q.apply(s, upto=1), layers(seq, 1), sc_state(spec)
+        yield f"{tag} zero angles", zeroed.apply, layers(zeroed), sc_state(spec)
+        states = {"prepared": seq.apply(sc_state(spec))}
+        if L >= 2:
+            moves = [(_fswap_generator(spec, 0, c), np.pi / 4.0) for c in range(spec.Nc)]
+            yield (f"{tag} fswap", lambda s, sp=spec: fswap_move(s, sp, 0, 1), moves,
+                   states["prepared"])
+            states["moved"] = fswap_move(states["prepared"], spec, 0, 1)
+        for order in (1, 2):
+            factors = [(f.generator, f.fraction * 0.7) for f in trotter_schedule(spec, order)]
+            for name, state in states.items():
+                yield (f"{tag} trotter order {order} on {name}",
+                       lambda s, sp=spec, o=order: trotter_step(s, sp, 0.7, order=o),
+                       factors, state)
+
+
+def test_chains_give_the_bits_of_one_call_per_generator():
+    # each chain runs on one sector closed under all of its generators; the
+    # loop closes, decomposes and embeds once per generator
+    cases = list(_chain_cases())
+    assert len(cases) == 50
+    for name, chain, pairs, start in cases:
+        got = chain(start).amps
+        assert got.tobytes() == _one_call_per_generator(pairs, start).amps.tobytes(), name
+
+
+def test_a_state_no_step_fills_holds_a_plain_zero():
+    # X0 reaches |11> from |01>, which no step fills; the last step meets
+    # |11> alone with phase e^{3i}, whose product with 0 is -0 + 0i
+    def gen(*pairs):
+        return PauliSum(2, [PauliString.from_label(label, c) for label, c in pairs])
+
+    chain = [(gen(("XI", 1.0)), 0.3), (gen(("IX", 1.0), ("ZX", 1.0)), 0.4),
+             (gen(("ZI", 1.0)), 3.0)]
+    start = StateVector.from_ket("00")
+    got = exp_chain_apply(chain, start)
+    assert got.amps[0b11] == 0
+    assert got.amps.tobytes() == _one_call_per_generator(chain, start).amps.tobytes()
+
+
+def test_chains_reject_what_one_call_rejects():
+    from su2lgt.ansatz import AnsatzSequence, Layer
+
+    gen = PauliSum(2, [PauliString.from_label("XX"), PauliString.from_label("YY")])
+    bad = PauliSum(2, [PauliString.from_label("XZ"), PauliString.from_label("YY", 0.5j)])
+    start = StateVector.from_ket("01")
+    with pytest.raises(ValueError, match="Hermitian"):
+        AnsatzSequence([Layer("a", gen, 0.3), Layer("b", bad, 0.2)]).apply(start)
+    with pytest.raises(ValueError, match="finite angle"):
+        AnsatzSequence([Layer("a", gen, 0.3), Layer("b", gen, np.nan)]).apply(start)
+    # a generator the chain skips (angle 0) is still checked, as one call checks it
+    with pytest.raises(ValueError, match="Hermitian"):
+        AnsatzSequence([Layer("a", bad, 0.0)]).apply(start)
 
 
 def test_extract_embed_roundtrip_and_full_support():

@@ -14,8 +14,8 @@ from .hamiltonian import (build_hamiltonian, build_kinetic_parts, build_mass,
                           charge_cross, charge_square, mass_offset,
                           symmetric_boundary_sites)
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, Sector, StateVector, exp_chain_apply,
-                    exp_sum_apply)
+from .pauli import (PauliString, PauliSum, Sector, StateVector, apply_chain,
+                    exp_chain_apply, exp_sum_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -276,35 +276,44 @@ def _sector_expectations(h: PauliSum, s: StateVector,
 
 
 class _SectorMeter:
-    """The basis states h reaches from one state (Sector.closure), with h,
-    the named energy pieces and every qubit's Z restricted to them.  H
-    conserves the sector, so one meter serves a whole interval between two
-    moves."""
+    """One interval between two moves, on the basis states that h and every
+    given Trotter factor reach from its first state (Sector.closure_under),
+    which each of them conserves.  It holds the named energy pieces, every
+    Z_j, and h (exact) or each distinct factor's Sector.eigh there."""
 
     def __init__(self, h: PauliSum, pieces: dict[str, PauliSum],
-                 state: StateVector):
-        self.sector = Sector.closure(h, state)
-        self.h = self.sector.restrict(h)
+                 state: StateVector, factors: tuple[TrotterFactor, ...],
+                 krylov_tol: float):
+        generators = {id(f.generator): f.generator for f in factors}
+        self.sector = Sector.closure_under([h, *generators.values()], state)
+        self.factors, self.krylov_tol = factors, krylov_tol
+        self.decompositions = {key: self.sector.eigh(g)
+                               for key, g in generators.items()}
+        self.h = None if factors else self.sector.restrict(h)
         self.pieces = {name: self.sector.restrict(op) for name, op in pieces.items()}
         # qubit j is bit n-1-j of a basis index: Z_j = 1 - 2 * bit
         bits = self.sector.indices >> np.arange(h.n - 1, -1, -1)[:, None] & 1
         self.z_signs = 1.0 - 2.0 * bits
 
-    def holds(self, s: StateVector) -> bool:
-        """Whether s has no amplitude outside the sector."""
-        return np.count_nonzero(self.sector.extract(s)) == np.count_nonzero(s.amps)
+    def advance(self, v: np.ndarray, delta: float) -> np.ndarray:
+        """v on the sector evolved by delta: exactly (_propagate), or by one
+        Trotter step.  An advance of at most 1e-12 is none."""
+        if delta <= 1e-12:
+            return v
+        if not self.factors:
+            return _propagate(self.h, v, delta, delta, 1, self.krylov_tol)[0]
+        chain = [(f.generator, f.fraction * delta) for f in self.factors]
+        return apply_chain(self.sector, chain, v, dict(self.decompositions))
 
-    def record(self, t: float, v: np.ndarray, offset: float,
-               state: StateVector | None = None) -> ProtocolRecord:
-        """The record at time t of the state with amplitudes v on the
-        sector (state, when given, is that state on the full register)."""
+    def record(self, t: float, v: np.ndarray, offset: float) -> ProtocolRecord:
+        """The record at time t of the state with amplitudes v on the sector."""
         energies = {name: float(np.vdot(v, op @ v).real)
                     for name, op in self.pieces.items()}
         energies["mass"] += offset
         energies["total"] = (energies["kinetic"] + energies["mass"]
                              + energies["gauge"] + energies["penalty"])
-        return ProtocolRecord(t=t, state=self.sector.embed(v) if state is None else state,
-                              energies=energies, z=self.z_signs @ np.abs(v) ** 2)
+        return ProtocolRecord(t=t, state=self.sector.embed(v), energies=energies,
+                              z=self.z_signs @ np.abs(v) ** 2)
 
 
 def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
@@ -318,14 +327,11 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
     Reported energies include the identity constant dropped by the mass
     builder, matching the convention used for the exact spectra.
 
-    H conserves the basis states it reaches from a state (Sector.closure),
-    so each interval between two moves works on one sector: the exact
-    evolver gets all of the interval's records from one expm_multiply over
-    their time grid (see _propagate), and energies and <Z_j> are taken
-    there, so no full-register operator is compiled.  The Trotter evolver
-    steps from record to record and measures each record on the
-    interval's sector, or on the record's own one if its state has left
-    that sector.
+    Each interval between two moves runs and is measured on one sector
+    (_SectorMeter): the exact evolver takes all of its records from one
+    expm_multiply over their time grid (_propagate), and the Trotter
+    evolver steps from record to record with each factor of
+    trotter_schedule decomposed once.  The move itself is fswap_move.
     """
     if evolver not in ("exact", "trotter"):
         raise ValueError("evolver must be 'exact' or 'trotter'")
@@ -342,17 +348,7 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
         e0_total = _sector_expectations(h, state, {"total": h})["total"] + offset
     pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
               "gauge": terms.gauge, "penalty": terms.penalty}
-
-    def advance(s: StateVector, delta: float, meter) -> StateVector:
-        """s evolved by delta, on meter's sector when there is one."""
-        if delta <= 1e-12:
-            return s
-        if evolver == "trotter":
-            return trotter_step(s, spec, delta, order=order)
-        if meter is None:
-            return evolve_exact(s, h, delta, tol=krylov_tol)
-        v = meter.sector.extract(s)
-        return meter.sector.embed(_propagate(meter.h, v, delta, delta, 1, krylov_tol)[0])
+    factors = trotter_schedule(spec, order) if evolver == "trotter" else ()
 
     records: list[ProtocolRecord] = []
     events = list(schedule.events)
@@ -363,26 +359,28 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
         end = k
         while end <= n_steps and not (events and events[0][0] <= end * dt + 1e-12):
             end += 1
-        meter = None
-        if end > k:
-            meter = _SectorMeter(h, pieces, state)
-            if evolver == "exact":
-                # an advance of at most 1e-12 is none, and times count on from k dt
+        moving = end <= n_steps  # a move comes before record `end`
+        t_move = events[0][0] if moving else t
+        if end > k or t_move - t > 1e-12:
+            meter = _SectorMeter(h, pieces, state, factors, krylov_tol)
+            v = meter.sector.extract(state)
+            if factors:
+                for j in range(k, end):
+                    v, t = meter.advance(v, j * dt - t), j * dt
+                    records.append(meter.record(t, v, offset))
+            elif end > k:
+                # times count on from k dt when the advance to it is none
                 t0 = t if k * dt - t > 1e-12 else k * dt
-                w = _propagate(meter.h, meter.sector.extract(state), k * dt - t0,
-                               (end - 1) * dt - t0, end - k, krylov_tol)
+                w = _propagate(meter.h, v, k * dt - t0, (end - 1) * dt - t0,
+                               end - k, krylov_tol)
                 records += [meter.record(j * dt, wj, offset)
                             for j, wj in zip(range(k, end), w)]
-                state, t = records[-1].state, (end - 1) * dt
-            else:
-                for j in range(k, end):
-                    state, t = advance(state, j * dt - t, meter), j * dt
-                    m = meter if meter.holds(state) else _SectorMeter(h, pieces, state)
-                    records.append(m.record(t, m.sector.extract(state), offset, state))
-        if end <= n_steps:  # a move comes before record `end`
-            t_move, x_from, x_to = events.pop(0)
-            state = fswap_move(advance(state, t_move - t, meter), spec, x_from, x_to)
-            t = t_move
+                v, t = w[-1], (end - 1) * dt
+            if moving:
+                state = meter.sector.embed(meter.advance(v, t_move - t))
+        if moving:
+            t, x_from, x_to = events.pop(0)
+            state = fswap_move(state, spec, x_from, x_to)
         k = end
     return ProtocolResult(spec=spec, schedule=schedule, records=records,
                           initial_energy=e0_total)

@@ -564,15 +564,10 @@ def exp_chain_apply(chain, s: StateVector) -> StateVector:
     (H_j, theta_j) of chain in the order they act, each H_j Hermitian and
     each theta_j finite.
 
-    Runs on one sector: the basis states that the generators of non-zero
-    angle reach from the support of s (Sector.closure_under).  It extracts
-    s once, steps it through V (e^{-i theta w} * V^H psi) with H = V w V^H
-    from Sector.eigh (one decomposition per distinct generator object, kept
-    until its last step) and embeds once.  Each step gives the bits that
-    exp_sum_apply gives on its own closure: a state the step's generator
-    does not reach holds a zero whose sign the chain clears.  Raises
-    ValueError for a non-Hermitian generator, a non-finite angle or a block
-    wider than Sector.eigh takes.
+    Runs apply_chain on the sector that the generators of non-zero angle
+    reach from the support of s (Sector.closure_under), with the bits of
+    one exp_sum_apply per generator.  Raises ValueError for a non-Hermitian
+    generator, a non-finite angle or a block wider than Sector.eigh takes.
     """
     chain = list(chain)
     for h, theta in chain:
@@ -584,14 +579,21 @@ def exp_chain_apply(chain, s: StateVector) -> StateVector:
     if not chain:
         return s
     sector = Sector.closure_under([h for h, _ in chain], s)
-    psi, kept = sector.extract(s), {}
+    return sector.embed(apply_chain(sector, chain, sector.extract(s), {}))
+
+
+def apply_chain(sector: Sector, chain, psi: np.ndarray, kept: dict) -> np.ndarray:
+    """psi on a sector that each H of chain conserves, stepped through
+    V (e^{-i theta w} * V^H psi) for each (H, theta) in turn, H = V w V^H
+    from kept[id(H)] (held until H's last step) or else Sector.eigh.  Exact
+    zeros lose their sign: e^{-i theta w} * 0 can be -0 + 0i."""
     for j, (h, theta) in enumerate(chain):
         w, v, vh = kept.pop(id(h), None) or sector.eigh(h)
         if any(later is h for later, _ in chain[j + 1:]):
             kept[id(h)] = w, v, vh
         psi = v @ (np.exp(-1j * theta * w) * (vh @ psi))
     psi[psi == 0] = 0
-    return sector.embed(psi)
+    return psi
 
 
 def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -145,6 +146,23 @@ def test_evolve_csv(capsys):
     assert len(lines) == 4  # header + t = 0, 0.5, 1
     totals = [float(l.split(",")[-1]) for l in lines[1:]]
     assert max(totals) - min(totals) < 1e-6
+
+
+# sha256 of the stdout of `evolve --L 2 --csv-z` with each evolver and order
+_EVOLVE_SHA256 = {
+    ("exact", "2"): "854b2b5fdba91d590bdc63e0a36b078c343aa9baa1fd840b742be90e31b8c60a",
+    ("trotter", "1"): "943fa320009c5fb50b0b0f371adf6b45de3d30b47d4fa4141d442f7dcb59c1ae",
+    ("trotter", "2"): "cdd51036afa9cea66521cd80c93991d2f84aa98558708ccb41ee22b8dc098270",
+}
+
+
+@pytest.mark.parametrize("evolver, order", list(_EVOLVE_SHA256))
+def test_evolve_output_is_pinned(capsys, evolver, order):
+    code, out = run_cli(capsys, "evolve", "--L", "2", "--csv-z",
+                        "--evolver", evolver, "--order", order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EVOLVE_SHA256[
+        (evolver, order)]
 
 
 def test_report_sections_exit_codes(capsys):

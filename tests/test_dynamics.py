@@ -5,7 +5,8 @@ from scipy.linalg import expm
 from su2lgt.dynamics import (MotionSchedule, ToyModelParams, _SectorMeter,
                              _sector_expectations, dedx_estimate, evolve_exact, fswap_move,
                              gauge_pair_rounds, run_protocol,
-                             toy_fswap_expectation, trotter_step)
+                             toy_fswap_expectation, trotter_schedule,
+                             trotter_step)
 from su2lgt.hamiltonian import build_hamiltonian, mass_offset
 from su2lgt.observables import z_profile
 from su2lgt.pauli import Sector, StateVector
@@ -111,44 +112,59 @@ def test_run_protocol_conserves_energy_between_moves():
     assert totals[0] > result.initial_energy
 
 
-def _chained_records(spec, schedule, state):
-    """(t, energies, <Z>) at every record, the state advanced from record to
-    record by evolve_exact, energies taken on each record's own sector and
-    <Z> over the full register."""
+def _chained_records(spec, schedule, state, evolver):
+    """(t, state, energies, <Z>) at every record, the state advanced from
+    record to record by evolve_exact or trotter_step (order 2), energies
+    taken on each record's own sector and <Z> over the full register."""
     terms = build_hamiltonian(spec)
     pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
               "gauge": terms.gauge, "penalty": terms.penalty}
+
+    def advance(s, delta):
+        if delta <= 1e-12:
+            return s
+        if evolver == "trotter":
+            return trotter_step(s, spec, delta, order=2)
+        return evolve_exact(s, terms.total, delta, tol=1e-9)
+
     events, t, out = list(schedule.events), 0.0, []
     for k in range(round(schedule.horizon / schedule.dt) + 1):
         t_k = k * schedule.dt
         while events and events[0][0] <= t_k + 1e-12:
             t_ev, x_from, x_to = events.pop(0)
-            if t_ev - t > 1e-12:
-                state = evolve_exact(state, terms.total, t_ev - t, tol=1e-9)
-            state, t = fswap_move(state, spec, x_from, x_to), t_ev
-        if t_k - t > 1e-12:
-            state = evolve_exact(state, terms.total, t_k - t, tol=1e-9)
-        t = t_k
+            state = fswap_move(advance(state, t_ev - t), spec, x_from, x_to)
+            t = t_ev
+        state, t = advance(state, t_k - t), t_k
         energies = _sector_expectations(terms.total, state, pieces)
         energies["mass"] += mass_offset(spec)
-        out.append((t, energies, z_profile(state)))
+        out.append((t, state, energies, z_profile(state)))
     return out
 
 
-@pytest.mark.parametrize("L,schedule", [
-    # moves on the time grid, off it, and two between one pair of records
-    (2, MotionSchedule(events=((0.0, 0, 1), (0.3, 1, 0), (1.2, 0, 1),
-                               (1.4, 1, 0), (2.0, 0, 1)), horizon=3.0, dt=0.5)),
-    # the benchmark's motion workload
-    (3, MotionSchedule(events=((0.0, 0, 1),), horizon=2.5, dt=2.5)),
+# moves on the time grid, off it, and two between one pair of records
+_OFF_GRID = MotionSchedule(events=((0.0, 0, 1), (0.3, 1, 0), (1.2, 0, 1),
+                                   (1.4, 1, 0), (2.0, 0, 1)), horizon=3.0, dt=0.5)
+# the benchmark's motion workload
+_MOTION = MotionSchedule(events=((0.0, 0, 1),), horizon=2.5, dt=2.5)
+
+
+@pytest.mark.parametrize("L,schedule,evolver", [
+    pytest.param(2, _OFF_GRID, "exact", id="2-schedule0"),
+    pytest.param(3, _MOTION, "exact", id="3-schedule1"),
+    pytest.param(2, _OFF_GRID, "trotter", id="2-schedule0-trotter"),
+    pytest.param(3, _MOTION, "trotter", id="3-schedule1-trotter"),
 ])
-def test_interval_records_match_chained_evolution(L, schedule):
+def test_interval_records_match_chained_evolution(L, schedule, evolver):
     spec = spec_for(L, (0,))
     _, psi = lanczos_ground(build_hamiltonian(spec).total, sc_state(spec))
-    run = run_protocol(spec, schedule, initial=psi, krylov_tol=1e-9)
-    chained = _chained_records(spec, schedule, psi)
-    assert [r.t for r in run.records] == [t for t, _, _ in chained]
-    for rec, (_, energies, z) in zip(run.records, chained):
+    run = run_protocol(spec, schedule, evolver=evolver, initial=psi,
+                       krylov_tol=1e-9)
+    chained = _chained_records(spec, schedule, psi, evolver)
+    assert [r.t for r in run.records] == [t for t, _, _, _ in chained]
+    for rec, (_, state, energies, z) in zip(run.records, chained):
+        if evolver == "trotter":
+            # the interval stepper gives the bits of the chained steps
+            assert rec.state.amps.tobytes() == state.amps.tobytes()
         for name, value in energies.items():
             assert rec.energies[name] == pytest.approx(value, rel=0, abs=1e-12)
         assert np.max(np.abs(rec.z - z)) < 1e-12
@@ -161,15 +177,21 @@ def test_one_sector_closure_per_interval(monkeypatch, evolver):
     spec = spec_for(2, (0,))
     h = build_hamiltonian(spec).total
     _, psi = lanczos_ground(h, sc_state(spec))
-    closures = []
-    closure = Sector.closure
+    closures, decomposed = [], []
+    closure_under, eigh = Sector.closure_under, Sector.eigh
 
-    def counting(cls, op, state):
-        if op.n == h.n and op.to_text() == h.to_text():
-            closures.append(op)
-        return closure(op, state)
+    def counting_closures(cls, ops, state):
+        ops = list(ops)
+        if ops[0].n == h.n and ops[0].to_text() == h.to_text():
+            closures.append(ops)
+        return closure_under(ops, state)
 
-    monkeypatch.setattr(Sector, "closure", classmethod(counting))
+    def counting_decompositions(self, op):
+        decomposed.append(id(op))
+        return eigh(self, op)
+
+    monkeypatch.setattr(Sector, "closure_under", classmethod(counting_closures))
+    monkeypatch.setattr(Sector, "eigh", counting_decompositions)
     # three intervals: [0, 0.25) with 1 record, [0.25, 1) with 1, [1, 2] with 3
     schedule = MotionSchedule(events=((0.25, 0, 1), (1.0, 1, 0)), horizon=2.0,
                               dt=0.5)
@@ -177,38 +199,40 @@ def test_one_sector_closure_per_interval(monkeypatch, evolver):
     assert len(run.records) == 5
     # one for the starting energy of the supplied state, one per interval
     assert len(closures) == 1 + 3
+    if evolver == "trotter":
+        # each distinct factor is decomposed once per interval, not per record
+        factors = {id(f.generator) for f in trotter_schedule(spec, 2)}
+        assert sorted(decomposed.count(key) for key in factors) == [3] * len(factors)
 
 
-def test_trotter_records_off_the_interval_sector_are_measured_on_their_own(
-        monkeypatch):
-    # a Trotter state that leaves the interval's sector is measured on the
-    # sector h reaches from that state; force that path for every record
+def test_trotter_records_stay_on_their_interval_sector(monkeypatch):
+    # every factor of the step conserves the interval's sector, so each
+    # record's state lies in it, and measuring it there gives the energies
+    # and <Z> of the sector h reaches from the record's own state
     spec = spec_for(2, (0,))
     terms = build_hamiltonian(spec)
     pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
               "gauge": terms.gauge, "penalty": terms.penalty}
     _, psi = lanczos_ground(terms.total, sc_state(spec))
-    meters = []
-    init = _SectorMeter.__init__
+    measured = []
+    record = _SectorMeter.record
 
-    def counting(self, *args):
-        meters.append(self)
-        init(self, *args)
+    def keeping(self, *args):
+        rec = record(self, *args)
+        measured.append((self.sector, rec))
+        return rec
 
-    monkeypatch.setattr(_SectorMeter, "__init__", counting)
-    monkeypatch.setattr(_SectorMeter, "holds", lambda self, s: False)
-    schedule = MotionSchedule(events=((0.25, 0, 1), (1.0, 1, 0)), horizon=2.0,
-                              dt=0.5)
-    run = run_protocol(spec, schedule, evolver="trotter", initial=psi)
-    # one meter per interval (3) and one more per record (5)
-    assert len(run.records) == 5 and len(meters) == 3 + 5
-    for rec in run.records:
+    monkeypatch.setattr(_SectorMeter, "record", keeping)
+    run = run_protocol(spec, _OFF_GRID, evolver="trotter", initial=psi)
+    assert [id(rec) for _, rec in measured] == [id(rec) for rec in run.records]
+    for sector, rec in measured:
+        outside = rec.state.amps.copy()
+        outside[sector.indices] = 0
+        assert not np.any(outside)
         energies = _sector_expectations(terms.total, rec.state, pieces)
         energies["mass"] += mass_offset(spec)
         for name, value in energies.items():
             assert rec.energies[name] == pytest.approx(value, rel=0, abs=1e-12)
-        assert rec.energies["total"] == pytest.approx(
-            sum(energies.values()), rel=0, abs=1e-12)
         assert np.max(np.abs(rec.z - z_profile(rec.state))) < 1e-12
 
 

@@ -304,7 +304,7 @@ def _schedule(spec: LatticeSpec, events, horizon: float, dt: float):
         _check_move(spec, x_from, x_to)
     try:
         return MotionSchedule(events=events, horizon=horizon, dt=dt)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise NumericalError(str(exc))
 
 

@@ -222,10 +222,12 @@ class MotionSchedule:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0 or self.horizon < 0:
             raise ValueError("need dt > 0 and horizon >= 0")
-        steps = round(self.horizon / self.dt)
-        if steps > _MAX_RECORDS:
+        ratio = self.horizon / self.dt  # inf when the quotient overflows
+        if ratio > _MAX_RECORDS + 0.5:
+            asked = f"{ratio:.0f}" if np.isfinite(ratio) else "over 1e308"
             raise ValueError(f"horizon {self.horizon:g} / dt {self.dt:g} asks for "
-                             f"{steps} records; at most {_MAX_RECORDS} are allowed")
+                             f"{asked} records; at most {_MAX_RECORDS} are allowed")
+        steps = round(ratio)
         if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"horizon {self.horizon:g} is not a whole number "
                              f"of steps dt = {self.dt:g}")

@@ -16,8 +16,6 @@ Conventions
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 _LETTERS = "IXYZ"
@@ -31,14 +29,12 @@ def _bit(n_qubits: int, j: int) -> int:
 _popcount = int.bit_count
 
 
-@functools.lru_cache(maxsize=256)
 def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
     """(-1)^{parity(sigma & z)} for every basis index sigma, as float64."""
     signs = np.ones(1 << n_qubits)
     for p in range(n_qubits):
         if z_mask >> p & 1:
             signs.reshape(-1, 1 << (p + 1))[:, 1 << p:] *= -1.0
-    signs.setflags(write=False)
     return signs
 
 

@@ -137,6 +137,32 @@ def test_observables_estimator(capsys):
     assert payload["total_after_move"] == pytest.approx(0.0, abs=1e-10)
 
 
+# sha256 of the stdout of `observables --what estimator --nq 1` at each L, with
+# one BLAS thread: the JSON holds full-precision floats, and at L = 3 a
+# threaded BLAS dot product splits its sums by thread count
+_ESTIMATOR_SHA256 = {
+    "2": "ac1db5438da7e175d2f0b518a0735bd884a794bcc08aa752a0063ae0b3f789bd",
+    "3": "82c890b3d6b2a16bf9c8690afddcc5901e56ab32f97ec04810c6ebb44506964e",
+}
+
+
+@pytest.mark.parametrize("L", list(_ESTIMATOR_SHA256))
+def test_estimator_output_is_pinned(L):
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from su2lgt.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "observables", "--what", "estimator",
+         "--L", L, "--nq", "1"], capture_output=True, env=env)
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == _ESTIMATOR_SHA256[L]
+
+
 def test_evolve_csv(capsys):
     code, out = run_cli(capsys, "evolve", "--L", "2", "--nq", "1", "--moves",
                         "0-1@0", "--horizon", "1", "--dt", "0.5")
@@ -274,12 +300,20 @@ def test_zero_dt_is_rejected(capsys):
 def test_record_count_beyond_the_limit_is_rejected_at_once(capsys):
     import time
 
-    start = time.perf_counter()
-    code = main(["evolve", "--dt", "1e-09", "--horizon", "10"])
-    elapsed = time.perf_counter() - start
-    assert code == 2
-    assert "10000000000 records" in capsys.readouterr().err
-    assert elapsed < 1.0
+    for argv, asked in [
+            (["--dt", "1e-09", "--horizon", "10"], "10000000000 records"),
+            # horizon / dt overflows to infinity
+            (["--dt", "1e-320"], "over 1e308 records"),
+            (["--horizon", "1e300", "--dt", "1e-300"], "over 1e308 records")]:
+        start = time.perf_counter()
+        code = main(["evolve", *argv])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert asked in err
+        assert "at most 100000 are allowed" in err
+        assert "infinity" not in err
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("argv,named", [

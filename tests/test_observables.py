@@ -177,6 +177,38 @@ def test_estimator_group_evaluate_matches_pauli_expectation():
     assert total == pytest.approx(acc, abs=1e-12)
 
 
+def test_estimator_keeps_no_full_register_arrays():
+    # a fresh interpreter, so no earlier test has filled a cache: the
+    # estimator builds each 2 MiB sign vector of the 18-qubit register as a
+    # temporary and holds none of them after it returns
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import tracemalloc
+from su2lgt import LatticeSpec
+from su2lgt.ansatz import prepared_state
+from su2lgt.observables import energy_loss_estimator, evaluate_energy_loss
+spec = LatticeSpec(L=3, heavy_positions=frozenset({0}))
+state = prepared_state(spec)
+groups = energy_loss_estimator(spec)
+tracemalloc.start()
+for _ in range(2):
+    evaluate_energy_loss(groups, state)
+kept, peak = tracemalloc.get_traced_memory()
+print(kept, peak)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    kept, peak = map(int, out.stdout.split())
+    assert kept < 1 << 20
+    assert peak < 16 << 20
+
+
 def test_ghz_evolution_unitary_is_clifford_basis_change():
     u = ghz_evolution_unitary()
     assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-12)

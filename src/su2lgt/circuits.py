@@ -6,15 +6,17 @@ Multi-qubit rotations exp(-i*theta*(P1 +- P2)) on adjacent qubits are
 emitted as two-CNOT "R-boxes"; longer string rotations are reduced to
 R-boxes by conjugating with +-pi/2 boxes found by a deterministic beam
 search (the reduction is exact Clifford conjugation, verified by unitary
-equivalence in the tests).  Four-body charge products and baryon operators
-are diagonalized by GHZ-type Clifford transformations and emitted as a
-CNOT parity chain walking a Gray cycle over the diagonal strings.
+equivalence in the tests).  Baryon operators and charge-pair generators go
+through one Clifford-conjugated diagonal exponential: a GHZ-type Clifford
+diagonalizes them, and the diagonal strings are emitted as a CNOT parity
+walk of RZ rotations (a Gray cycle where the strings fill a cube).
 
 All circuits track a global phase so that simulated statevectors match the
 operator-level pipeline exactly, not only up to phase.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -697,7 +699,7 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# GHZ transformations and diagonal parity-chain blocks
+# GHZ transformations and the Clifford-conjugated parity walk
 # ---------------------------------------------------------------------------
 
 # state-preparation GHZ transformation G (baryon diagonalization): local
@@ -707,6 +709,10 @@ _GHZ_PREP_LOCAL = (("h", 2), ("s", 2), ("cx", 2, 0), ("cx", 0, 3), ("cx", 2, 1))
 # evolution GHZ transformation (charge hop-hop diagonalization and grouped
 # measurement)
 _GHZ_EVOL_LOCAL = (("h", 1), ("cx", 1, 2), ("cx", 2, 0), ("cx", 0, 3))
+
+# CX-depth-2 Clifford that diagonalizes both the hop-hop and the ZZ parts of
+# a full charge-pair generator at once
+_PAIR_DIAG_LOCAL = (("h", 0), ("cx", 0, 1), ("cx", 0, 2), ("cx", 1, 3))
 
 
 def _mapped_gates(local_gates, wires: tuple[int, ...]) -> list[Gate]:
@@ -729,132 +735,74 @@ def _gray_cycle(k: int) -> list[int]:
     return [i ^ (i >> 1) for i in range(1 << k)]
 
 
-def _ghz_diagonal_block(n: int, wires: tuple[int, ...], local_gates,
-                        op: PauliSum, lam: float) -> Circuit:
-    """exp(-i lam op) as G . (RZ parity chain) . G^dag with G the given GHZ
-    transformation on `wires`; op must diagonalize under G^dag."""
-    g_circ = Circuit(n, _mapped_gates(local_gates, tuple(wires)))
-    diag = clifford_conjugate(g_circ.inverse().gates, op)
-    phase = 0.0
-    subsets: dict[frozenset, float] = {}
-    for t in diag.terms():
-        if t.x != 0:
-            raise SynthesisError("operator does not diagonalize under the GHZ map")
-        if abs(t.coeff.imag) > 1e-10:
-            raise SynthesisError("non-Hermitian diagonal coefficient")
-        supp = frozenset(t.support())
-        if not supp:
-            phase += -lam * t.coeff.real
-            continue
-        subsets[supp] = t.coeff.real
-    common = None
-    for s in subsets:
-        common = set(s) if common is None else common & s
-    if not common:
-        raise SynthesisError("diagonal strings share no common qubit")
-    active = set(wires)
-    targets = sorted(common & active)
-    if len(targets) != 1:
-        raise SynthesisError("ambiguous parity-chain target")
-    target = targets[0]
-    mids = sorted(common - {target})
-    rem_wires = sorted({j for s in subsets for j in s} - set(common))
-    k = len(rem_wires)
-    if len(subsets) != 1 << k:
-        raise SynthesisError("diagonal strings do not fill the parity cube")
-    circ = Circuit(n, phase=phase)
-    circ += g_circ.inverse()
-    for m in mids:
-        circ.add("cx", m, target)
-    codes = _gray_cycle(k)
-    for i, code in enumerate(codes):
-        if i > 0:
-            toggled = (codes[i - 1] ^ code).bit_length() - 1
-            circ.add("cx", rem_wires[toggled], target)
-        subset = frozenset([target, *mids,
-                            *(rem_wires[j] for j in range(k) if code >> j & 1)])
-        if subset not in subsets:
-            raise SynthesisError("missing diagonal string in parity cube")
-        circ.add("rz", target, param=2.0 * lam * subsets[subset])
-    if k:
-        circ.add("cx", rem_wires[codes[-1].bit_length() - 1], target)
-    for m in reversed(mids):
-        circ.add("cx", m, target)
-    circ += g_circ
-    return circ
-
-
-_PAIR_DIAG_LOCAL = (("h", 0), ("cx", 0, 1), ("cx", 0, 2), ("cx", 1, 3))
-
-
-def _diagonal_walk(n: int, subsets: dict, lam: float) -> Circuit:
+def _diagonal_walk(n: int, subsets: dict, lam: float, wires) -> Circuit:
     """exp(-i lam sum_s c_s Z_s) for diagonal strings via parity walks.
 
     Repeatedly picks the qubit covering the most remaining strings as the
-    parity target; strings forming a full cube over the other wires are
-    walked on a Gray cycle, anything else by a greedy nearest-parity walk.
+    parity target, one on `wires` first, then the lowest.  The qubits that
+    every string of its batch holds besides the target are folded onto it
+    in ascending order; strings forming a full cube over the other qubits
+    are walked on a Gray cycle, anything else by a greedy nearest-parity
+    walk.  A batch ends by undoing the walked qubits still on the target,
+    then the fold in descending order.
     """
     circ = Circuit(n)
-    remaining = {frozenset(s): c for s, c in subsets.items()}
+    remaining = dict(subsets)
     while remaining:
-        counts: dict[int, int] = {}
-        for s in remaining:
-            for j in s:
-                counts[j] = counts.get(j, 0) + 1
-        target = min(counts, key=lambda j: (-counts[j], j))
+        counts = collections.Counter(j for s in remaining for j in s)
+        target = min(counts, key=lambda j: (-counts[j], j not in wires, j))
         batch = [s for s in remaining if target in s]
-        rest = sorted({j for s in batch for j in s} - {target})
+        shared = sorted(frozenset.intersection(*batch) - {target})
+        base = frozenset([target, *shared])
+        rest = sorted(frozenset.union(*batch) - base)
         k = len(rest)
-        cube = [frozenset([target, *(rest[j] for j in range(k) if code >> j & 1)])
+        cube = [base | {rest[j] for j in range(k) if code >> j & 1}
                 for code in _gray_cycle(k)]
         if len(batch) == 1 << k and set(cube) == set(batch):
             order = cube
         else:
             order = []
-            cur = frozenset([target])
+            cur = base
             pending = set(batch)
             while pending:
                 nxt = min(pending, key=lambda s: (len(s ^ cur), sorted(s)))
                 order.append(nxt)
                 pending.discard(nxt)
                 cur = nxt
-        cur = frozenset([target])
+        for j in shared:
+            circ.add("cx", j, target)
+        cur = base
         for s in order:
             for j in sorted(cur ^ s):
                 circ.add("cx", j, target)
             cur = s
             circ.add("rz", target, param=2.0 * lam * remaining[s])
-        for j in sorted(cur - {target}):
+        for j in sorted(cur - base) + shared[::-1]:
             circ.add("cx", j, target)
         for s in batch:
             del remaining[s]
     return circ
 
 
-def _pair_diagonal_block(n: int, wires: tuple[int, ...], op: PauliSum,
-                         lam: float) -> Circuit:
-    """exp(-i lam op) for one full charge-pair generator.
-
-    Conjugation by a CX-depth-2 Clifford diagonalizes both the hop-hop and
-    the ZZ parts of the generator at once; the diagonal exponential is then
-    a parity walk of RZ rotations."""
-    g_circ = Circuit(n, _mapped_gates(_PAIR_DIAG_LOCAL, tuple(wires)))
-    diag = clifford_conjugate(g_circ.inverse().gates, op)
+def _diagonal_block(n: int, wires: tuple[int, ...], local_gates, op: PauliSum,
+                    lam: float) -> Circuit:
+    """exp(-i lam op) as G . (RZ parity walk) . G^dag with G the Clifford
+    `local_gates` on `wires`; op must diagonalize under G^dag."""
+    g_circ = Circuit(n, _mapped_gates(local_gates, tuple(wires)))
     phase = 0.0
     subsets: dict[frozenset, float] = {}
-    for t in diag.terms():
+    for t in clifford_conjugate(g_circ.inverse().gates, op).terms():
         if t.x != 0:
-            raise SynthesisError("charge-pair operator failed to diagonalize")
+            raise SynthesisError("operator does not diagonalize under the Clifford")
         if abs(t.coeff.imag) > 1e-10:
             raise SynthesisError("non-Hermitian diagonal coefficient")
-        supp = frozenset(t.support())
-        if not supp:
+        if t.z:
+            subsets[frozenset(t.support())] = t.coeff.real
+        else:
             phase += -lam * t.coeff.real
-            continue
-        subsets[supp] = t.coeff.real
     circ = Circuit(n, phase=phase)
     circ += g_circ.inverse()
-    circ += _diagonal_walk(n, subsets, lam)
+    circ += _diagonal_walk(n, subsets, lam, wires)
     circ += g_circ
     return circ
 
@@ -925,7 +873,7 @@ def baryon_circuit(spec: LatticeSpec, d: int, x: int, theta: float) -> Circuit:
     j0 = 6 * x + _BARYON_START[d]
     k = _BARYON_NZ[d]
     active = (j0, j0 + 1, j0 + 2 + k, j0 + 3 + k)
-    return _ghz_diagonal_block(spec.n_qubits, active, _GHZ_PREP_LOCAL, op, theta)
+    return _diagonal_block(spec.n_qubits, active, _GHZ_PREP_LOCAL, op, theta)
 
 
 _LAYER_RE = re.compile(r"^O_([MB])(\d)\^\((\d+)(?:,\d+)*\)$")
@@ -1017,7 +965,7 @@ def _factor_circuit(n: int, factor: TrotterFactor, t: float) -> Circuit:
     if factor.kind == "pair":
         mask = _support_mask(_terms_of(gen))
         wires = tuple(j for j in range(n) if mask & _bit(n, j))
-        return _pair_diagonal_block(n, wires, gen, lam)
+        return _diagonal_block(n, wires, _PAIR_DIAG_LOCAL, gen, lam)
     circ = Circuit(n)
     for s in gen.terms():
         if s.x != 0:

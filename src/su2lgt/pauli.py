@@ -568,9 +568,9 @@ def exp_chain_apply(chain, s: StateVector) -> StateVector:
     chain = list(chain)
     for h, theta in chain:
         if not h.is_hermitian():
-            raise ValueError("exp_sum_apply requires a Hermitian generator")
+            raise ValueError("exp_chain_apply requires a Hermitian generator")
         if not np.isfinite(theta):
-            raise ValueError(f"exp_sum_apply requires a finite angle, not {theta}")
+            raise ValueError(f"exp_chain_apply requires a finite angle, not {theta}")
     chain = [(h, theta) for h, theta in chain if theta != 0.0]
     if not chain:
         return s

@@ -399,6 +399,53 @@ def test_box_search_reduces_drawn_generators(drawn):
     assert np.max(np.abs(circ.unitary() - oracle)) < 1e-10
 
 
+@st.composite
+def diagonal_sums(draw):
+    """(w, wires, strings, lam): distinct Z strings on w <= 6 qubits as
+    (qubits, coefficient), the identity allowed, the qubits the parity
+    walk prefers as targets, and an angle."""
+    w = draw(st.integers(1, 6))
+    supports = draw(st.lists(st.frozensets(st.integers(0, w - 1)), min_size=1,
+                             max_size=10, unique=True))
+    coeffs = st.sampled_from([-1.0, -0.25, 0.5, 0.75, 1.5])
+    strings = [(tuple(sorted(s)), draw(coeffs)) for s in supports]
+    wires = tuple(sorted(draw(st.frozensets(st.integers(0, w - 1)))))
+    return w, wires, strings, draw(st.floats(-2, 2, allow_nan=False))
+
+
+@given(diagonal_sums())
+@settings(max_examples=80, deadline=None)
+# every string holds qubits 1 and 2; the target is 2, on the wires, and
+# qubit 1 is folded onto it before a Gray cube over qubits 3 and 4
+@example((5, (2,), [((1, 2), 0.5), ((1, 2, 3), -0.25), ((1, 2, 4), 0.75),
+                    ((1, 2, 3, 4), 1.5)], 0.3))
+# a full Gray cube over qubits 1 and 2 with target 0, and a phase
+@example((3, (), [((0,), 0.5), ((0, 1), -1.0), ((0, 2), 0.75),
+                  ((0, 1, 2), 1.5), ((), -0.25)], -1.1))
+# no cube: target 0 walks {0, 1} and {0, 2} greedily, then {1, 2} follows
+@example((3, (), [((0, 1), 0.5), ((0, 2), -0.25), ((1, 2), 0.75)], 0.7))
+def test_diagonal_block_matches_the_exact_exponential(drawn):
+    w, wires, strings, lam = drawn
+    op = PauliSum(w, [PauliString.from_ops(w, {j: "Z" for j in s}, c)
+                      for s, c in strings])
+    circ = circuits_module._diagonal_block(w, wires, (), op, lam)
+    oracle = expm(-1j * lam * op.to_dense())
+    assert np.max(np.abs(circ.unitary() - oracle)) < 1e-12
+
+
+def test_diagonal_block_rejects_what_it_cannot_diagonalize():
+    from su2lgt.ansatz import meson_operator
+
+    spec = spec_for(2, (0,))
+    with pytest.raises(circuits_module.SynthesisError, match="diagonalize"):
+        circuits_module._diagonal_block(
+            spec.n_qubits, (2, 3, 4, 5), circuits_module._GHZ_PREP_LOCAL,
+            meson_operator(spec, 0, 0), 0.3)
+    imaginary = PauliSum(2, [PauliString.from_label("ZZ", 0.5j)])
+    with pytest.raises(circuits_module.SynthesisError, match="non-Hermitian"):
+        circuits_module._diagonal_block(2, (0, 1), (), imaginary, 0.3)
+
+
 # -- synthesis pinned byte for byte (L = 3, n_Q = 1) -----------------------------
 
 _EMIT_SHA256 = {
@@ -417,6 +464,12 @@ _EMIT_SHA256 = {
     "measure-hop_01_23": "9a15f9ff94ad0c362696570eb2cf53a4ea5befea71216b30d8c6dca7cdc7b28e",
     "measure-hop_01_45": "09fed29ef17bf7ab96261f59d8ec90f76cbdb107100ba05f098105e66f7591d3",
     "pipeline": "572c1e151bb5adcd5f05ba6c64f31073a4d5c8b3e52005c00430173db35c02be",
+    "baryon0-x1": "844dd26f34cf90458d0f98b06e744d9a6fe4c9ff6e8282ad50a8e93fc1841469",
+    "baryon0-x2": "c414c52dfb81ebadf415c1cef9658d04b8b43fc8ce6920be3987386efb004b85",
+    "baryon1-x1": "43296c401a89c9f15dd93213a8c68272b6334e1dd3e31ed5e7fcad9e069cb4ae",
+    "L2-baryon0": "42cced3891e155cc136ab3c97e25be2f35357cb47ac87e9fc9a6dcc72fac984e",
+    "L2-trotter-o2-s1": "7de03277e06ada15d44483dfb9ce03ba604dcc58c87e36fd554ac486061cf3a1",
+    "L2-trotter-o2-s2": "53b72d2b05a8c8458bc582a54ba9e2cd960a9ed291d12422523bf1d263703962",
 }
 
 
@@ -430,6 +483,13 @@ def test_emitted_text_is_pinned():
         made[f"meson{d}"] = meson_circuit(spec, d, 0, 0.1)
     for d in (0, 1):
         made[f"baryon{d}"] = baryon_circuit(spec, d, 0, 0.1)
+    for d, x in ((0, 1), (0, 2), (1, 1)):
+        made[f"baryon{d}-x{x}"] = baryon_circuit(spec, d, x, 0.1)
+    spec2 = spec_for(2, (0,))
+    made["L2-baryon0"] = baryon_circuit(spec2, 0, 0, 0.1)
+    for steps in (1, 2):
+        made[f"L2-trotter-o2-s{steps}"] = trotter_circuit(spec2, 1.0, order=2,
+                                                         steps=steps)
     for order in (1, 2):
         for steps in (1, 2):
             made[f"trotter-o{order}-s{steps}"] = trotter_circuit(

@@ -11,6 +11,10 @@ through one Clifford-conjugated diagonal exponential: a GHZ-type Clifford
 diagonalizes them, and the diagonal strings are emitted as a CNOT parity
 walk of RZ rotations (a Gray cycle where the strings fill a cube).
 
+Every Clifford conjugation of Pauli strings, by a gate or by a pi/2 box,
+goes through one table per Clifford, read off its unitary at import: the
+image of each string on the Clifford's wires and its sign.
+
 All circuits track a global phase so that simulated statevectors match the
 operator-level pipeline exactly, not only up to phase.
 """
@@ -386,61 +390,65 @@ _BOX_FACTORS = {
 
 
 # ---------------------------------------------------------------------------
-# Clifford conjugation of Pauli strings
+# Clifford conjugation of Pauli strings, through tables read off unitaries
 # ---------------------------------------------------------------------------
 
-def _conj_gate_string(g: Gate, t: PauliString) -> PauliString:
-    """U t U^dag for a Clifford gate U (h, s, sdg, x, z, cx, cz)."""
-    n, x, z, c = t.n, t.x, t.z, t.coeff
-    if g.kind in _TWO_QUBIT:
-        ba, bb = _bit(n, g.qubits[0]), _bit(n, g.qubits[1])
-        if g.kind == "cx":
-            if (x & ba) and (z & bb) and (bool(x & bb) == bool(z & ba)):
-                c = -c
-            nx = x ^ bb if x & ba else x
-            nz = z ^ ba if z & bb else z
-            return PauliString(n, nx, nz, c)
-        # cz
-        if (x & ba) and (x & bb) and (bool(z & ba) != bool(z & bb)):
-            c = -c
-        nz = z
-        if x & bb:
-            nz ^= ba
-        if x & ba:
-            nz ^= bb
-        return PauliString(n, x, nz, c)
-    b = _bit(n, g.qubits[0])
-    if g.kind == "h":
-        if (x & b) and (z & b):
-            c = -c
-        nx = (x & ~b) | (b if z & b else 0)
-        nz = (z & ~b) | (b if x & b else 0)
-        return PauliString(n, nx, nz, c)
-    if g.kind == "s":
-        if x & b:
-            if z & b:
-                c = -c
-            return PauliString(n, x, z ^ b, c)
-        return PauliString(n, x, z, c)
-    if g.kind == "sdg":
-        if x & b:
-            if not z & b:
-                c = -c
-            return PauliString(n, x, z ^ b, c)
-        return PauliString(n, x, z, c)
-    if g.kind == "x":
-        return PauliString(n, x, z, -c if z & b else c)
-    if g.kind == "z":
-        return PauliString(n, x, z, -c if x & b else c)
-    raise ValueError(f"gate {g.kind!r} is not Clifford")
+def _clifford_table(u: np.ndarray) -> tuple:
+    """U P U^dag for a Clifford U on k <= 2 wires, as a table from the index
+    x << k | z of the string P (its masks on the k wires, the first the most
+    significant) to (x', z', negated).  Each image is +-1 times one string:
+    its overlap with that string has modulus 2^k, and with all others 0."""
+    k = u.shape[0].bit_length() - 1
+    strings = np.array([PauliString(k, *divmod(i, 1 << k)).to_dense()
+                        for i in range(1 << 2 * k)])
+    overlaps = np.einsum("qij,pij->pq", strings.conj(),
+                         u @ strings @ u.conj().T).real
+    return tuple((*divmod(int(j), 1 << k), bool(row[j] < 0))
+                 for row, j in zip(overlaps, np.abs(overlaps).argmax(axis=1)))
+
+
+def _conjugate(terms: tuple, table: tuple, wires, n: int) -> tuple:
+    """U t U^dag for each (x, z, coeff) term t on n qubits, with U the
+    Clifford whose `_clifford_table` is table, acting on wires."""
+    bits = [_bit(n, q) for q in wires]
+    on_wires = sum(bits)
+    spread = [sum(b for j, b in enumerate(reversed(bits)) if m >> j & 1)
+              for m in range(1 << len(bits))]
+    out = []
+    for x, z, c in terms:
+        i = 0
+        for mask in (x, z):
+            for b in bits:
+                i = i << 1 | bool(mask & b)
+        nx, nz, negated = table[i]
+        out.append((x & ~on_wires | spread[nx], z & ~on_wires | spread[nz],
+                    -c if negated else c))
+    return tuple(out)
+
+
+_GATE_TABLES = {kind: _clifford_table(_gate_matrix(
+                    Gate(kind, (0, 1) if kind in _TWO_QUBIT else (0,))))
+                for kind in (*_FIXED_1Q, *_TWO_QUBIT)}
+
+# the pi/2 boxes of the reduction below, by (kind, sign): exp(-i sign pi/4
+# P1) exp(-i sign sigma pi/4 P2) on wires (a, a + 1)
+_BOX_TABLES = {(kind, sign): _clifford_table(rbox(kind, sign * math.pi / 2.0,
+                                                  0, 1).unitary())
+               for kind in _RBOX_KINDS for sign in (1, -1)}
+
+
+def _terms_of(op: PauliSum) -> tuple:
+    return tuple((t.x, t.z, t.coeff) for t in op.terms())
 
 
 def clifford_conjugate(gates, op: PauliSum) -> PauliSum:
     """U op U^dag for U the product of the gates in circuit (time) order."""
-    terms = op.terms()
+    terms = _terms_of(op)
     for g in gates:
-        terms = [_conj_gate_string(g, t) for t in terms]
-    return PauliSum(op.n, terms)
+        if g.kind not in _GATE_TABLES:
+            raise ValueError(f"gate {g.kind!r} is not Clifford")
+        terms = _conjugate(terms, _GATE_TABLES[g.kind], g.qubits, op.n)
+    return PauliSum(op.n, [PauliString(op.n, x, z, c) for x, z, c in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -461,43 +469,6 @@ class _Box:
 # Inside the synthesis a generator is a tuple of (x, z, coeff) terms on a
 # w-qubit register: the masks and coefficient of PauliString, without the
 # objects.
-
-_I_POW = (1, 1j, -1, -1j)
-
-
-def _terms_of(op: PauliSum) -> tuple:
-    return tuple((t.x, t.z, t.coeff) for t in op.terms())
-
-
-def _box_masks(box: _Box, w: int) -> tuple:
-    """The two strings of a box on w qubits as (x, z, turn): their masks and
-    the power of i in (-i sign) * i^|x & z|, with sign that of their pi/4
-    rotation."""
-    (l1, l2, sigma) = _BOX_FACTORS[box.kind]
-    out = []
-    for letters, rel in ((l1, 1), (l2, sigma)):
-        p = PauliString.from_ops(w, {box.a: letters[0], box.b: letters[1]})
-        out.append((p.x, p.z, _popcount(p.x & p.z) + (3 if box.sign * rel > 0 else 1)))
-    return tuple(out)
-
-
-def _conj_by_box(gen: tuple, masks: tuple) -> tuple:
-    """B gen B^dag for B = exp(-i sign*pi/4 P1) exp(-i sign*sigma*pi/4 P2),
-    given the box's `_box_masks`.  A term t that anticommutes with P becomes
-    -i*sign * P t, with the phase of P t as in PauliString.__mul__."""
-    for px, pz, turn in masks:
-        out = []
-        for x, z, c in gen:
-            if _popcount((x & pz) ^ (z & px)) & 1:  # anticommutes
-                nx, nz = x ^ px, z ^ pz
-                e = (turn + _popcount(x & z) - _popcount(nx & nz)
-                     + 2 * _popcount(pz & x))
-                out.append((nx, nz, c * _I_POW[e % 4]))
-            else:
-                out.append((x, z, c))
-        gen = tuple(out)
-    return gen
-
 
 def _support_mask(gen: tuple) -> int:
     m = 0
@@ -523,21 +494,10 @@ def _classify_pair(gen: tuple, w: int):
             return None
         t = PauliString(w, x, z)
         by_letters[(t.letter(a), t.letter(b))] = c.real
-    keys = set(by_letters)
-    if keys == {("X", "X"), ("Y", "Y")}:
-        cxx, cyy = by_letters[("X", "X")], by_letters[("Y", "Y")]
-        if abs(cyy - cxx) < 1e-10:
-            return ("XX+", cxx, (a, b))
-        if abs(cyy + cxx) < 1e-10:
-            return ("XX-", cxx, (a, b))
-        return None
-    if keys == {("Y", "X"), ("X", "Y")}:
-        cyx, cxy = by_letters[("Y", "X")], by_letters[("X", "Y")]
-        if abs(cxy - cyx) < 1e-10:
-            return ("XY+", cyx, (a, b))
-        if abs(cxy + cyx) < 1e-10:
-            return ("XY-", cyx, (a, b))
-        return None
+    for kind, (l1, l2, sigma) in _BOX_FACTORS.items():
+        if (by_letters.keys() == {l1, l2}
+                and abs(by_letters[l2] - sigma * by_letters[l1]) < 1e-10):
+            return (kind, by_letters[l1], (a, b))
     return None
 
 
@@ -564,16 +524,6 @@ def _box_layers(boxes) -> int:
 _BEAM_WIDTH = 64
 
 
-def _box_table(kind: str, sign: int) -> tuple:
-    """`_conj_by_box` of a box on qubits (a, a + 1) as a table on a term's
-    bits there, which are all it reads: index (x_a x_b z_a z_b) ->
-    (x flip, z flip, power of i), each flip as bits (a, a + 1)."""
-    masks = _box_masks(_Box(kind, sign, 0), 2)
-    terms = [_conj_by_box(((i >> 2, i & 3, 1),), masks)[0] for i in range(16)]
-    return tuple((nx ^ i >> 2, nz ^ i & 3, _I_POW.index(c))
-                 for i, (nx, nz, c) in enumerate(terms))
-
-
 @functools.lru_cache(maxsize=256)
 def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     """Deterministic beam search for a pi/2-box sequence A such that every
@@ -583,8 +533,6 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     conjugation only permutes and negates coefficients, so the search on
     the rounded coefficients of `key` finds the boxes of the exact ones,
     and a conjugated generator with its terms sorted is its own `_canon`."""
-    tables = {(kind, sign): _box_table(kind, sign)
-              for kind in _RBOX_KINDS for sign in (1, -1)}
     moves = [_Box(kind, sign, a) for a in range(w - 1)
              for kind in _RBOX_KINDS for sign in (1, -1)]
     memo: dict[tuple, list] = {}  # generator -> (conjugate, support) by move
@@ -594,14 +542,14 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
         if row is None:
             row = memo[g] = []
             for box in moves:
-                s, table = w - 2 - box.a, tables[box.kind, box.sign]
+                s, table = w - 2 - box.a, _BOX_TABLES[box.kind, box.sign]
+                keep = ~(3 << s)
                 terms, m = [], 0
                 for x, z, re_, im in g:
-                    fx, fz, k = table[(x >> s & 3) << 2 | (z >> s & 3)]
-                    x, z = x ^ fx << s, z ^ fz << s
+                    nx, nz, negated = table[(x >> s & 3) << 2 | (z >> s & 3)]
+                    x, z = x & keep | nx << s, z & keep | nz << s
                     m |= x | z
-                    terms.append((x, z) + ((re_, im), (-im, re_), (-re_, -im),
-                                           (im, -re_))[k])
+                    terms.append((x, z, -re_, -im) if negated else (x, z, re_, im))
                 row.append((tuple(sorted(terms)), _popcount(m)))
         return row
 
@@ -681,8 +629,8 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
         boxes = _search_reduction(_canon(local), w)
         reduced = local
         for box in boxes:
-            box_masks = _box_masks(box, w)
-            reduced = [_conj_by_box(g, box_masks) for g in reduced]
+            reduced = [_conjugate(g, _BOX_TABLES[box.kind, box.sign],
+                                  (box.a, box.b), w) for g in reduced]
         for box in boxes:
             circ += rbox(box.kind, box.sign * math.pi / 2.0,
                          box.a + off, box.b + off, n)
@@ -995,6 +943,11 @@ def _mass_gauge_block(spec: LatticeSpec, theta: float) -> Circuit:
     return circ
 
 
+# trotter_circuit builds every step's gates up front: 100 steps at L = 3 take
+# about 0.8 s and 45 MB on a 2-core box
+_MAX_STEPS = 1000
+
+
 def trotter_circuit(spec: LatticeSpec, t: float, order: int = 2,
                     steps: int = 1) -> Circuit:
     """Trotter steps of exp(-i t (H_k + H_m + H_g)): the factors of
@@ -1006,6 +959,8 @@ def trotter_circuit(spec: LatticeSpec, t: float, order: int = 2,
     schedule = trotter_schedule(spec, order)
     if steps < 1:
         raise ValueError("steps must be positive")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be at most {_MAX_STEPS}")
     factors = []
     for f in schedule * steps:
         if factors and f.kind == "kinetic" and factors[-1].generator is f.generator:

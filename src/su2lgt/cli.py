@@ -90,11 +90,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, val in vars(args).items():
         if key in ("config", "func"):
             continue
-        if val is not None or key not in cfg:
-            if val is not None:
-                cfg[key] = val
-            else:
-                cfg.setdefault(key, None)
+        if val is not None:
+            cfg[key] = val
+        else:
+            cfg.setdefault(key, None)
     return cfg
 
 
@@ -610,7 +609,7 @@ def _build_parser() -> _Parser:
                    help="heavy-quark moves, e.g. 0-1@0,1-2@5")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--evolver", choices=("exact", "trotter"), default=None)
+    p.add_argument("--evolver", choices=_EVOLVERS, default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--csv-z", dest="csv_z", action="store_true", default=None,
                    help="include per-qubit Z columns")
@@ -622,7 +621,7 @@ def _build_parser() -> _Parser:
                    choices=("vacuum", "medium", "vac-med-default"))
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--evolver", choices=("exact", "trotter"), default=None)
+    p.add_argument("--evolver", choices=_EVOLVERS, default=None)
     p.add_argument("--timeseries", type=str, default=None,
                    help="also write the energy-vs-time series to this CSV file")
     p.set_defaults(func=cmd_dedx)
@@ -633,7 +632,7 @@ def _build_parser() -> _Parser:
                    choices=("estimator", "entanglement", "tangles", "magic"))
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--evolver", choices=("exact", "trotter"), default=None)
+    p.add_argument("--evolver", choices=_EVOLVERS, default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="sampled-magic sample count (0 = exact only)")
     p.add_argument("--optimize", action="store_true", default=None)

@@ -5,7 +5,6 @@ the mitigation post-processing math (ODR / ZNE / Hadamard test).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,14 +210,11 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
 # GHZ-grouped energy-loss estimator
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
 def ghz_evolution_unitary() -> np.ndarray:
     """Dense matrix of the evolution/measurement GHZ transformation, which
     diagonalizes sigma+ sigma- sigma- sigma+ + h.c. on qubits 0..3 (its
-    adjoint maps the hop-hop terms to Z strings).  Cached and read-only."""
-    u = ghz_evolution_circuit((0, 1, 2, 3)).unitary()
-    u.setflags(write=False)
-    return u
+    adjoint maps the hop-hop terms to Z strings)."""
+    return ghz_evolution_circuit((0, 1, 2, 3)).unitary()
 
 
 @dataclass(frozen=True)

@@ -120,15 +120,62 @@ def test_rbox_unitary(kind, gen):
     assert np.max(np.abs(u - phase * target)) < 1e-12
 
 
-def test_clifford_conjugate_matches_dense():
-    gates = [Gate("h", (0,)), Gate("cx", (0, 2)), Gate("s", (1,)),
-             Gate("cx", (1, 0))]
-    op = PauliSum(3, [PauliString.from_label("XYZ", 0.5),
-                      PauliString.from_label("ZZI", -1.25)])
+@st.composite
+def clifford_cases(draw):
+    """(gates, op): up to twelve Clifford gates of every kind on 3 or 4
+    qubits, cx and cz on any ordered pair of distinct wires, and a sum of
+    one to four distinct strings."""
+    n = draw(st.integers(3, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(_KINDS_1Q + ["cx", "cz"]))
+        a = draw(st.integers(0, n - 1))
+        if kind in ("cx", "cz"):
+            gates.append(Gate(kind, (a, draw(st.integers(0, n - 1).filter(
+                lambda q: q != a)))))
+        else:
+            gates.append(Gate(kind, (a,)))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                           min_size=1, max_size=4, unique=True))
+    coeffs = st.sampled_from([0.5, -1.25, 0.75j, 1.0 - 0.5j])
+    return gates, PauliSum(n, [PauliString.from_label(label, draw(coeffs))
+                               for label in labels])
+
+
+@given(clifford_cases())
+@settings(max_examples=80, deadline=None)
+# two-qubit gates on non-adjacent and reversed wires
+@example(([Gate("cx", (3, 0)), Gate("cz", (0, 2)), Gate("h", (1,)),
+           Gate("cx", (1, 3)), Gate("sdg", (2,)), Gate("cz", (3, 1))],
+          PauliSum(4, [PauliString.from_label("XYZY", 0.5),
+                       PauliString.from_label("ZZIX", -1.25)])))
+def test_clifford_conjugate_matches_dense(case):
+    gates, op = case
     got = clifford_conjugate(gates, op)
-    u = Circuit(3, gates).unitary()
+    u = Circuit(op.n, gates).unitary()
     oracle = u @ op.to_dense() @ u.conj().T
-    assert np.max(np.abs(got.to_dense() - oracle)) < 1e-10
+    assert np.max(np.abs(got.to_dense() - oracle)) < 1e-12
+
+
+def test_clifford_conjugate_rejects_non_clifford_gates():
+    op = PauliSum(2, [PauliString.from_label("XZ")])
+    with pytest.raises(ValueError, match="gate 'rz' is not Clifford"):
+        clifford_conjugate([Gate("h", (0,)), Gate("rz", (1,), 0.3)], op)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", circuits_module._RBOX_KINDS)
+def test_box_tables_match_dense_conjugation(kind, sign):
+    # the box exp(-i sign pi/4 P1) exp(-i sign sigma pi/4 P2) maps each
+    # two-qubit string to the table's string, negated where it says so
+    l1, l2, sigma = circuits_module._BOX_FACTORS[kind]
+    box = (expm(-0.25j * np.pi * sign * dense_label("".join(l1)))
+           @ expm(-0.25j * np.pi * sign * sigma * dense_label("".join(l2))))
+    table = circuits_module._BOX_TABLES[kind, sign]
+    for i, (x, z, negated) in enumerate(table):
+        string = PauliString(2, i >> 2, i & 3).to_dense()
+        image = PauliString(2, x, z, -1.0 if negated else 1.0).to_dense()
+        assert np.max(np.abs(box @ string @ box.conj().T - image)) < 1e-12
 
 
 def test_sc_prep_circuit_prepares_sc_state():
@@ -202,6 +249,11 @@ def test_trotter_circuit_matches_module_step(order):
     got = trotter_circuit(spec, t, order=order).apply(v)
     oracle = trotter_step(v, spec, t, order=order)
     assert np.max(np.abs(got.amps - oracle.amps)) < 1e-10
+
+
+def test_trotter_circuit_names_its_step_limit():
+    with pytest.raises(ValueError, match="steps must be at most 1000"):
+        trotter_circuit(spec_for(1, (0,)), 1.0, steps=1001)
 
 
 def test_ghz_measurement_basis_diagonalizes_groups():
@@ -358,6 +410,13 @@ def _as_sum(w, gen):
     return PauliSum(w, [PauliString(w, x, z, c) for x, z, c in gen])
 
 
+def _box_conjugates(w, gens, box):
+    """B gen B^dag for each generator, B the box on w qubits."""
+    table = circuits_module._BOX_TABLES[box.kind, box.sign]
+    return [circuits_module._conjugate(g, table, (box.a, box.b), w)
+            for g in gens]
+
+
 @st.composite
 def scrambled_generators(draw):
     """(w, generators, angles): one or two commuting R-box generators on
@@ -372,8 +431,7 @@ def scrambled_generators(draw):
     for _ in range(draw(st.integers(1, 3))):
         box = circuits_module._Box(draw(kinds), draw(st.sampled_from([1, -1])),
                                    draw(st.integers(0, w - 2)))
-        masks = circuits_module._box_masks(box, w)
-        gens = [circuits_module._conj_by_box(g, masks) for g in gens]
+        gens = _box_conjugates(w, gens, box)
     lams = [draw(st.floats(-2, 2, allow_nan=False)) for _ in gens]
     return w, gens, lams
 
@@ -389,8 +447,7 @@ def test_box_search_reduces_drawn_generators(drawn):
         return
     reduced = gens
     for box in boxes:
-        masks = circuits_module._box_masks(box, w)
-        reduced = [circuits_module._conj_by_box(g, masks) for g in reduced]
+        reduced = _box_conjugates(w, reduced, box)
     assert all(circuits_module._classify_pair(g, w) is not None for g in reduced)
     circ = circuits_module._rotation_block(
         w, [(_as_sum(w, g), lam) for g, lam in zip(gens, lams)])
@@ -500,6 +557,25 @@ def test_emitted_text_is_pinned():
     got = {name: hashlib.sha256(emit_text(c).encode()).hexdigest()
            for name, c in made.items()}
     assert got == _EMIT_SHA256
+
+
+# `EstimatorGroup.as_pauli_sum(n).to_text()` of the L = 3, n_Q = 1 groups:
+# the GHZ ones are `clifford_conjugate` output that no emitted circuit holds
+_SUM_SHA256 = {
+    "diagonal": "53ad491104acafd8dbd0805dae499063309a4ce7ede400c194686bc12450a1e2",
+    "hop_01_23": "71841c4313f49befa32c982fd5f149544f77497487bdcef2a54107e3cd8a2883",
+    "hop_01_45": "2f528aaea7643a5f8798cdf91b01d1ea6119ae303078ac016c0cd49d57f9b4e9",
+}
+
+
+def test_estimator_pauli_sums_are_pinned():
+    from su2lgt.observables import energy_loss_estimator
+
+    spec = spec_for(3, (0,))
+    got = {g.name: hashlib.sha256(
+               g.as_pauli_sum(spec.n_qubits).to_text().encode()).hexdigest()
+           for g in energy_loss_estimator(spec)}
+    assert got == _SUM_SHA256
 
 
 # (w, `_canon` key) -> boxes as (kind, sign, a), for every search the

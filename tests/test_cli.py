@@ -403,11 +403,13 @@ def test_invalid_evolve_option_is_config_error(tmp_path, capsys, options, source
     {"template": "fswap", "x_from": 0, "x_to": 2},
     {"template": "fswap", "x_from": 1, "x_to": 1},
     {"template": "meson", "d": -1},
+    {"template": "trotter", "steps": 1001},
+    {"template": "pipeline", "L": 3, "steps": 1001},
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_invalid_circuit_option_is_config_error(tmp_path, capsys, options, source):
-    argv = ["circuit", "--L", "2", "--nq", "1"]
-    code = main(argv + _given(source, options, tmp_path))
+    argv = ["circuit", "--nq", "1"]
+    code = main(argv + _given(source, {"L": 2, **options}, tmp_path))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")

@@ -219,15 +219,6 @@ def test_ghz_evolution_unitary_is_clifford_basis_change():
     assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-12
 
 
-def test_ghz_evolution_unitary_is_cached_and_read_only():
-    u = ghz_evolution_unitary()
-    assert u is ghz_evolution_unitary()
-    assert not u.flags.writeable
-    with pytest.raises(ValueError):
-        u[0, 0] = 0.0
-    assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-12)
-
-
 def test_shot_sample_converges_to_expectation():
     rng = np.random.default_rng(23)
     v = StateVector(random_state(3, rng))

@@ -30,8 +30,7 @@ import numpy as np
 
 from .dynamics import TrotterFactor, trotter_schedule
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, StateVector, _bit, _popcount,
-                    apply_unitary_on)
+from .pauli import PauliString, PauliSum, StateVector, _bit, apply_unitary_on
 
 # ---------------------------------------------------------------------------
 # circuit IR
@@ -532,60 +531,111 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     assembled A + rotations + A^dag block, then the box count.  Box
     conjugation only permutes and negates coefficients, so the search on
     the rounded coefficients of `key` finds the boxes of the exact ones,
-    and a conjugated generator with its terms sorted is its own `_canon`."""
+    and a conjugated generator with its terms sorted is its own `_canon`.
+
+    Each level expands every frontier node by every move at once, on terms
+    packed into int64 as x << (w + c) | z << c | code, where code ranks the
+    term's (re, im) among +- the key's coefficients (-0.0 counted as 0.0):
+    integer order is the order of the (x, z, re, im) tuples, so a key's row
+    of packed terms orders as the key does."""
+    values = sorted({(s * re + 0.0, s * im + 0.0)
+                     for g in key for _, _, re, im in g for s in (1, -1)})
+    code = {v: i for i, v in enumerate(values)}
+    c = max(len(values) - 1, 1).bit_length()
+    if 2 * w + c > 63:
+        raise ValueError(f"box search on {w} qubits does not fit 63-bit terms")
+    cmask, wmask = (1 << c) - 1, (1 << w) - 1
+    flip = np.array([i ^ code[-re + 0.0, -im + 0.0]
+                     for i, (re, im) in enumerate(values)], dtype=np.int64)
+    spans, lo = [], 0
+    for g in key:
+        spans.append((lo, lo + len(g)))
+        lo += len(g)
     moves = [_Box(kind, sign, a) for a in range(w - 1)
              for kind in _RBOX_KINDS for sign in (1, -1)]
-    memo: dict[tuple, list] = {}  # generator -> (conjugate, support) by move
+    # each move as an XOR on the packed term by its 16 window values, and
+    # whether it negates the coefficient
+    tables = np.array([_BOX_TABLES[b.kind, b.sign] for b in moves],
+                      dtype=np.int64).reshape(len(moves), 16, 3)
+    shift = np.array([w - 2 - b.a for b in moves], dtype=np.int64)[:, None]
+    index = np.arange(16)
+    delta = ((index >> 2 ^ tables[..., 0]) << (shift + w + c)
+             | (index & 3 ^ tables[..., 1]) << (shift + c))
+    negated = tables[..., 2].astype(bool)
+    move_a = np.array([b.a for b in moves], dtype=np.int64)
+    rows = np.arange(len(moves))[:, None]
 
-    def conjugates(g: tuple) -> list:
-        row = memo.get(g)
-        if row is None:
-            row = memo[g] = []
-            for box in moves:
-                s, table = w - 2 - box.a, _BOX_TABLES[box.kind, box.sign]
-                keep = ~(3 << s)
-                terms, m = [], 0
-                for x, z, re_, im in g:
-                    nx, nz, negated = table[(x >> s & 3) << 2 | (z >> s & 3)]
-                    x, z = x & keep | nx << s, z & keep | nz << s
-                    m |= x | z
-                    terms.append((x, z, -re_, -im) if negated else (x, z, re_, im))
-                row.append((tuple(sorted(terms)), _popcount(m)))
-        return row
+    def sizes_of(terms: np.ndarray) -> np.ndarray:
+        """Support size of each generator: (..., L) terms -> (..., G)."""
+        xz = (terms >> (w + c) | terms >> c) & wmask
+        masks = np.stack([np.bitwise_or.reduce(xz[..., lo:hi], axis=-1)
+                          for lo, hi in spans], axis=-1)
+        return sum(masks >> j & 1 for j in range(w))
+
+    def generator(row: np.ndarray) -> tuple:
+        return tuple((p >> (w + c), p >> c & wmask, complex(*values[p & cmask]))
+                     for p in row.tolist())
 
     best: tuple | None = None  # (layers, boxes_total, boxes)
-    frontier = [(key, (), (0,) * w, 0)]  # generators, boxes, free layer, depth
-    seen = {key}
-    while frontier:
-        nxt: dict[tuple, tuple] = {}
-        for gs, boxes, free, depth in frontier:
-            pairs = [_classify_pair(tuple((x, z, complex(re_, im))
-                                          for x, z, re_, im in g), w) for g in gs]
+    keys = np.array([[x << (w + c) | z << c | code[re + 0.0, im + 0.0]
+                      for g in key for x, z, re, im in g]], dtype=np.int64)
+    sizes = sizes_of(keys).reshape(1, len(key))
+    depth = np.zeros(1, dtype=np.int64)
+    free = np.zeros((1, w), dtype=np.int64)
+    boxes = [()]
+    seen = {keys[0].tobytes()}
+    while boxes:
+        live = np.ones(len(boxes), dtype=bool)
+        for f in np.flatnonzero((sizes == 2).all(axis=1)):
+            pairs = [_classify_pair(generator(keys[f, lo:hi]), w)
+                     for lo, hi in spans]
             if None not in pairs:
-                seq = [(bx.a, bx.b) for bx in boxes]
+                live[f] = False
+                seq = [(bx.a, bx.b) for bx in boxes[f]]
                 seq += [pair[2] for pair in pairs] + seq[::-1]
-                cand = (_box_layers(seq), 2 * len(boxes) + len(gs), boxes)
+                cand = (_box_layers(seq), 2 * len(boxes[f]) + len(key), boxes[f])
                 if best is None or cand < best:
                     best = cand
-                continue
-            sizes = [_popcount(_support_mask(g)) for g in gs]
-            total = sum(sizes)
-            for box, conj in zip(moves, zip(*map(conjugates, gs))):
-                k2, sizes2 = zip(*conj)
-                total2 = sum(sizes2)
-                if (total2 >= total or any(map(int.__gt__, sizes2, sizes))
-                        or k2 in seen):
-                    continue
-                layer = max(free[box.a], free[box.b]) + 1
-                score = (total2, max(depth, layer), len(boxes) + 1)
-                prev = nxt.get(k2)
-                if prev is None or score < prev[0]:
-                    free2 = free[:box.a] + (layer, layer) + free[box.b + 1:]
-                    nxt[k2] = (score, (k2, boxes + (box,), free2, score[1]))
-        ranked = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))
-        frontier = [entry for _, (_, entry) in ranked[:_BEAM_WIDTH]]
-        for k2, _ in ranked[:_BEAM_WIDTH]:
-            seen.add(k2)
+        keys, sizes, depth, free = keys[live], sizes[live], depth[live], free[live]
+        boxes = [b for b, keep in zip(boxes, live) if keep]
+        # (F, M, L): every live node conjugated by every move
+        terms = keys[:, None]
+        window = (terms >> (shift + w + c) & 3) << 2 | terms >> (shift + c) & 3
+        new = (terms ^ delta[rows, window]
+               ^ negated[rows, window] * flip[terms & cmask])
+        sizes2 = sizes_of(new)
+        total2 = sizes2.sum(axis=-1)
+        ok = ((total2 < sizes.sum(axis=-1)[:, None])
+              & (sizes2 <= sizes[:, None]).all(axis=-1))
+        fi, mi = np.nonzero(ok)  # frontier-then-move order
+        cand_keys = new[fi, mi]
+        for lo, hi in spans:
+            cand_keys[:, lo:hi].sort(axis=1)
+        layer = np.maximum(free[fi, move_a[mi]], free[fi, move_a[mi] + 1]) + 1
+        depth2 = np.maximum(depth[fi], layer)
+        total2 = total2[fi, mi]
+        # per key the lowest depth, the first on a tie (total2 follows from
+        # the key); then the winners by (total2, depth, key)
+        order = np.lexsort((depth2, *cand_keys.T[::-1]))
+        ranked = cand_keys[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        won = order[first]
+        won = won[np.lexsort((*cand_keys[won].T[::-1], depth2[won], total2[won]))]
+        kept = []
+        for j in won:
+            row = cand_keys[j].tobytes()
+            if row not in seen:
+                seen.add(row)
+                kept.append(j)
+                if len(kept) == _BEAM_WIDTH:
+                    break
+        fk, mk = fi[kept], mi[kept]
+        keys, sizes, depth = cand_keys[kept], sizes2[fk, mk], depth2[kept]
+        free = free[fk]
+        free[np.arange(len(kept)), move_a[mk]] = layer[kept]
+        free[np.arange(len(kept)), move_a[mk] + 1] = layer[kept]
+        boxes = [boxes[f] + (moves[m],) for f, m in zip(fk.tolist(), mk.tolist())]
     if best is None:
         raise SynthesisError("box reduction failed for the given generators")
     return best[2]
@@ -996,8 +1046,10 @@ def pipeline_circuit(spec: LatticeSpec | None = None, t: float = 1.0,
     if spec.L != 3:
         raise ValueError(f"the pipeline's reference sequence is defined for "
                          f"L = 3, not L = {spec.L}")
+    # the Trotter part first: it checks order and steps before any synthesis
+    evolution = trotter_circuit(spec, t, order=order, steps=steps)
     circ = sc_prep_circuit(spec)
     circ += ansatz_circuit(spec)
     circ += fswap_circuit(spec, 0, 1)
-    circ += trotter_circuit(spec, t, order=order, steps=steps)
+    circ += evolution
     return circ

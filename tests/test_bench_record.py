@@ -21,6 +21,15 @@ _VALUES = {
 }
 
 
+# traced runs: (workload, side, seed) -> the values of LAYER_NAMES
+LAYER_NAMES = ("circuits.synthesis_s", "circuits.gates")
+_LAYERS = {
+    ("circuit", "parent", 1): (0.30, 1730), ("circuit", "parent", 2): (0.20, 1730),
+    ("circuit", "parent", 3): (0.40, 1730),
+    ("circuit", "change", 1): (0.10, 1730), ("circuit", "change", 2): (0.12, 1730),
+}
+
+
 def _git(repo: Path, *args: str) -> str:
     return subprocess.run(
         ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
@@ -42,11 +51,22 @@ def test_record_from_synthetic_logs(tmp_path):
         (runs / f"{workload}-{side}-{seed}.log").write_text(
             "warm-up chatter\n" + json.dumps(result) + "\n", encoding="utf-8")
 
+    traced = tmp_path / "traced"
+    traced.mkdir()
+    for (workload, side, seed), values in _LAYERS.items():
+        result = {"attempted": 4, "failed": 0,
+                  "metrics": {name: {"value": v, "unit": "s"}
+                              for name, v in zip(LAYER_NAMES, values)}}
+        (traced / f"{workload}-{side}-{seed}.log").write_text(
+            "circuits.synthesis_s  0.1 s\n" + json.dumps(result) + "\n",
+            encoding="utf-8")
+
     out = tmp_path / "BENCH_0.json"
     env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_record.py"), str(out),
-         "--runs", str(runs), "--parent", "HEAD", "--tier1", "30.5", "29.0"],
+         "--runs", str(runs), "--parent", "HEAD", "--tier1", "30.5", "29.0",
+         "--trace-runs", str(traced)],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text(encoding="utf-8"))
@@ -70,3 +90,10 @@ def test_record_from_synthetic_logs(tmp_path):
         assert entry["median_change"] == 2.5 / 3.0 - 1.0
         assert circuit[metric]["change_better_pairs"] == 0
         assert circuit[metric]["change"]["median"] == 1.25
+    # each side's median over its own traced runs; a workload without traced
+    # runs has no block
+    assert circuit["layers"] == {
+        "circuits.gates": {"parent": 1730, "change": 1730},
+        "circuits.synthesis_s": {"parent": 0.30, "change": 0.11}}
+    assert "layers" not in ground
+    assert record["layers_command"].endswith("--trace 1")

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -256,6 +258,17 @@ def test_trotter_circuit_names_its_step_limit():
         trotter_circuit(spec_for(1, (0,)), 1.0, steps=1001)
 
 
+@pytest.mark.parametrize("steps,message", [(0, "steps must be positive"),
+                                           (1001, "steps must be at most 1000")])
+def test_pipeline_rejects_steps_before_synthesizing(monkeypatch, steps, message):
+    def no_search(key, w):
+        raise AssertionError("synthesis ran before steps was checked")
+
+    monkeypatch.setattr(circuits_module, "_search_reduction", no_search)
+    with pytest.raises(ValueError, match=message):
+        pipeline_circuit(spec_for(3, (0,)), steps=steps)
+
+
 def test_ghz_measurement_basis_diagonalizes_groups():
     from su2lgt.observables import energy_loss_estimator
 
@@ -454,6 +467,68 @@ def test_box_search_reduces_drawn_generators(drawn):
     oracle = expm(-1j * sum(lam * _as_sum(w, g).to_dense()
                             for g, lam in zip(gens, lams)))
     assert np.max(np.abs(circ.unitary() - oracle)) < 1e-10
+
+
+def _drawn_search_keys(count, seed):
+    """(w, `_canon` key) pairs drawn as `scrambled_generators` draws them, from
+    a seeded generator: one to three commuting R-box generators on w <= 8
+    qubits, each conjugated by the same one to five drawn boxes."""
+    rng = random.Random(seed)
+    keys = []
+    while len(keys) < count:
+        w = rng.randint(2, 8)
+        gens = [_rbox_generator(w, rng.choice(circuits_module._RBOX_KINDS),
+                                rng.randint(0, w - 2),
+                                rng.choice([-1.0, -0.25, 0.5, 0.75]))
+                for _ in range(rng.randint(1, 3))]
+        dense = [_as_sum(w, g).to_dense() for g in gens]
+        if not all(np.allclose(p @ q, q @ p)
+                   for p, q in itertools.combinations(dense, 2)):
+            continue
+        for _ in range(rng.randint(1, 5)):
+            box = circuits_module._Box(rng.choice(circuits_module._RBOX_KINDS),
+                                       rng.choice([1, -1]), rng.randint(0, w - 2))
+            gens = _box_conjugates(w, gens, box)
+        keys.append((w, circuits_module._canon(gens)))
+    return keys
+
+
+def test_box_search_answers_are_pinned_on_a_drawn_corpus():
+    # sha256 of the answers (boxes as (kind, sign, a), or "SynthesisError")
+    # for 200 drawn keys, taken from the search that expanded one node and
+    # one move at a time: ranking and tie-breaks beyond the pipeline's keys
+    answers = []
+    for w, key in _drawn_search_keys(200, seed=21):
+        try:
+            boxes = circuits_module._search_reduction.__wrapped__(key, w)
+        except circuits_module.SynthesisError:
+            answers.append("SynthesisError")
+        else:
+            answers.append(tuple((b.kind, b.sign, b.a) for b in boxes))
+    assert 0 < answers.count("SynthesisError") < len(answers)
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+        "8107f8cf65c4e2fb69a1128a40c80ccc8593240aeaea87f295dcd6f225701206")
+
+
+def _labelled_generator(*labels):
+    return tuple((p.x, p.z, complex(c)) for p, c in
+                 ((PauliString.from_label(label), c) for label, c in labels))
+
+
+@pytest.mark.parametrize("gens", [
+    [_labelled_generator(("XZZX", 1.0))],
+    [_labelled_generator(("XXII", 0.5), ("YYII", 0.5), ("ZZII", -1.0))],
+    # ragged: a reducible 2-term generator beside a 3-term one
+    [_labelled_generator(("IIXX", 0.5), ("IIYY", 0.5)),
+     _labelled_generator(("XXII", 0.5), ("YYII", 0.5), ("ZZII", 0.25))],
+], ids=["one-term", "three-term", "ragged"])
+def test_box_search_fails_on_generators_that_are_not_term_pairs(gens):
+    # scrambled by one box, so the search expands levels before it gives up
+    gens = _box_conjugates(4, gens, circuits_module._Box("XY-", 1, 1))
+    with pytest.raises(circuits_module.SynthesisError,
+                       match="box reduction failed"):
+        circuits_module._search_reduction.__wrapped__(
+            circuits_module._canon(gens), 4)
 
 
 @st.composite

@@ -14,6 +14,10 @@ change staged:
 
     python3 tools/bench_record.py BENCH_6.json --runs RUNDIR --parent fff7009 \\
         --tier1 182.9 142.8
+
+With --trace-runs TRACEDIR, whose <workload>-<side>-<seed>.log files hold the
+output of the same command with `--trace 1`, each workload also gets a
+`layers` block: for every per-layer metric, each side's median over its runs.
 """
 from __future__ import annotations
 
@@ -61,6 +65,8 @@ def main() -> None:
     ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--tier1", type=float, nargs=2, metavar=("PARENT_S", "CHANGE_S"),
                     help="tier-1 test wall times on the same machine")
+    ap.add_argument("--trace-runs", type=pathlib.Path,
+                    help="logs of the same runs with --trace 1")
     args = ap.parse_args()
 
     workloads = {}
@@ -82,6 +88,14 @@ def main() -> None:
                   f"({entry[metric]['median_change']:+.1%}, better in "
                   f"{entry[metric]['change_better_pairs']}/{len(seeds)} pairs)")
         workloads[workload] = entry
+    traced = _load(args.trace_runs) if args.trace_runs else {}
+    for workload, sides in sorted(traced.items()):
+        names = sorted({name for runs in sides.values() for r in runs.values()
+                        for name in r["metrics"]})
+        workloads.setdefault(workload, {})["layers"] = {
+            name: {s: statistics.median(r["metrics"][name]["value"]
+                                        for r in sides[s].values()) for s in SIDES}
+            for name in names}
 
     record = {
         "parent": {"commit": _git("rev-parse", args.parent),
@@ -90,6 +104,8 @@ def main() -> None:
         "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                     "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
         "command": "python3 benchmark/run.py --workload W --seed N --seconds 10 --trace 0",
+        "layers_command": ("python3 benchmark/run.py --workload W --seed N --seconds 10 "
+                           "--trace 1" if args.trace_runs else None),
         "workloads": workloads,
         "tier1_wall_s": dict(zip(SIDES, args.tier1)) if args.tier1 else None,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, Sector, StateVector, exp_chain_apply
+from .pauli import PauliSum, Sector, StateVector, exp_chain_apply
 from .reference import STAGED
 
 
@@ -37,31 +37,24 @@ _BARYON_NZ = {0: 0, 1: 2, 2: 6}
 
 def meson_operator(spec: LatticeSpec, d: int, x: int) -> PauliSum:
     """O_Md starting on spatial site x (two color components)."""
-    nq = spec.n_qubits
-    nz = d * d + d + 1
-    out = PauliSum.zero(nq)
-    for c in range(2):
-        j0 = 6 * x + _MESON_START[d] + c
-        j1 = j0 + nz + 1
-        zs = {j: "Z" for j in range(j0 + 1, j1)}
-        out = out + PauliSum(nq, [
-            PauliString.from_ops(nq, {j0: "X", **zs, j1: "Y"}, _MESON_SIGN[d]),
-            PauliString.from_ops(nq, {j0: "Y", **zs, j1: "X"}, -_MESON_SIGN[d]),
-        ])
-    return out
+    span = d * d + d + 2  # from the first X/Y to the second, d^2 + d + 1 Z's between
+    products = []
+    for j0 in (6 * x + _MESON_START[d] + c for c in range(2)):
+        zs = {j: "Z" for j in range(j0 + 1, j0 + span)}
+        products += [({j0: "X", **zs, j0 + span: "Y"}, _MESON_SIGN[d]),
+                     ({j0: "Y", **zs, j0 + span: "X"}, -_MESON_SIGN[d])]
+    return PauliSum.from_products(spec.n_qubits, products)
 
 
 def baryon_operator(spec: LatticeSpec, d: int, x: int) -> PauliSum:
     """O_Bd starting on spatial site x: pref*(s+ s+ Z^k s- s- - h.c.)."""
-    from .hamiltonian import sigma_pm, z_op
+    from .hamiltonian import _sigma
 
-    nq = spec.n_qubits
     j0 = 6 * x + _BARYON_START[d]
     k = _BARYON_NZ[d]
-    term = sigma_pm(nq, j0, +1) * sigma_pm(nq, j0 + 1, +1)
-    for j in range(j0 + 2, j0 + 2 + k):
-        term = term * z_op(nq, j)
-    term = term * sigma_pm(nq, j0 + 2 + k, -1) * sigma_pm(nq, j0 + 3 + k, -1)
+    term = PauliSum.from_products(spec.n_qubits, [({
+        j0: _sigma(+1), j0 + 1: _sigma(+1), **{j: "Z" for j in range(j0 + 2, j0 + 2 + k)},
+        j0 + 2 + k: _sigma(-1), j0 + 3 + k: _sigma(-1)}, 1.0)])
     return _BARYON_PREF[d] * (term - term.adjoint())
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import TrotterFactor, trotter_schedule
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, StateVector, _bit, apply_unitary_on
+from .pauli import PauliString, PauliSum, StateVector, _bit, _qubits, apply_unitary_on
 
 # ---------------------------------------------------------------------------
 # circuit IR
@@ -436,18 +436,14 @@ _BOX_TABLES = {(kind, sign): _clifford_table(rbox(kind, sign * math.pi / 2.0,
                for kind in _RBOX_KINDS for sign in (1, -1)}
 
 
-def _terms_of(op: PauliSum) -> tuple:
-    return tuple((t.x, t.z, t.coeff) for t in op.terms())
-
-
 def clifford_conjugate(gates, op: PauliSum) -> PauliSum:
     """U op U^dag for U the product of the gates in circuit (time) order."""
-    terms = _terms_of(op)
+    terms = tuple(zip(op.x.tolist(), op.z.tolist(), op.c.tolist()))
     for g in gates:
         if g.kind not in _GATE_TABLES:
             raise ValueError(f"gate {g.kind!r} is not Clifford")
         terms = _conjugate(terms, _GATE_TABLES[g.kind], g.qubits, op.n)
-    return PauliSum(op.n, [PauliString(op.n, x, z, c) for x, z, c in terms])
+    return PauliSum.from_arrays(op.n, *zip(*terms)) if terms else PauliSum(op.n)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +641,7 @@ def _localize(gens: list[tuple], n: int) -> tuple[list[tuple], int, int]:
     mask = 0
     for g in gens:
         mask |= _support_mask(g)
-    supp = [j for j in range(n) if mask & _bit(n, j)]
+    supp = _qubits(n, mask)
     off, w = supp[0], supp[-1] - supp[0] + 1
     shift = n - off - w
     local = [tuple((x >> shift, z >> shift, c) for x, z, c in g) for g in gens]
@@ -656,7 +652,7 @@ def _rotation_block(n: int, gens_lams: list[tuple[PauliSum, float]]) -> Circuit:
     """Circuit for prod_k exp(-i lam_k gen_k) where the generators pairwise
     commute; connected support components are synthesized independently."""
     circ = Circuit(n)
-    gens = [_terms_of(g) for g, _ in gens_lams]
+    gens = [tuple(zip(g.x.tolist(), g.z.tolist(), g.c.tolist())) for g, _ in gens_lams]
     remaining = list(range(len(gens_lams)))
     comps: list[list[int]] = []
     masks = [_support_mask(g) for g in gens]
@@ -789,15 +785,16 @@ def _diagonal_block(n: int, wires: tuple[int, ...], local_gates, op: PauliSum,
     g_circ = Circuit(n, _mapped_gates(local_gates, tuple(wires)))
     phase = 0.0
     subsets: dict[frozenset, float] = {}
-    for t in clifford_conjugate(g_circ.inverse().gates, op).terms():
-        if t.x != 0:
+    diag = clifford_conjugate(g_circ.inverse().gates, op)
+    for x, z, coeff in zip(diag.x.tolist(), diag.z.tolist(), diag.c.tolist()):
+        if x != 0:
             raise SynthesisError("operator does not diagonalize under the Clifford")
-        if abs(t.coeff.imag) > 1e-10:
+        if abs(coeff.imag) > 1e-10:
             raise SynthesisError("non-Hermitian diagonal coefficient")
-        if t.z:
-            subsets[frozenset(t.support())] = t.coeff.real
+        if z:
+            subsets[frozenset(_qubits(n, z))] = coeff.real
         else:
-            phase += -lam * t.coeff.real
+            phase += -lam * coeff.real
     circ = Circuit(n, phase=phase)
     circ += g_circ.inverse()
     circ += _diagonal_walk(n, subsets, lam, wires)
@@ -854,11 +851,9 @@ def meson_circuit(spec: LatticeSpec, d: int, x: int, theta: float) -> Circuit:
 
     _check_layer_site(spec, d, x, (0, 1, 2))
     op = meson_operator(spec, d, x)
-    by_start: dict[int, list[PauliString]] = {}
-    for t in op.terms():
-        by_start.setdefault(min(t.support()), []).append(t)
-    gens = [(PauliSum(spec.n_qubits, ts), theta)
-            for _, ts in sorted(by_start.items())]
+    # grouped by the first qubit of each string, whose bit is the highest
+    top = np.array([m.bit_length() for m in (op.x | op.z).tolist()])
+    gens = [(op[top == b], theta) for b in sorted(set(top.tolist()), reverse=True)]
     return _rotation_block(spec.n_qubits, gens)
 
 
@@ -930,18 +925,14 @@ def fswap_circuit(spec: LatticeSpec, x_from: int, x_to: int) -> Circuit:
     circ = Circuit(n)
     for c in range(spec.Nc):
         gen = _fswap_generator(spec, x, c)
-        strings, singles = [], []
-        for t in gen.terms():
-            if t.x:
-                strings.append(t)
-            elif t.z:
-                singles.append(t)
+        string_gens.append((gen[gen.x != 0], lam))
+        diag = gen[gen.x == 0]
+        for z, coeff in zip(diag.z.tolist(), diag.c.real.tolist()):
+            if z:
+                (j,) = _qubits(n, z)
+                circ.add("rz", j, param=2.0 * lam * coeff)
             else:
-                circ.phase += -lam * t.coeff.real
-        string_gens.append((PauliSum(n, strings), lam))
-        for t in singles:
-            (j,) = t.support()
-            circ.add("rz", j, param=2.0 * lam * t.coeff.real)
+                circ.phase += -lam * coeff
     circ += _rotation_block(n, string_gens)
     return circ
 
@@ -954,22 +945,19 @@ def _factor_circuit(n: int, factor: TrotterFactor, t: float) -> Circuit:
     """Gates for one dynamics.TrotterFactor of a step of size t."""
     lam = factor.fraction * t
     gen = factor.generator
+    supports = gen.x | gen.z
     if factor.kind == "kinetic":
-        by_supp: dict[tuple, list[PauliString]] = {}
-        for s in gen.terms():
-            by_supp.setdefault(tuple(s.support()), []).append(s)
-        return _rotation_block(n, [(PauliSum(n, ts), lam)
-                                   for _, ts in sorted(by_supp.items())])
+        # grouped by support, in the order of the supports' qubit lists
+        masks = sorted(set(supports.tolist()), key=lambda m: _qubits(n, m))
+        return _rotation_block(n, [(gen[supports == m], lam) for m in masks])
     if factor.kind == "pair":
-        mask = _support_mask(_terms_of(gen))
-        wires = tuple(j for j in range(n) if mask & _bit(n, j))
+        wires = tuple(_qubits(n, int(np.bitwise_or.reduce(supports))))
         return _diagonal_block(n, wires, _PAIR_DIAG_LOCAL, gen, lam)
     circ = Circuit(n)
-    for s in gen.terms():
-        if s.x != 0:
+    for x, z, coeff in zip(gen.x.tolist(), gen.z.tolist(), gen.c.real.tolist()):
+        if x != 0:
             raise SynthesisError("unexpected off-diagonal term in the diagonal block")
-        supp = s.support()
-        coeff = s.coeff.real
+        supp = _qubits(n, z)
         if not supp:
             circ.phase += -lam * coeff
         elif len(supp) == 1:

@@ -204,7 +204,7 @@ def cmd_hamiltonian(cfg: dict) -> int:
     terms = build_hamiltonian(spec, symmetric_gauge=bool(cfg.get("symmetric_gauge")))
     pieces = {}
     for name, op in terms.as_dict().items():
-        entry = {"n_terms": len(op.terms())}
+        entry = {"n_terms": len(op)}
         if cfg.get("terms"):
             entry["terms"] = op.to_text().splitlines()
         pieces[name] = entry

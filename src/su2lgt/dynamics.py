@@ -28,21 +28,13 @@ def _fswap_generator(spec: LatticeSpec, x: int, c: int) -> PauliSum:
     exp(-i (pi/4) G) with G = -(X Z^5 X) - (Y Z^5 Y) + Z_r + Z_l - 2I, the
     signs absorbing the five (-Z) factors along the Jordan-Wigner string.
     """
-    nq = spec.n_qubits
     jl = spec.fermion_index(3 * x, c)
     jr = spec.fermion_index(3 * (x + 1), c)
-    n_between = jr - jl - 1
-    string_sign = -1.0 if n_between % 2 else 1.0
-    terms = []
-    for p in ("X", "Y"):
-        ops = {jl: p, jr: p}
-        for k in range(jl + 1, jr):
-            ops[k] = "Z"
-        terms.append(PauliString.from_ops(nq, ops, string_sign))
-    terms.append(PauliString.from_ops(nq, {jr: "Z"}))
-    terms.append(PauliString.from_ops(nq, {jl: "Z"}))
-    terms.append(PauliString.from_ops(nq, {}, -2.0))
-    return PauliSum(nq, terms)
+    string_sign = -1.0 if (jr - jl - 1) % 2 else 1.0
+    zs = {k: "Z" for k in range(jl + 1, jr)}
+    return PauliSum.from_products(spec.n_qubits, [
+        ({jl: p, **zs, jr: p}, string_sign) for p in "XY"] + [
+        ({jr: "Z"}, 1.0), ({jl: "Z"}, 1.0), ({}, -2.0)])
 
 
 def fswap_move(state: StateVector, spec: LatticeSpec, x_from: int,
@@ -170,9 +162,8 @@ def trotter_schedule(spec: LatticeSpec, order: int = 2) -> tuple[TrotterFactor, 
             for m in sites[i + 1:]:
                 key = (n, m)
                 pair_weight[key] = pair_weight.get(key, 0.0) + 2.0 * half_g2
-    singles = [t for t in diag_sum.terms() if len(t.support()) == 1]
-    rest = [t for t in diag_sum.terms() if len(t.support()) != 1]
-    half_singles = TrotterFactor("diagonal", PauliSum(spec.n_qubits, singles), 0.5)
+    single = np.bitwise_count(diag_sum.x | diag_sum.z) == 1
+    half_singles = TrotterFactor("diagonal", diag_sum[single], 0.5)
 
     def pair(p, fraction):
         return TrotterFactor("pair", pair_weight[p] * charge_cross(spec, *p), fraction)
@@ -181,7 +172,7 @@ def trotter_schedule(spec: LatticeSpec, order: int = 2) -> tuple[TrotterFactor, 
     pairs = [pair(p, 0.5) for r in rounds[:-1] for p in r]
     pairs += [pair(p, 1.0) for r in rounds[-1:] for p in r]
     pairs += [pair(p, 0.5) for r in reversed(rounds[:-1]) for p in reversed(r)]
-    mass_gauge = [TrotterFactor("diagonal", PauliSum(spec.n_qubits, rest), 1.0),
+    mass_gauge = [TrotterFactor("diagonal", diag_sum[~single], 1.0),
                   half_singles, *pairs, half_singles]
     if order == 1:
         return (TrotterFactor("kinetic", inter, 1.0),

@@ -16,19 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum
+from .pauli import PauliSum
+
+
+def _sigma(sign: int) -> tuple:
+    """The one-qubit terms of sigma^+ (sign=+1) or sigma^- (sign=-1)."""
+    return (("X", 0.5), ("Y", 0.5j * sign))
 
 
 def sigma_pm(n_qubits: int, j: int, sign: int) -> PauliSum:
     """sigma^+ (sign=+1) or sigma^- (sign=-1) on qubit j: (X +- iY)/2."""
-    return PauliSum(n_qubits, [
-        PauliString.from_ops(n_qubits, {j: "X"}, 0.5),
-        PauliString.from_ops(n_qubits, {j: "Y"}, 0.5j * sign),
-    ])
-
-
-def z_op(n_qubits: int, j: int, coeff: complex = 1.0) -> PauliSum:
-    return PauliSum(n_qubits, [PauliString.from_ops(n_qubits, {j: "Z"}, coeff)])
+    return PauliSum.from_products(n_qubits, [({j: _sigma(sign)}, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -53,66 +51,55 @@ def charge_op(spec: LatticeSpec, n: int, a: int) -> ChargeOperator:
     elif a == 2:
         q = -0.5j * (up0dn1 - dn0up1)
     else:
-        q = 0.25 * (z_op(nq, j0) - z_op(nq, j1))
+        q = PauliSum.from_products(nq, [({j0: "Z"}, 0.25), ({j1: "Z"}, -0.25)])
     return ChargeOperator(n, a, q)
+
+
+def _square_products(spec: LatticeSpec, n: int) -> list:
+    """The (factors, coeff) products of sum_a Q_n^(a) Q_n^(a), general Nc."""
+    Nc, qubits = spec.Nc, spec.qubits_of(n)
+    return [({}, (Nc * Nc - 1) / 8.0)] + [
+        ({qubits[c]: "Z", qubits[cp]: "Z"}, -(1.0 + 1.0 / Nc) / 4.0)
+        for c in range(Nc - 1) for cp in range(c + 1, Nc)]
+
+
+def _hop(i0: int, i1: int, sign: int, z="Z") -> dict:
+    """The one-qubit factors of sigma^{sign}_{i0} (prod z between)
+    sigma^{-sign}_{i1}."""
+    return {i0: _sigma(sign), **{j: z for j in range(i0 + 1, i1)}, i1: _sigma(-sign)}
+
+
+def _cross_products(spec: LatticeSpec, n: int, m: int, weight: float = 1.0) -> list:
+    """The products of weight * sum_a Q_n^(a) Q_m^(a) for distinct staggered
+    sites, general Nc: each hop-hop product and its adjoint at weight / 2,
+    then the ZZ terms."""
+    if n == m:
+        raise ValueError("use charge_square for coincident sites")
+    Nc, qn, qm = spec.Nc, spec.qubits_of(n), spec.qubits_of(m)
+    return [({**_hop(qn[c], qn[cp], sign), **_hop(qm[c], qm[cp], -sign)}, weight * 0.5)
+            for c in range(Nc - 1) for cp in range(c + 1, Nc) for sign in (+1, -1)] + [
+        ({qn[c]: "Z", qm[cp]: "Z"}, weight * (((1.0 if c == cp else 0.0) - 1.0 / Nc) / 8.0))
+        for c in range(Nc) for cp in range(Nc)]
 
 
 def charge_square(spec: LatticeSpec, n: int) -> PauliSum:
     """sum_a Q_n^(a) Q_n^(a), expanded for general Nc."""
-    nq, Nc = spec.n_qubits, spec.Nc
-    out = PauliSum.identity(nq, (Nc * Nc - 1) / 8.0)
-    for c in range(Nc - 1):
-        for cp in range(c + 1, Nc):
-            out = out - (1.0 + 1.0 / Nc) / 4.0 * PauliSum(nq, [
-                PauliString.from_ops(nq, {spec.fermion_index(n, c): "Z",
-                                          spec.fermion_index(n, cp): "Z"})])
-    return out
-
-
-def _hop_string(spec: LatticeSpec, n: int, c: int, cp: int, sign: int) -> PauliSum:
-    """sigma^{sign}_{i(n,c)} (prod Z between) sigma^{-sign}_{i(n,c')}."""
-    nq = spec.n_qubits
-    i0 = spec.fermion_index(n, c)
-    out = sigma_pm(nq, i0, sign)
-    for k in range(1, cp - c):
-        out = out * z_op(nq, i0 + k)
-    return out * sigma_pm(nq, spec.fermion_index(n, cp), -sign)
-
-
-def charge_cross_offdiag(spec: LatticeSpec, n: int, m: int) -> PauliSum:
-    """Off-diagonal (hop-hop) part of sum_a Q_n^(a) Q_m^(a)."""
-    nq, Nc = spec.n_qubits, spec.Nc
-    out = PauliSum.zero(nq)
-    for c in range(Nc - 1):
-        for cp in range(c + 1, Nc):
-            hop = _hop_string(spec, n, c, cp, +1) * _hop_string(spec, m, c, cp, -1)
-            out = out + 0.5 * (hop + hop.adjoint())
-    return out
+    return PauliSum.from_products(spec.n_qubits, _square_products(spec, n))
 
 
 def charge_cross(spec: LatticeSpec, n: int, m: int) -> PauliSum:
     """sum_a Q_n^(a) Q_m^(a) for distinct staggered sites, general Nc."""
-    if n == m:
-        raise ValueError("use charge_square for coincident sites")
-    nq, Nc = spec.n_qubits, spec.Nc
-    out = charge_cross_offdiag(spec, n, m)
-    for c in range(Nc):
-        for cp in range(Nc):
-            w = ((1.0 if c == cp else 0.0) - 1.0 / Nc) / 8.0
-            out = out + w * PauliSum(nq, [
-                PauliString.from_ops(nq, {spec.fermion_index(n, c): "Z",
-                                          spec.fermion_index(m, cp): "Z"})])
-    return out
+    return PauliSum.from_products(spec.n_qubits, _cross_products(spec, n, m))
 
 
 def _charge_set_square(spec: LatticeSpec, sites: list[int]) -> PauliSum:
-    """sum_a (sum_{n in sites} Q_n^(a))^2, fully expanded."""
-    out = PauliSum.zero(spec.n_qubits)
+    """sum_a (sum_{n in sites} Q_n^(a))^2, fully expanded, in one merge."""
+    products = []
     for i, n in enumerate(sites):
-        out = out + charge_square(spec, n)
+        products += _square_products(spec, n)
         for m in sites[i + 1:]:
-            out = out + 2.0 * charge_cross(spec, n, m)
-    return out
+            products += _cross_products(spec, n, m, 2.0)
+    return PauliSum.from_products(spec.n_qubits, products)
 
 
 def build_kinetic_parts(spec: LatticeSpec) -> tuple[PauliSum, PauliSum]:
@@ -121,27 +108,20 @@ def build_kinetic_parts(spec: LatticeSpec) -> tuple[PauliSum, PauliSum]:
     The strings within each piece are mutually commuting, which the
     Trotterized evolution exploits.
     """
-    nq, Nc = spec.n_qubits, spec.Nc
-    intra = PauliSum.zero(nq)
-    inter = PauliSum.zero(nq)
-    for x in range(spec.L):
-        for c in range(Nc):
-            # quark -> antiquark on the same spatial site, Nc-1 (-Z)'s between
-            i0 = spec.fermion_index(3 * x + 1, c)
-            hop = sigma_pm(nq, i0, +1)
-            for k in range(1, Nc):
-                hop = hop * (-1.0 * z_op(nq, i0 + k))
-            hop = hop * sigma_pm(nq, i0 + Nc, -1)
-            intra = intra + 0.5 * (hop + hop.adjoint())
-    for x in range(spec.L - 1):
-        for c in range(Nc):
-            # antiquark -> next-site quark, 2Nc-1 (-Z)'s crossing the heavy pair
-            i0 = spec.fermion_index(3 * x + 2, c)
-            hop = sigma_pm(nq, i0, +1)
-            for k in range(1, 2 * Nc):
-                hop = hop * (-1.0 * z_op(nq, i0 + k))
-            hop = hop * sigma_pm(nq, i0 + 2 * Nc, -1)
-            inter = inter + 0.5 * (hop + hop.adjoint())
+    Nc = spec.Nc
+
+    def hops(n, width):
+        # sigma^{+-} (-Z)^(width - 1) sigma^{-+} from each color of site n,
+        # the hop and its adjoint at weight 1/2
+        return [(_hop(i0, i0 + width, sign, (("Z", -1.0),)), 0.5)
+                for i0 in spec.qubits_of(n) for sign in (+1, -1)]
+
+    # quark -> antiquark on the same spatial site, Nc-1 (-Z)'s between;
+    # antiquark -> next-site quark, 2Nc-1 (-Z)'s crossing the heavy pair
+    intra = PauliSum.from_products(spec.n_qubits, [
+        p for x in range(spec.L) for p in hops(3 * x + 1, Nc)])
+    inter = PauliSum.from_products(spec.n_qubits, [
+        p for x in range(spec.L - 1) for p in hops(3 * x + 2, 2 * Nc)])
     return intra, inter
 
 
@@ -152,15 +132,14 @@ def build_kinetic(spec: LatticeSpec) -> PauliSum:
 
 def build_mass(spec: LatticeSpec) -> PauliSum:
     """Staggered mass term with identity contributions dropped."""
-    nq = spec.n_qubits
-    out = PauliSum.zero(nq)
+    products = []
     for x in range(spec.L):
         for c in range(spec.Nc):
             if spec.mQ != 0.0:
-                out = out + z_op(nq, spec.fermion_index(3 * x, c), spec.mQ / 2.0)
-            out = out + z_op(nq, spec.fermion_index(3 * x + 1, c), spec.mq / 2.0)
-            out = out - z_op(nq, spec.fermion_index(3 * x + 2, c), spec.mq / 2.0)
-    return out
+                products.append(({spec.fermion_index(3 * x, c): "Z"}, spec.mQ / 2.0))
+            products.append(({spec.fermion_index(3 * x + 1, c): "Z"}, spec.mq / 2.0))
+            products.append(({spec.fermion_index(3 * x + 2, c): "Z"}, -(spec.mq / 2.0)))
+    return PauliSum.from_products(spec.n_qubits, products)
 
 
 def mass_offset(spec: LatticeSpec) -> float:

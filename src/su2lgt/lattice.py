@@ -41,6 +41,9 @@ class LatticeSpec:
             raise ValueError("lambda2 must be non-negative")
         if not self.heavy_positions <= set(range(self.L)):
             raise ValueError("heavy_positions must lie in {0..L-1}")
+        if self.n_qubits > 63:  # a Pauli term's masks are int64
+            raise ValueError(f"L = {self.L} needs {self.n_qubits} qubits; "
+                             f"Pauli operators hold at most 63")
 
     # -- derived sizes ------------------------------------------------
     @property

@@ -12,7 +12,7 @@ import numpy as np
 from .circuits import clifford_conjugate, ghz_evolution_circuit
 from .hamiltonian import charge_cross, charge_square
 from .lattice import LatticeSpec
-from .pauli import (PauliString, PauliSum, StateVector, _bit, _sign_vector,
+from .pauli import (PauliSum, StateVector, _bit, _sign_vector,
                     apply_unitary_on, partial_trace)
 
 _EIG_CLIP = 1e-14
@@ -65,7 +65,7 @@ def four_tangle(state: StateVector, spec: LatticeSpec, x_q: int, x: int,
                 flavor: str = "quark") -> float:
     """|<psi| Y_Qr Y_Qg Y_fr Y_fg |psi*>|^2 on the full register."""
     qubits = list(spec.qubits_of(3 * x_q)) + _flavor_qubits(spec, x, flavor)
-    ys = PauliSum(state.n, [PauliString.from_ops(state.n, {j: "Y" for j in qubits})])
+    ys = PauliSum.from_products(state.n, [({j: "Y" for j in qubits}, 1.0)])
     rotated = ys.apply(StateVector(state.amps.conj(), normalized=False))
     return float(abs(np.vdot(state.amps, rotated.amps)) ** 2)
 
@@ -240,9 +240,8 @@ class EstimatorGroup:
 
     def as_pauli_sum(self, n: int) -> PauliSum:
         """O^dagger (C . P) O as an operator on the full register."""
-        op = PauliSum(n, [
-            PauliString.from_ops(n, dict(zip(self.qubits, label)), coeff)
-            for label, coeff in zip(self.paulis, self.coeffs)])
+        op = PauliSum.from_products(n, [(dict(zip(self.qubits, label)), coeff)
+                                        for label, coeff in zip(self.paulis, self.coeffs)])
         if not self.ghz:
             return op
         return clifford_conjugate(ghz_evolution_circuit(self.qubits, n).gates, op)
@@ -341,10 +340,7 @@ def depolarized(true_value: float, survival: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _trotter_groups(h: PauliSum):
-    groups: dict[int, list[PauliString]] = {}
-    for t in h.terms():
-        groups.setdefault(t.x, []).append(t)
-    return [PauliSum(h.n, groups[x]) for x in sorted(groups)]
+    return [h[h.x == x] for x in np.unique(h.x)]
 
 
 def _apply_split_evolution(h: PauliSum, t: float, s: StateVector) -> StateVector:

@@ -18,15 +18,47 @@ from __future__ import annotations
 
 import numpy as np
 
-_LETTERS = "IXYZ"
-
 
 def _bit(n_qubits: int, j: int) -> int:
     """Mask bit for qubit j (qubit 0 = most significant bit)."""
     return 1 << (n_qubits - 1 - j)
 
 
-_popcount = int.bit_count
+def _qubits(n_qubits: int, mask: int) -> list[int]:
+    """The qubits whose bits mask sets, in ascending order."""
+    return [j for j in range(n_qubits) if mask & _bit(n_qubits, j)]
+
+
+# the (X, Z) bits of each letter
+_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+# i^k for k = 0..3, then -i^k: the bits of Python's 1j ** k and -(1j ** k)
+_PHASES = np.array([1j ** k for k in range(4)] + [-(1j ** k) for k in range(4)])
+
+
+def _masks(n_qubits: int, ops) -> tuple[int, int]:
+    """The X- and Z-masks of the (qubit, letter) pairs ops."""
+    x = z = 0
+    for j, ch in ops:
+        if not 0 <= j < n_qubits:
+            raise IndexError(f"qubit {j} outside register of size {n_qubits}")
+        if ch.upper() not in _MASKS:
+            raise ValueError(f"bad Pauli letter {ch!r}")
+        bx, bz = _MASKS[ch.upper()]
+        x |= bx * _bit(n_qubits, j)
+        z |= bz * _bit(n_qubits, j)
+    return x, z
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise as (ar br - ai bi) + i (ar bi + ai br) with each
+    product rounded on its own, the bits of Python's complex product (numpy's
+    complex multiply may fuse a product into the sum)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
@@ -53,70 +85,29 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliString":
         """Build from a letter string like 'XIZY' (qubit 0 first)."""
-        n = len(label)
-        x = z = 0
-        for j, ch in enumerate(label.upper()):
-            b = _bit(n, j)
-            if ch == "X":
-                x |= b
-            elif ch == "Y":
-                x |= b
-                z |= b
-            elif ch == "Z":
-                z |= b
-            elif ch != "I":
-                raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(n, x, z, coeff)
+        return cls(len(label), *_masks(len(label), enumerate(label)), coeff)
 
     @classmethod
     def from_ops(cls, n: int, ops: dict[int, str], coeff: complex = 1.0) -> "PauliString":
         """Build from {qubit: letter}; unlisted qubits are identity."""
-        label = ["I"] * n
-        for j, ch in ops.items():
-            if not 0 <= j < n:
-                raise IndexError(f"qubit {j} outside register of size {n}")
-            label[j] = ch
-        return cls.from_label("".join(label), coeff)
+        return cls(n, *_masks(n, ops.items()), coeff)
 
     # -- basic queries ------------------------------------------------
     def letter(self, j: int) -> str:
         b = _bit(self.n, j)
-        return _LETTERS[(1 if self.x & b else 0) + (3 if self.z & b else 0) - (2 if self.x & b and self.z & b else 0)]
+        return "IXZY"[bool(self.x & b) + 2 * bool(self.z & b)]
 
     def label(self) -> str:
         return "".join(self.letter(j) for j in range(self.n))
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.x, self.z)
-
     def support(self) -> list[int]:
-        m = self.x | self.z
-        return [j for j in range(self.n) if m & _bit(self.n, j)]
-
-    # -- algebra ------------------------------------------------------
-    def __mul__(self, other):
-        if isinstance(other, PauliString):
-            if self.n != other.n:
-                raise ValueError("register size mismatch")
-            x, z = self.x ^ other.x, self.z ^ other.z
-            y1, y2, y12 = _popcount(self.x & self.z), _popcount(other.x & other.z), _popcount(x & z)
-            phase = 1j ** ((y1 + y2 - y12) % 4)
-            if _popcount(self.z & other.x) % 2:
-                phase = -phase
-            return PauliString(self.n, x, z, self.coeff * other.coeff * phase)
-        return PauliString(self.n, self.x, self.z, self.coeff * other)
-
-    __rmul__ = __mul__
-
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, self.coeff.conjugate())
+        return _qubits(self.n, self.x | self.z)
 
     def to_dense(self) -> np.ndarray:
         if self.n > 12:
             raise ValueError("dense matrix limited to 12 qubits")
         dim = 1 << self.n
-        c = self.coeff * 1j ** (_popcount(self.x & self.z) % 4)
+        c = self.coeff * 1j ** ((self.x & self.z).bit_count() % 4)
         cols = np.arange(dim)
         rows = cols ^ self.x
         m = np.zeros((dim, dim), dtype=complex)
@@ -128,86 +119,129 @@ class PauliString:
 
 
 class PauliSum:
-    """Canonicalized sum of Pauli strings (duplicate patterns merged)."""
+    """A sum of Pauli strings as the X-masks `x`, Z-masks `z` (int64) and
+    coefficients `c` (complex) of its terms, sorted by (x, z), each key once
+    and each coefficient above ZERO_TOL.  Equal keys are added in the order
+    their terms come, each sum starting from 0.0 (a fresh -0.0 part becomes
+    +0.0), except that in a + b a key of a starts from a's stored value."""
 
     ZERO_TOL = 1e-14
 
     def __init__(self, n: int, terms=()):
-        self.n = n
-        self._terms: dict[tuple[int, int], complex] = {}
-        for t in terms:
-            self._accumulate(t)
-        self._prune()
-
-    def _accumulate(self, t: PauliString):
-        if t.n != self.n:
+        terms = list(terms)
+        if any(t.n != n for t in terms):
             raise ValueError("register size mismatch")
-        self._terms[t.key] = self._terms.get(t.key, 0.0) + t.coeff
+        self._merge(n, [t.x for t in terms], [t.z for t in terms],
+                    [t.coeff for t in terms])
 
-    def _prune(self):
-        self._terms = {k: c for k, c in self._terms.items() if abs(c) > self.ZERO_TOL}
+    def _merge(self, n, x, z, c, kept: int = 0):
+        """Set self to the sum of the terms (x[i], z[i], c[i]) added in that
+        order; the first `kept` terms have distinct keys, whose sums start
+        from their coefficients as stored rather than from 0.0."""
+        x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        c = np.asarray(c, dtype=complex)
+        order = np.lexsort((z, x))
+        xs, zs = x[order], z[order]
+        first = np.ones(xs.size, dtype=bool)
+        first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        total = np.zeros(int(first.sum()), dtype=complex)
+        total[slot[:kept]] = c[:kept]
+        np.add.at(total, slot[kept:], c[kept:])  # one term at a time, in order
+        keep = np.abs(total) > self.ZERO_TOL
+        self.n, self.x, self.z, self.c = n, xs[first][keep], zs[first][keep], total[keep]
+        return self
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def from_arrays(cls, n: int, x, z, c) -> "PauliSum":
+        """The sum of the terms with X-masks x, Z-masks z and coefficients c
+        (a Y where both bits are set), equal keys added in the order given."""
+        return cls.__new__(cls)._merge(n, x, z, c)
+
+    @classmethod
+    def from_products(cls, n: int, products) -> "PauliSum":
+        """The sum, in one merge, of coeff times the tensor product of the
+        one-qubit factors for each (factors, coeff) of products.  factors
+        maps distinct qubits to a letter or to its (letter, coefficient)
+        terms; each term of a product ORs the masks of one term per factor
+        and multiplies coeff by their coefficients, in factor order."""
+        terms = []
+        for factors, coeff in products:
+            product = [(0, 0, complex(coeff))]
+            for j, letters in factors.items():
+                if not 0 <= j < n:
+                    raise IndexError(f"qubit {j} outside register of size {n}")
+                b = _bit(n, j)
+                if isinstance(letters, str):
+                    letters = ((letters, 1.0),)
+                product = [(x | b * _MASKS[ch][0], z | b * _MASKS[ch][1], c * w)
+                           for x, z, c in product for ch, w in letters]
+            terms += product
+        return cls.from_arrays(n, *zip(*terms)) if terms else cls(n)
+
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
         return cls(n)
 
-    @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n, [PauliString(n, 0, 0, coeff)])
-
     # -- views --------------------------------------------------------
     def terms(self):
-        return [PauliString(self.n, x, z, c) for (x, z), c in sorted(self._terms.items())]
+        return [PauliString(self.n, x, z, c)
+                for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.c.tolist())]
 
     def __len__(self):
-        return len(self._terms)
+        return self.x.size
+
+    def __getitem__(self, keep) -> "PauliSum":
+        """The terms that the boolean mask keep selects, as a sum."""
+        out = PauliSum.__new__(PauliSum)
+        out.n, out.x, out.z, out.c = self.n, self.x[keep], self.z[keep], self.c[keep]
+        return out
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        out = PauliSum(self.n)
-        out._terms = dict(self._terms)
-        for k, c in other._terms.items():
-            out._terms[k] = out._terms.get(k, 0.0) + c
-        out._prune()
-        return out
+        if self.n != other.n:
+            raise ValueError("register size mismatch")
+        return PauliSum.__new__(PauliSum)._merge(
+            self.n, np.concatenate([self.x, other.x]), np.concatenate([self.z, other.z]),
+            np.concatenate([self.c, other.c]), kept=len(self))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
-            out = PauliSum(self.n)
-            for t1 in self.terms():
-                for t2 in other.terms():
-                    out._accumulate(t1 * t2)
-            out._prune()
-            return out
-        out = PauliSum(self.n)
-        out._terms = {k: c * other for k, c in self._terms.items()}
-        out._prune()
+            if self.n != other.n:
+                raise ValueError("register size mismatch")
+            # term by term, self's terms outer: X^x1 Z^z1 X^x2 Z^z2 is
+            # (-1)^{|z1 & x2|} X^x Z^z, and the Y counts fix the power of i
+            x = self.x[:, None] ^ other.x
+            z = self.z[:, None] ^ other.z
+            # (uint8 counts wrap modulo 256, a multiple of 4)
+            power = (np.bitwise_count(self.x & self.z)[:, None]
+                     + np.bitwise_count(other.x & other.z) - np.bitwise_count(x & z)) % 4
+            power += 4 * (np.bitwise_count(self.z[:, None] & other.x) & 1)
+            c = _cmul(_cmul(self.c[:, None], other.c), _PHASES[power])
+            return PauliSum.from_arrays(self.n, x.ravel(), z.ravel(), c.ravel())
+        c = _cmul(self.c, complex(other))
+        keep = np.abs(c) > self.ZERO_TOL
+        out = self[keep]
+        out.c = c[keep]
         return out
 
     def __rmul__(self, scalar):
         return self * scalar
 
     def adjoint(self) -> "PauliSum":
-        out = PauliSum(self.n)
-        out._terms = {k: c.conjugate() for k, c in self._terms.items()}
+        out = self[:]
+        out.c = self.c.conj()
         return out
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return bool(np.all(np.abs(self.c.imag) <= tol))
 
     # -- statevector action -------------------------------------------
-    def _arrays(self):
-        """Every term's X-mask, Z-mask and phase c * i^{|x&z|}, in insertion
-        order."""
-        keys = np.array(list(self._terms), dtype=np.int64).reshape(-1, 2)
-        return keys[:, 0], keys[:, 1], np.array(
-            [c * 1j ** (_popcount(x & z) % 4) for (x, z), c in self._terms.items()],
-            dtype=complex)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H @ v on a raw amplitude array: out[sigma ^ x] += <sigma ^ x| H
         |sigma> v[sigma] over the sigma where v is non-zero, with the
@@ -368,13 +402,11 @@ class Sector:
 
     @staticmethod
     def _term_table(op: PauliSum):
-        """op's terms sorted by (X-mask, Z-mask): the distinct masks x_g, the
-        index of each group's first term, and every term's Z-mask and phase
-        c * i^{|x&z|}."""
-        x, z, phase = op._arrays()
-        order = np.lexsort((z, x))
-        xs, starts = np.unique(x[order], return_index=True)
-        return xs, starts, z[order], phase[order]
+        """op's terms, which come sorted by (X-mask, Z-mask): the distinct
+        masks x_g, the index of each group's first term, and every term's
+        Z-mask and phase c * i^{|x&z|}."""
+        xs, starts = np.unique(op.x, return_index=True)
+        return xs, starts, op.z, _cmul(op.c, _PHASES[np.bitwise_count(op.x & op.z) % 4])
 
     @staticmethod
     def _elements(table, sigma: np.ndarray) -> np.ndarray:

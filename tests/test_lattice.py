@@ -48,6 +48,10 @@ def test_validation_errors():
         LatticeSpec(L=2, lambda2=-1.0)
     with pytest.raises(ValueError):
         LatticeSpec(L=2, heavy_positions=frozenset({5}))
+    # a Pauli term's masks are int64: 10 sites (60 qubits) fit, 11 do not
+    assert LatticeSpec(L=10).n_qubits == 60
+    with pytest.raises(ValueError, match="at most 63"):
+        LatticeSpec(L=11)
 
 
 def test_with_heavy():

@@ -28,8 +28,9 @@ def test_string_dense_matches_kron_oracle(label, c):
 def test_string_product_matches_dense(la, lb):
     if len(la) != len(lb):
         lb = (lb + "I" * len(la))[:len(la)]
-    a, b = PauliString.from_label(la), PauliString.from_label(lb)
-    prod = a * b
+    n = len(la)
+    prod = (PauliSum(n, [PauliString.from_label(la)])
+            * PauliSum(n, [PauliString.from_label(lb)]))
     oracle = dense_label(la) @ dense_label(lb)
     assert np.allclose(prod.to_dense(), oracle, atol=1e-12)
 

@@ -54,6 +54,9 @@ class _Parser(argparse.ArgumentParser):
 
 _LATTICE_DEFAULTS = {"L": 3, "g": 1.0, "mq": 0.1, "mQ": 0.0,
                      "lambda2": None, "nq": 1, "heavy": None}
+# options whose value names an output file (prepare's --csv-z too; evolve's
+# --csv-z is a flag)
+_PATHS = ("out", "emit", "report", "csv_perqubit", "timeseries")
 
 
 def _add_common(p: _Parser, lattice: bool = True) -> None:
@@ -87,6 +90,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise CliError("config file must contain a JSON object")
         cfg.update(loaded)
+    paths = _PATHS + (("csv_z",) if args.command == "prepare" else ())
+    for key in paths:
+        val = cfg.get(key)
+        if hasattr(args, key) and val is not None and not isinstance(val, str):
+            raise CliError(f"--{key.replace('_', '-')} must be a file path, "
+                           f"not {val!r}")
     for key, val in vars(args).items():
         if key in ("config", "func"):
             continue
@@ -99,12 +108,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def _opt(cfg: dict, key: str, default, kind=str, choices=None):
     """cfg[key] converted by kind, or default when it is unset (None).  A
-    value that kind cannot convert exactly, or one outside choices, is a
-    configuration error."""
+    value that kind cannot convert exactly (a boolean for a number, a
+    non-string for a string), or one outside choices, is a configuration
+    error."""
     val = cfg.get(key)
     if val is None:
         return default
     flag = "--" + key.replace("_", "-")
+    if isinstance(val, bool) or (kind is str and not isinstance(val, str)):
+        raise CliError(f"{flag}: cannot read {val!r}")
     try:
         out = kind(val)
     except (TypeError, ValueError):
@@ -127,9 +139,16 @@ def _seed(cfg: dict) -> int:
 def _spec_from(cfg: dict) -> LatticeSpec:
     try:
         L = _opt(cfg, "L", None, int)
+        for key in ("g", "mq", "mQ", "lambda2"):
+            if isinstance(cfg.get(key), bool):
+                raise CliError(f"--{key}: cannot read {cfg[key]!r}")
         if cfg.get("heavy"):
             raw = cfg["heavy"]
-            positions = tuple(int(tok) for tok in str(raw).split(",") if tok != "")
+            try:
+                positions = tuple(int(tok) for tok in str(raw).split(",")
+                                  if tok != "")
+            except ValueError:
+                raise CliError(f"--heavy: cannot read {raw!r}")
             for i, x in enumerate(positions):
                 if x in positions[:i]:
                     raise CliError(f"--heavy lists position {x} more than once")
@@ -546,8 +565,10 @@ def cmd_circuit(cfg: dict) -> int:
 def cmd_report(cfg: dict) -> int:
     from .report import REPORT_SECTIONS, run_report
 
-    raw = cfg.get("sections")
+    raw = _opt(cfg, "sections", "")
     sections = [s for s in raw.split(",") if s] if raw else list(REPORT_SECTIONS)
+    if not sections:
+        raise CliError(f"--sections names no section: {raw!r}")
     for s in sections:
         if s not in REPORT_SECTIONS:
             raise CliError(f"unknown section {s!r}; available: "

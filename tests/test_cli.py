@@ -198,6 +198,11 @@ def test_report_sections_exit_codes(capsys):
     # these sections carry numpy floats; they print as plain floats
     assert "np." not in out
     assert "toy_grid_err        PASS  value=0.0 target=0.0 tol=1e-12" in out
+    # a section list with no section in it is a configuration error
+    code = main(["report", "--sections", ","])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--sections" in captured.err and captured.out == ""
 
 
 def test_evolve_rejects_horizon_off_the_time_grid(capsys):
@@ -233,16 +238,54 @@ def test_observables_magic_sampled_is_deterministic(tmp_path, capsys):
     assert len(lines) > 1
 
 
-@pytest.mark.parametrize("config", [{"L": "abc"}, {"nq": "x"},
-                                    {"heavy": "a,b"}, {"L": 2.7}])
-def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
+_WRONG_TYPES = [  # (command and flags, config, the option the error names)
+    (["groundstate"], {"L": "abc"}, "--L"),
+    (["groundstate"], {"nq": "x"}, "--nq"),
+    (["groundstate"], {"heavy": "a,b"}, "--heavy"),
+    (["groundstate"], {"L": 2.7}, "--L"),
+    # a boolean is not a number
+    (["groundstate"], {"L": True}, "--L"),
+    (["groundstate", "--L", "1"], {"g": True}, "--g"),
+    (["groundstate", "--L", "1"], {"lambda2": False}, "--lambda2"),
+    (["evolve", "--L", "1"], {"horizon": True}, "--horizon"),
+    (["circuit", "--L", "1", "--template", "trotter"], {"steps": True},
+     "--steps"),
+    (["report", "--sections", "toy"], {"seed": True}, "--seed"),
+    # a path is a string
+    (["groundstate", "--L", "1"], {"out": True}, "--out"),
+    (["circuit", "--L", "1", "--template", "scprep"], {"emit": 7}, "--emit"),
+    (["circuit", "--L", "1", "--template", "scprep"], {"report": [1]},
+     "--report"),
+    (["circuit", "--L", "1", "--template", "scprep"], {"csv_perqubit": 1.5},
+     "--csv-perqubit"),
+    (["dedx", "--L", "2"], {"timeseries": False}, "--timeseries"),
+    (["prepare", "--L", "1"], {"csv_z": True}, "--csv-z"),
+    # --sections is a comma-separated string
+    (["report"], {"sections": 5}, "--sections"),
+    (["report"], {"sections": ["toy"]}, "--sections"),
+]
+
+
+@pytest.mark.parametrize("argv, config, named", _WRONG_TYPES,
+                         ids=[f"config{i}" for i in range(len(_WRONG_TYPES))])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, argv,
+                                                    config, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    code = main(["groundstate", "--config", str(path)])
-    err = capsys.readouterr().err
+    code = main(argv + ["--config", str(path)])
+    captured = capsys.readouterr()
     assert code == 1
-    assert "error:" in err
-    assert "Traceback" not in err
+    assert captured.err.startswith("error:") and named in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_evolve_csv_z_in_a_config_is_a_flag(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"csv_z": True}))
+    code, out = run_cli(capsys, "evolve", "--L", "1", "--nq", "0",
+                        "--horizon", "0", "--config", str(path))
+    assert code == 0
+    assert out.splitlines()[0].endswith(",z5")
 
 
 @pytest.mark.parametrize("argv", [

@@ -210,15 +210,16 @@ class Circuit:
             raise ValueError("register size mismatch")
         n = self.n_qubits
         blocks = iter(_fused_blocks(self.gates))
-        amps, idx = state.amps, np.flatnonzero(state.amps)
+        idx, vals = state.support()
         if _SPARSE_SHARE * idx.size <= 1 << n:
-            vals = amps[idx]
             for wires, u in blocks:
                 idx, vals = _apply_on_support(n, wires, u, idx, vals)
                 if _SPARSE_SHARE * idx.size > 1 << n:
                     break
             amps = np.zeros(1 << n, dtype=complex)
             amps[idx] = vals
+        else:
+            amps = state.amps
         psi = amps.reshape((2,) * n)
         for wires, u in blocks:  # the blocks the support loop left
             k = len(wires)

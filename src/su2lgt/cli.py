@@ -57,6 +57,8 @@ _LATTICE_DEFAULTS = {"L": 3, "g": 1.0, "mq": 0.1, "mQ": 0.0,
 # options whose value names an output file (prepare's --csv-z too; evolve's
 # --csv-z is a flag)
 _PATHS = ("out", "emit", "report", "csv_perqubit", "timeseries")
+# flags, which a config file sets with a JSON boolean (evolve's --csv-z too)
+_FLAGS = ("symmetric_gauge", "terms", "hadron_mass", "optimize")
 
 
 def _add_common(p: _Parser, lattice: bool = True) -> None:
@@ -91,11 +93,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError("config file must contain a JSON object")
         cfg.update(loaded)
     paths = _PATHS + (("csv_z",) if args.command == "prepare" else ())
-    for key in paths:
-        val = cfg.get(key)
-        if hasattr(args, key) and val is not None and not isinstance(val, str):
-            raise CliError(f"--{key.replace('_', '-')} must be a file path, "
-                           f"not {val!r}")
+    flags = _FLAGS + (("csv_z",) if args.command == "evolve" else ())
+    for keys, kind, what in ((paths, str, "a file path"), (flags, bool, "true or false")):
+        for key in keys:
+            val = cfg.get(key)
+            if hasattr(args, key) and val is not None and not isinstance(val, kind):
+                raise CliError(f"--{key.replace('_', '-')} must be {what}, not {val!r}")
     for key, val in vars(args).items():
         if key in ("config", "func"):
             continue

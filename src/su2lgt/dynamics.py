@@ -237,6 +237,9 @@ class MotionSchedule:
 
 @dataclass
 class ProtocolRecord:
+    """The state at time t, kept on its interval's sector (Sector.embed:
+    the sector's indices and amplitudes; state.amps builds the register),
+    its energy pieces and <Z_j>."""
     t: float
     state: StateVector
     energies: dict[str, float]

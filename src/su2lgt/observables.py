@@ -55,6 +55,7 @@ def mutual_information(state: StateVector, spec: LatticeSpec, x: int,
     x_q = next(iter(spec.heavy_positions))
     heavy = list(spec.qubits_of(3 * x_q))
     flav = _flavor_qubits(spec, x, flavor)
+    state = StateVector(state.amps, normalized=False)  # the register, built once
     s_h = _entropy(partial_trace(state, heavy))
     s_f = _entropy(partial_trace(state, flav))
     s_hf = _entropy(partial_trace(state, heavy + flav))
@@ -66,7 +67,8 @@ def four_tangle(state: StateVector, spec: LatticeSpec, x_q: int, x: int,
     """|<psi| Y_Qr Y_Qg Y_fr Y_fg |psi*>|^2 on the full register."""
     qubits = list(spec.qubits_of(3 * x_q)) + _flavor_qubits(spec, x, flavor)
     ys = PauliSum.from_products(state.n, [({j: "Y" for j in qubits}, 1.0)])
-    rotated = ys.apply(StateVector(state.amps.conj(), normalized=False))
+    idx, vals = state.support()
+    rotated = ys.apply(StateVector.on_basis(state.n, idx, vals.conj(), normalized=False))
     return float(abs(np.vdot(state.amps, rotated.amps)) ** 2)
 
 
@@ -132,24 +134,28 @@ def _sre_sparse_exact(c: np.ndarray, pair: np.ndarray, counts: np.ndarray) -> fl
     return total
 
 
-def _sre_exact(amps: np.ndarray, n: int, tol: float = 1e-12) -> float:
+def _sre_exact(state: StateVector, tol: float = 1e-12) -> float:
     """sum_P <P>^4 / 2^n by the cheaper of two exact paths.
 
     The dense transform costs ~n 4^n.  The support sum costs ~sum_u k_u^2
-    plus |D| per difference, over the support's XOR differences D; since
-    sum_u k_u^2 >= K^4 / |D| for K support states, a wide support goes to
-    the dense transform before its K^2 pair table is built.
+    plus |D| per difference, over the support's XOR differences D (the
+    amplitudes above tol); since sum_u k_u^2 >= K^4 / |D| for K support
+    states, a wide support goes to the dense transform before its K^2 pair
+    table is built.
     """
-    supp = np.flatnonzero(np.abs(amps) > tol)
+    n = state.n
+    supp, c = state.support()
+    keep = np.abs(c) > tol
+    supp, c = supp[keep], c[keep]
     k, dense = supp.size, n * 4.0 ** n
     if k ** 4 >= dense * min(k * k, 2.0 ** n):
-        return _sre_dense(amps, n)
+        return _sre_dense(state.amps, n)
     diffs, pair = np.unique(supp[:, None] ^ supp, return_inverse=True)
     pair = pair.reshape(k, k)
     counts = np.bincount(pair.ravel())
     if float(counts @ counts) + float(diffs.size) ** 2 >= dense:
-        return _sre_dense(amps, n)
-    return _sre_sparse_exact(amps[supp], pair, counts)
+        return _sre_dense(state.amps, n)
+    return _sre_sparse_exact(c, pair, counts)
 
 
 def _sre_sampled(amps: np.ndarray, n: int, samples: int, seed,
@@ -192,13 +198,12 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
     nothing.  The sampled method draws replica quadruples with a bootstrap
     uncertainty.
     """
-    amps = state.amps
     if method == "exact":
-        val = _sre_exact(amps, state.n)
+        val = _sre_exact(state)
         m2 = float(-np.log2(max(val, _EIG_CLIP)))
         return SreEstimate(value=max(m2, 0.0), std_error=0.0, method="exact")
     if method == "sampled":
-        est, err = _sre_sampled(amps, state.n, samples, seed)
+        est, err = _sre_sampled(state.amps, state.n, samples, seed)
         m2 = float(-np.log2(max(est, _EIG_CLIP)))
         std = err / (max(est, _EIG_CLIP) * np.log(2.0))
         return SreEstimate(value=m2, std_error=std, method="sampled",
@@ -278,6 +283,7 @@ def energy_loss_estimator(spec: LatticeSpec) -> tuple[EstimatorGroup, ...]:
 
 
 def evaluate_energy_loss(groups, state: StateVector) -> tuple[list[float], float]:
+    state = StateVector(state.amps, normalized=False)  # the register, built once
     values = [g.evaluate(state) for g in groups]
     return values, float(sum(values))
 
@@ -369,7 +375,7 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
     ts = np.asarray(sorted(dt_grid), dtype=float)
     if ts.size < max(_FIT_ORDERS) + 2 or np.any(ts <= 0):
         raise ValueError("need a positive grid with more points than the fit order")
-    ys = []
+    ys, psi = [], state.amps
     for t in ts:
         if evolver == "exact":
             from .dynamics import evolve_exact
@@ -379,10 +385,11 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
         else:
             raise ValueError("evolver must be 'exact' or 'trotter'")
         # ancilla register: |anc> (x) |psi>, anc prepared by H then S, final H
-        branch0 = state.amps + 1j * evolved.amps
-        branch1 = state.amps - 1j * evolved.amps
+        phi = evolved.amps
+        branch0 = psi + 1j * phi
+        branch1 = psi - 1j * phi
         full = np.concatenate([branch0, branch1]) / 2.0
-        dim = state.amps.size
+        dim = psi.size
         p0 = float(np.sum(np.abs(full[:dim]) ** 2))
         p1 = float(np.sum(np.abs(full[dim:]) ** 2))
         ys.append((p0 - p1) / t)

@@ -249,25 +249,34 @@ class PauliSum:
         order of sigma, from 0, as a sparse product with Sector.restrict's
         matrix does.  The output is real when v and every element are."""
         sigma = np.flatnonzero(v)
+        return self._scatter(sigma, v[sigma], v.size)
+
+    def _scatter(self, sigma: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+        """matvec of the register of `size` amplitudes that holds v at the
+        sorted indices sigma, v non-zero, and 0 elsewhere."""
         table = Sector._term_table(self)
         vals = Sector._elements(table, sigma)
         if np.abs(vals.imag).max(initial=0.0) < 1e-15:
             vals = vals.real
-        out = np.zeros(v.size, dtype=np.result_type(v.dtype, vals.dtype, float))
-        np.add.at(out, sigma[:, None] ^ table[0], vals * v[sigma, None])
+        out = np.zeros(size, dtype=np.result_type(v.dtype, vals.dtype, float))
+        np.add.at(out, sigma[:, None] ^ table[0], vals * v[:, None])
         return out
 
     def apply(self, state: "StateVector") -> "StateVector":
+        """H|state>, on the whole register, from the state's support."""
         if state.n != self.n:
             raise ValueError("register size mismatch")
-        return StateVector(self.matvec(state.amps), normalized=False)
+        return StateVector(self._scatter(*state.support(), 1 << self.n), normalized=False)
 
     def expectation(self, state: "StateVector") -> float:
         """<state|H|state> for Hermitian H; raises ValueError on an imaginary
         residual of 1e-10 or more."""
         if not self.is_hermitian(1e-10):
             raise ValueError("expectation requires a Hermitian PauliSum")
-        val = np.vdot(state.amps, self.apply(state).amps)
+        if state.n != self.n:
+            raise ValueError("register size mismatch")
+        amps = state.amps
+        val = np.vdot(amps, self.matvec(amps))
         if abs(val.imag) >= 1e-10:
             raise ValueError(f"imaginary residual {val.imag:g} in expectation")
         return float(val.real)
@@ -297,41 +306,77 @@ class PauliSum:
 
 
 class StateVector:
-    """Normalized complex amplitudes over the full register."""
+    """Complex amplitudes on a register of n qubits, kept at sorted basis
+    indices: `values[k]` at `indices[k]` and 0 elsewhere.  A state on the
+    whole register keeps `indices` None and all 2^n amplitudes in `values`.
+    Normalized unless built with normalized=False."""
 
-    __slots__ = ("amps", "n")
+    __slots__ = ("n", "indices", "values")
 
     def __init__(self, amps, normalized: bool = True):
         amps = np.asarray(amps, dtype=complex)
         n = int(round(np.log2(amps.size)))
         if 1 << n != amps.size:
             raise ValueError("amplitude length must be a power of two")
-        self.amps = amps
-        self.n = n
+        self.n, self.indices, self.values = n, None, amps
         if normalized:
-            nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > 1e-12:
-                raise ValueError(f"state not normalized (norm {nrm:g})")
+            self._check_norm()
+
+    @classmethod
+    def on_basis(cls, n: int, indices, values, normalized: bool = True) -> "StateVector":
+        """The state with amplitudes values at the sorted, distinct basis
+        indices and 0 elsewhere (the values are copied)."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.indices = np.asarray(indices, dtype=np.int64)
+        out.values = np.array(values, dtype=complex)
+        if normalized:
+            out._check_norm()
+        return out
+
+    def _check_norm(self):
+        nrm = np.linalg.norm(self.values)
+        if abs(nrm - 1.0) > 1e-12:
+            raise ValueError(f"state not normalized (norm {nrm:g})")
 
     @classmethod
     def basis(cls, n: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
+        if not 0 <= index < 1 << n:
+            raise IndexError(f"basis state {index} outside register of size {n}")
+        return cls.on_basis(n, [index], [1.0])
 
     @classmethod
     def from_ket(cls, ket: str) -> "StateVector":
         """'111100' -> the corresponding computational basis state."""
         return cls.basis(len(ket), int(ket, 2))
 
+    @property
+    def amps(self) -> np.ndarray:
+        """All 2^n amplitudes; a state kept at indices builds them anew at
+        each access, zero-filled and scattered."""
+        if self.indices is None:
+            return self.values
+        amps = np.zeros(1 << self.n, dtype=complex)
+        amps[self.indices] = self.values
+        return amps
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted indices of the non-zero amplitudes (np.flatnonzero of
+        amps) and their amplitudes."""
+        at = np.flatnonzero(self.values)
+        return (at if self.indices is None else self.indices[at]), self.values[at]
+
     def copy(self) -> "StateVector":
-        return StateVector(self.amps.copy(), normalized=False)
+        if self.indices is None:
+            return StateVector(self.values.copy(), normalized=False)
+        return StateVector.on_basis(self.n, self.indices, self.values, normalized=False)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "StateVector":
-        return StateVector(self.amps / np.linalg.norm(self.amps), normalized=False)
+        amps = self.amps
+        return StateVector(amps / np.linalg.norm(amps), normalized=False)
 
     def overlap(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amps, other.amps))
@@ -385,12 +430,12 @@ class Sector:
     `closure` collects the basis states reachable from a state's support
     through the operator's non-zero matrix elements; `restrict` gives an
     operator as a sparse matrix on those states, `eigh` eigendecomposes it
-    there, and `extract`/`embed` move amplitudes between the full register
-    and the sector.  A sector built by `closure` keeps the matrix elements
+    there, and `extract`/`embed` move amplitudes between a state and the
+    sector.  A sector built by `closure` keeps the matrix elements
     it swept, and `restrict`/`eigh` of the same operator reuse them.
     """
 
-    _CHUNK = 4096  # basis states per block of the (states x terms) sign table
+    _CHUNK = 1 << 17  # (state, term) entries per block of the sign table
 
     def __init__(self, n: int, indices):
         self.n = n
@@ -415,9 +460,9 @@ class Sector:
         _, starts, zs, phase = table
         if not zs.size or not sigma.size:
             return np.zeros((sigma.size, starts.size), dtype=complex)
-        blocks = []
-        for lo in range(0, sigma.size, Sector._CHUNK):
-            odd = np.bitwise_count(sigma[lo:lo + Sector._CHUNK, None] & zs) & 1
+        blocks, rows = [], max(1, Sector._CHUNK // zs.size)
+        for lo in range(0, sigma.size, rows):
+            odd = np.bitwise_count(sigma[lo:lo + rows, None] & zs) & 1
             blocks.append(np.add.reduceat(np.where(odd, -phase, phase), starts, axis=1))
         return np.concatenate(blocks)
 
@@ -438,24 +483,23 @@ class Sector:
         if any(op.n != state.n for op in ops):
             raise ValueError("register size mismatch")
         tables = [cls._term_table(op) for op in ops]
-        reached = np.zeros(1 << state.n, dtype=bool)
-        front = np.flatnonzero(state.amps)
+        front = reached = state.support()[0]
         if not front.size:
             raise ValueError("the zero state spans no sector")
-        if front.size == reached.size:  # nothing left to reach
+        if front.size == 1 << state.n:  # nothing left to reach
             return cls(state.n, front)
-        reached[front] = True
         fronts, swept = [], []
         while front.size:
             vals = [cls._elements(table, front) for table in tables]
             fronts.append(front)
             swept.append(vals)
-            hit = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            hit = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
                 (front[:, None] ^ table[0])[np.abs(part) > PauliSum.ZERO_TOL]
-                for table, part in zip(tables, vals)])
-            front = np.unique(hit[~reached[hit]])
-            reached[front] = True
-        sector = cls(state.n, np.flatnonzero(reached))
+                for table, part in zip(tables, vals)]))
+            pos = np.searchsorted(reached, hit).clip(max=reached.size - 1)
+            front = hit[reached[pos] != hit]
+            reached = np.sort(np.concatenate([reached, front]))
+        sector = cls(state.n, reached)
         at = [np.searchsorted(sector.indices, front) for front in fronts]
         for j, op in enumerate(ops):
             vals = swept[0][j]  # a lone front is the sector, in order
@@ -467,14 +511,20 @@ class Sector:
         return sector
 
     def extract(self, state: StateVector) -> np.ndarray:
-        """The state's amplitudes on the sector's basis states."""
-        return state.amps[self.indices]
+        """The state's amplitudes on the sector's basis states, amps[indices]."""
+        if state.indices is None:
+            return state.values[self.indices]
+        pos = np.searchsorted(state.indices, self.indices)
+        hit = pos < state.indices.size
+        hit[hit] = state.indices[pos[hit]] == self.indices[hit]
+        out = np.zeros(len(self), dtype=complex)
+        out[hit] = state.values[pos[hit]]
+        return out
 
     def embed(self, v: np.ndarray) -> StateVector:
-        """The full-register state with amplitudes v on the sector, 0 elsewhere."""
-        amps = np.zeros(1 << self.n, dtype=complex)
-        amps[self.indices] = v
-        return StateVector(amps, normalized=False)
+        """The state with amplitudes v on the sector, 0 elsewhere, kept at
+        the sector's indices."""
+        return StateVector.on_basis(self.n, self.indices, v, normalized=False)
 
     def _table(self, op: PauliSum):
         """op's elements on the sector as (rows, keep, vals): vals[j, g] =
@@ -594,7 +644,8 @@ def exp_chain_apply(chain, s: StateVector) -> StateVector:
 
     Runs apply_chain on the sector that the generators of non-zero angle
     reach from the support of s (Sector.closure_under), with the bits of
-    one exp_sum_apply per generator.  Raises ValueError for a non-Hermitian
+    one exp_sum_apply per generator, and returns the state kept on that
+    sector.  Raises ValueError for a non-Hermitian
     generator, a non-finite angle or a block wider than Sector.eigh takes.
     """
     chain = list(chain)

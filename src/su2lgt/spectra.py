@@ -23,21 +23,21 @@ def sc_state(spec: LatticeSpec) -> StateVector:
     Light sector: quark qubits |1>, antiquark qubits |0>.  An empty heavy
     site is |11>; an occupied one is the color-entangled two-term state
     (|01>_Q |10>_q - |10>_Q |01>_q)/sqrt(2) tensored with the local
-    antiquark vacuum.
+    antiquark vacuum.  The state is kept on its 2^n_Q basis states.
     """
     if spec.Nc != 2:
         raise ValueError("SC state construction implemented for Nc=2")
-    amps = np.ones(1)
+    # the tensor product site by site, on its support: each amplitude is
+    # the product of the sites' amplitudes in np.kron's order
+    indices, amps = np.zeros(1, dtype=np.int64), np.ones(1)
     for x in range(spec.L):
         if x in spec.heavy_positions:
-            site = np.zeros(1 << 6)
-            site[0b011000] = 1.0 / np.sqrt(2.0)
-            site[0b100100] = -1.0 / np.sqrt(2.0)
+            site = {0b011000: 1.0 / np.sqrt(2.0), 0b100100: -1.0 / np.sqrt(2.0)}
         else:
-            site = np.zeros(1 << 6)
-            site[0b111100] = 1.0
-        amps = np.kron(amps, site)
-    return StateVector(amps.astype(complex))
+            site = {0b111100: 1.0}
+        indices = (indices[:, None] << 6 | list(site)).ravel()
+        amps = np.multiply.outer(amps, list(site.values())).ravel()
+    return StateVector.on_basis(spec.n_qubits, indices, amps)
 
 
 def lanczos_ground(h: PauliSum, start: StateVector,
@@ -47,7 +47,8 @@ def lanczos_ground(h: PauliSum, start: StateVector,
     The start vector selects the sector: the basis states that h reaches
     from its support (see Sector.closure).  h restricted to them is
     diagonalized densely, lowest eigenpair only; sectors at L <= 3 hold at
-    most 1200 states.  Raises LanczosError unless ||H psi - E psi|| < tol.
+    most 1200 states.  The state is kept on the sector (Sector.embed).
+    Raises LanczosError unless ||H psi - E psi|| < tol.
     """
     from scipy.linalg import eigh
 

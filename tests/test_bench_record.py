@@ -30,6 +30,18 @@ _LAYERS = {
 }
 
 
+# whole CLI runs: (log name, side, pair) -> (exit code, wall_s, peak_rss_mb)
+WHOLE_ARGV = {"evolve_L3": ["evolve", "--L", "3"],
+              "report_motion": ["report", "--sections", "motion"]}
+_WHOLE = {
+    ("evolve_L3", "parent", 1): (0, 1.0, 100.0), ("evolve_L3", "change", 1): (0, 0.9, 80.0),
+    ("evolve_L3", "parent", 2): (0, 1.2, 100.5), ("evolve_L3", "change", 2): (0, 1.3, 80.5),
+    ("evolve_L3", "parent", 3): (0, 1.1, 99.0), ("evolve_L3", "change", 3): (0, 1.0, 79.0),
+    ("report_motion", "parent", 1): (0, 2.0, 150.0),
+    ("report_motion", "change", 1): (1, 2.0, 120.0),
+}
+
+
 def _git(repo: Path, *args: str) -> str:
     return subprocess.run(
         ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
@@ -61,12 +73,20 @@ def test_record_from_synthetic_logs(tmp_path):
             "circuits.synthesis_s  0.1 s\n" + json.dumps(result) + "\n",
             encoding="utf-8")
 
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    for (name, side, pair), (code, wall, peak) in _WHOLE.items():
+        result = {"argv": WHOLE_ARGV[name], "exit": code, "wall_s": wall,
+                  "peak_rss_mb": peak}
+        (whole / f"{name}-{side}-{pair}.log").write_text(
+            "error: child chatter\n" + json.dumps(result) + "\n", encoding="utf-8")
+
     out = tmp_path / "BENCH_0.json"
     env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_record.py"), str(out),
          "--runs", str(runs), "--parent", "HEAD", "--tier1", "30.5", "29.0",
-         "--trace-runs", str(traced)],
+         "--trace-runs", str(traced), "--whole-runs", str(whole)],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text(encoding="utf-8"))
@@ -97,3 +117,21 @@ def test_record_from_synthetic_logs(tmp_path):
         "circuits.synthesis_s": {"parent": 0.30, "change": 0.11}}
     assert "layers" not in ground
     assert record["layers_command"].endswith("--trace 1")
+    # each CLI argv is one entry: each side's spread of its runs, paired by
+    # pair number, and the runs that exited non-zero
+    runs = record["whole_runs"]
+    assert sorted(runs) == ["evolve --L 3", "report --sections motion"]
+    evolve, report = runs["evolve --L 3"], runs["report --sections motion"]
+    assert evolve["pairs"] == [1, 2, 3] and report["pairs"] == [1]
+    assert evolve["failed"] == {"parent": 0, "change": 0}
+    assert report["failed"] == {"parent": 0, "change": 1}
+    assert evolve["wall_s"]["parent"] == {"median": 1.1, "q1": 1.05, "q3": 1.15,
+                                          "runs": [1.0, 1.2, 1.1]}
+    assert evolve["wall_s"]["change"]["median"] == 1.0
+    assert evolve["wall_s"]["change_better_pairs"] == 2
+    assert evolve["peak_rss_mb"]["change"]["median"] == 80.0
+    assert evolve["peak_rss_mb"]["change_better_pairs"] == 3
+    assert evolve["peak_rss_mb"]["median_change"] == 80.0 / 100.0 - 1.0
+    assert report["peak_rss_mb"]["change_better_pairs"] == 1
+    assert report["wall_s"]["change_better_pairs"] == 0
+    assert record["whole_runs_command"].startswith("python3 tools/whole_run.py")

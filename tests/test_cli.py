@@ -263,6 +263,13 @@ _WRONG_TYPES = [  # (command and flags, config, the option the error names)
     # --sections is a comma-separated string
     (["report"], {"sections": 5}, "--sections"),
     (["report"], {"sections": ["toy"]}, "--sections"),
+    # a flag is a JSON boolean
+    (["prepare", "--L", "1"], {"optimize": "false"}, "--optimize"),
+    (["observables", "--L", "1", "--what", "magic"], {"optimize": 0}, "--optimize"),
+    (["groundstate", "--L", "1"], {"hadron_mass": "no"}, "--hadron-mass"),
+    (["hamiltonian", "--L", "1"], {"symmetric_gauge": 1}, "--symmetric-gauge"),
+    (["hamiltonian", "--L", "1"], {"terms": "yes"}, "--terms"),
+    (["evolve", "--L", "1", "--horizon", "0"], {"csv_z": "true"}, "--csv-z"),
 ]
 
 

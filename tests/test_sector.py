@@ -331,7 +331,8 @@ def test_exact_paths_never_compile_the_full_register(monkeypatch):
     def refuse(self, *args):
         raise AssertionError(f"a {self.n}-qubit PauliSum acted on the full register")
 
-    # apply and expectation go through matvec
+    # matvec, apply and expectation go through _scatter
+    monkeypatch.setattr(PauliSum, "_scatter", refuse)
     monkeypatch.setattr(PauliSum, "matvec", refuse)
     monkeypatch.setattr(PauliSum, "to_dense", refuse)
     spec = LatticeSpec(L=2, heavy_positions=frozenset({0}))

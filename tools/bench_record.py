@@ -18,6 +18,12 @@ change staged:
 With --trace-runs TRACEDIR, whose <workload>-<side>-<seed>.log files hold the
 output of the same command with `--trace 1`, each workload also gets a
 `layers` block: for every per-layer metric, each side's median over its runs.
+
+With --whole-runs WHOLEDIR, whose <name>-<side>-<pair>.log files end with the
+JSON line of `tools/whole_run.py` (one CLI run in a fresh child), the record
+gets a `whole_runs` entry per CLI argv: for `wall_s` and `peak_rss_mb`, each
+side's median and quartiles and how many pairs the change won, and each
+side's count of runs that exited non-zero.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ import subprocess
 from importlib import metadata
 
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+WHOLE_RUN_METRICS = ("wall_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
 
@@ -46,6 +53,15 @@ def _spread(values: list[float]) -> dict:
             "runs": values}
 
 
+def _compare(vals: dict) -> dict:
+    """Each side's spread of vals[side] (same-seed pairs in order), how many
+    pairs the change won, and the change of the median."""
+    entry = {s: _spread(vals[s]) for s in SIDES}
+    entry["change_better_pairs"] = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
+    entry["median_change"] = entry["change"]["median"] / entry["parent"]["median"] - 1.0
+    return entry
+
+
 def _load(rundir: pathlib.Path) -> dict:
     """{workload: {side: {seed: result}}} from the run logs."""
     runs: dict = {}
@@ -58,6 +74,12 @@ def _load(rundir: pathlib.Path) -> dict:
     return runs
 
 
+def _show(name: str, metric: str, entry: dict, pairs: int) -> None:
+    print(f"{name:8s} {metric:12s} {entry['parent']['median']:10.4g} -> "
+          f"{entry['change']['median']:10.4g} ({entry['median_change']:+.1%}, "
+          f"better in {entry['change_better_pairs']}/{pairs} pairs)")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=pathlib.Path)
@@ -67,6 +89,8 @@ def main() -> None:
                     help="tier-1 test wall times on the same machine")
     ap.add_argument("--trace-runs", type=pathlib.Path,
                     help="logs of the same runs with --trace 1")
+    ap.add_argument("--whole-runs", type=pathlib.Path,
+                    help="logs of tools/whole_run.py, paired by side")
     args = ap.parse_args()
 
     workloads = {}
@@ -76,17 +100,10 @@ def main() -> None:
                  "attempted": {s: sum(r["attempted"] for r in sides[s].values()) for s in SIDES},
                  "failed": {s: sum(r["failed"] for r in sides[s].values()) for s in SIDES}}
         for metric in METRICS:
-            vals = {s: [sides[s][seed]["metrics"][metric]["value"] for seed in seeds]
-                    for s in SIDES}
-            entry[metric] = {s: _spread(vals[s]) for s in SIDES}
-            entry[metric]["change_better_pairs"] = sum(
-                c < p for p, c in zip(vals["parent"], vals["change"]))
-            base = entry[metric]["parent"]["median"]
-            entry[metric]["median_change"] = entry[metric]["change"]["median"] / base - 1.0
-            print(f"{workload:8s} {metric:12s} {base:10.4g} -> "
-                  f"{entry[metric]['change']['median']:10.4g} "
-                  f"({entry[metric]['median_change']:+.1%}, better in "
-                  f"{entry[metric]['change_better_pairs']}/{len(seeds)} pairs)")
+            entry[metric] = _compare({
+                s: [sides[s][seed]["metrics"][metric]["value"] for seed in seeds]
+                for s in SIDES})
+            _show(workload, metric, entry[metric], len(seeds))
         workloads[workload] = entry
     traced = _load(args.trace_runs) if args.trace_runs else {}
     for workload, sides in sorted(traced.items()):
@@ -96,6 +113,17 @@ def main() -> None:
             name: {s: statistics.median(r["metrics"][name]["value"]
                                         for r in sides[s].values()) for s in SIDES}
             for name in names}
+    whole_runs = {}
+    for sides in (_load(args.whole_runs) if args.whole_runs else {}).values():
+        pairs = sorted(set(sides["parent"]) & set(sides["change"]))
+        name = " ".join(sides["parent"][pairs[0]]["argv"])
+        entry = whole_runs[name] = {
+            "pairs": pairs,
+            "failed": {s: sum(r["exit"] != 0 for r in sides[s].values()) for s in SIDES}}
+        for metric in WHOLE_RUN_METRICS:
+            entry[metric] = _compare({s: [sides[s][p][metric] for p in pairs]
+                                      for s in SIDES})
+            _show(name, metric, entry[metric], len(pairs))
 
     record = {
         "parent": {"commit": _git("rev-parse", args.parent),
@@ -107,6 +135,9 @@ def main() -> None:
         "layers_command": ("python3 benchmark/run.py --workload W --seed N --seconds 10 "
                            "--trace 1" if args.trace_runs else None),
         "workloads": workloads,
+        "whole_runs_command": ("python3 tools/whole_run.py [--src SRC] -- ARGV"
+                               if args.whole_runs else None),
+        "whole_runs": whole_runs if args.whole_runs else None,
         "tier1_wall_s": dict(zip(SIDES, args.tier1)) if args.tier1 else None,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -913,13 +913,9 @@ def ansatz_circuit(spec: LatticeSpec, names=None, angles=None) -> Circuit:
 def fswap_circuit(spec: LatticeSpec, x_from: int, x_to: int) -> Circuit:
     """Translate a heavy quark between adjacent sites; equals
     dynamics.fswap_move including the global phase."""
-    from .dynamics import _fswap_generator
+    from .dynamics import _fswap_generator, move_bond
 
-    if abs(x_from - x_to) != 1:
-        raise ValueError("heavy quarks move only between adjacent sites")
-    if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
-        raise ValueError("move outside the lattice")
-    x = min(x_from, x_to)
+    x = move_bond(spec, x_from, x_to)
     n = spec.n_qubits
     lam = math.pi / 4.0
     string_gens: list[tuple[PauliSum, float]] = []

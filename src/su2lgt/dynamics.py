@@ -37,6 +37,16 @@ def _fswap_generator(spec: LatticeSpec, x: int, c: int) -> PauliSum:
         ({jr: "Z"}, 1.0), ({jl: "Z"}, 1.0), ({}, -2.0)])
 
 
+def move_bond(spec: LatticeSpec, x_from: int, x_to: int) -> int:
+    """The left site of the bond a heavy-quark move from x_from to x_to
+    crosses; a ValueError unless the two are adjacent sites of the lattice."""
+    if abs(x_from - x_to) != 1:
+        raise ValueError("heavy quarks move only between adjacent sites")
+    if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
+        raise ValueError("move outside the lattice")
+    return min(x_from, x_to)
+
+
 def fswap_move(state: StateVector, spec: LatticeSpec, x_from: int,
                x_to: int) -> StateVector:
     """Translate a heavy quark between adjacent spatial sites.
@@ -45,11 +55,7 @@ def fswap_move(state: StateVector, spec: LatticeSpec, x_from: int,
     site also hosts a heavy quark the two are exchanged (the stationary one
     is displaced).
     """
-    if abs(x_from - x_to) != 1:
-        raise ValueError("heavy quarks move only between adjacent sites")
-    if not (0 <= x_from < spec.L and 0 <= x_to < spec.L):
-        raise ValueError("move outside the lattice")
-    x = min(x_from, x_to)
+    x = move_bond(spec, x_from, x_to)
     return exp_chain_apply([(_fswap_generator(spec, x, c), np.pi / 4.0)
                             for c in range(spec.Nc)], state)
 

@@ -335,7 +335,6 @@ def _sec_trotter(seed: int) -> list[Check]:
     from .dynamics import evolve_exact, trotter_step
     from .hamiltonian import build_hamiltonian
     from .observables import z_profile
-    from .pauli import StateVector
 
     spec = _spec(3, 1)
     terms = build_hamiltonian(spec, symmetric_gauge=True)
@@ -346,14 +345,12 @@ def _sec_trotter(seed: int) -> list[Check]:
     for order, target in ((1, 2.0), (2, 3.0)):
         errs = []
         for t in ts:
-            ex = evolve_exact(StateVector(st0.amps.copy()), h, t)
-            tr = trotter_step(StateVector(st0.amps.copy()), spec, t,
-                              order=order)
+            ex = evolve_exact(st0, h, t)
+            tr = trotter_step(st0, spec, t, order=order)
             errs.append(float(np.linalg.norm(ex.amps - tr.amps)))
         slope = float(np.log2(errs[-2] / errs[-1]))
         out.append(Check(f"trotter_slope_order{order}", slope, target, 0.1))
-    z = z_profile(trotter_step(StateVector(st0.amps.copy()), spec, 1.0,
-                               order=2))
+    z = z_profile(trotter_step(st0, spec, 1.0, order=2))
     err = max(abs(z[c] - v) for c, v in zip(ref.TROTTER_Z["columns"],
                                             ref.TROTTER_Z["values"]))
     out.append(Check("trotter_z_row_err", err, 0.0, 5e-3, "upper"))

@@ -10,6 +10,12 @@ from .lattice import LatticeSpec
 from .pauli import PauliSum, Sector, StateVector
 
 
+# the largest sector whose ground state is solved as a dense matrix: above
+# every sector at L <= 4 (at most 10 528 states, three heavy quarks at L = 4:
+# a 0.8 GiB matrix); an L = 5 sector holds about 10^5 states, tens of GiB
+MAX_DENSE_STATES = 12_000
+
+
 class LanczosError(RuntimeError):
     def __init__(self, message, energy=None, residual=None):
         super().__init__(message)
@@ -48,11 +54,15 @@ def lanczos_ground(h: PauliSum, start: StateVector,
     from its support (see Sector.closure).  h restricted to them is
     diagonalized densely, lowest eigenpair only; sectors at L <= 3 hold at
     most 1200 states.  The state is kept on the sector (Sector.embed).
-    Raises LanczosError unless ||H psi - E psi|| < tol.
+    Raises LanczosError for a sector of more than MAX_DENSE_STATES states,
+    and unless ||H psi - E psi|| < tol.
     """
     from scipy.linalg import eigh
 
     sector = Sector.closure(h, start)
+    if len(sector) > MAX_DENSE_STATES:
+        raise LanczosError(f"the sector holds {len(sector)} states; the dense "
+                           f"ground-state solve takes at most {MAX_DENSE_STATES}")
     hs = sector.restrict(h)
     evals, evecs = eigh(hs.toarray(), subset_by_index=(0, 0))
     energy, amps = float(evals[0]), evecs[:, 0]

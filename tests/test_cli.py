@@ -270,6 +270,15 @@ _WRONG_TYPES = [  # (command and flags, config, the option the error names)
     (["hamiltonian", "--L", "1"], {"symmetric_gauge": 1}, "--symmetric-gauge"),
     (["hamiltonian", "--L", "1"], {"terms": "yes"}, "--terms"),
     (["evolve", "--L", "1", "--horizon", "0"], {"csv_z": "true"}, "--csv-z"),
+    # an infinite number is no integer
+    (["groundstate"], {"L": math.inf}, "--L"),
+    (["groundstate"], {"nq": -math.inf}, "--nq"),
+    (["circuit", "--L", "1", "--template", "trotter"], {"steps": -math.inf},
+     "--steps"),
+    (["circuit", "--L", "1", "--template", "meson"], {"x": math.inf}, "--x"),
+    # --heavy is a string; no other value falls back to --nq
+    (["groundstate", "--L", "1"], {"heavy": False}, "--heavy"),
+    (["groundstate", "--L", "1"], {"heavy": []}, "--heavy"),
 ]
 
 
@@ -284,6 +293,50 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, argv,
     assert code == 1
     assert captured.err.startswith("error:") and named in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+    # the message itself names the option, not only the usage after it
+    assert named in captured.err.splitlines()[0]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("groundstate", {"L": 1, "nq": 0}),  # int
+    ("groundstate", {"L": 1, "g": 0.7}),  # float
+    ("evolve", {"L": 1, "horizon": 1, "evolver": "trotter"}),  # choice
+    ("evolve", {"L": 1, "horizon": 0, "csv_z": True}),  # flag
+    ("groundstate", {"L": 2, "heavy": "1"}),  # --heavy
+    ("groundstate", {"L": 1, "out": "ground.json"}),  # a path
+])
+def test_config_value_acts_as_its_flag(tmp_path, capsys, command, options):
+    outputs = []
+    for source in ("flag", "config"):
+        where = tmp_path / source
+        where.mkdir()
+        given = {key: str(where / val) if key == "out" else val
+                 for key, val in options.items()}
+        if source == "flag":
+            argv = [f"--{key.replace('_', '-')}" + ("" if val is True else f"={val}")
+                    for key, val in given.items()]
+        else:
+            (where / "cfg.json").write_text(json.dumps(given))
+            argv = ["--config", str(where / "cfg.json")]
+        code, out = run_cli(capsys, command, *argv)
+        assert code == 0
+        if "out" in options:
+            out += (where / options["out"]).read_text()
+        outputs.append(out)
+    assert outputs[0] == outputs[1] != ""
+
+
+def test_sector_too_large_for_the_dense_solve_is_numerical_failure(
+        monkeypatch, capsys):
+    import su2lgt.spectra
+
+    monkeypatch.setattr(su2lgt.spectra, "MAX_DENSE_STATES", 10)
+    code = main(["groundstate", "--L", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("numerical failure: the sector holds ")
+    assert "at most 10\n" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_evolve_csv_z_in_a_config_is_a_flag(tmp_path, capsys):
@@ -582,7 +635,13 @@ _CONFIG = st.one_of(
         "nq": st.sampled_from([0, 1, 2, 1.5, "1"]),
         "optimize": st.booleans(),
         "seed": st.sampled_from([0, 3, -1, 1.5, "x"]),
-        "mQ": st.sampled_from([0.0, 0.5, "heavy"])}),
+        "mQ": st.sampled_from([0.0, 0.5, "heavy"]),
+        # an int, a float and a string option, each also given values of
+        # other JSON types
+        "L": st.sampled_from([2, math.inf, -math.inf, math.nan, True, [2]]),
+        "dt": st.sampled_from([0.5, math.inf, -math.inf, math.nan, False, [0.5]]),
+        "heavy": st.sampled_from(["0", math.inf, -math.inf, math.nan, True,
+                                  ["0"]])}),
     st.just([1, 2]))
 
 

@@ -189,17 +189,49 @@ class OptimizationError(RuntimeError):
     """No start of the optimizer ended at a finite value."""
 
 
+def _bfgs(fun, x0: np.ndarray, gtol: float, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimize fun(x) -> (value, gradient) from x0 by BFGS (Nocedal & Wright,
+    Numerical Optimization, Alg. 6.1): the inverse-Hessian update from the
+    identity, with a backtracking line search to the Armijo condition.  Stops
+    when the largest gradient component is at most gtol, after maxiter
+    iterations, or when no step along the search direction lowers the value
+    (as scipy's BFGS does).  Returns the last accepted point and its value,
+    which is not finite when the value at x0 is not."""
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    hinv = np.eye(x.size)
+    for _ in range(maxiter):
+        if not np.isfinite(f) or np.abs(g).max(initial=0.0) <= gtol:
+            break
+        p = -hinv @ g
+        slope, step = g @ p, 1.0
+        while step > 1e-12:
+            f_new, g_new = fun(x + step * p)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = step * p, g_new - g
+        x, f, g = x + s, f_new, g_new
+        sy = s @ y
+        if sy > 0.0:  # the curvature condition keeps hinv positive definite
+            hy = hinv @ y
+            hinv += ((sy + y @ hy) * np.outer(s, s) / sy
+                     - np.outer(hy, s) - np.outer(s, hy)) / sy
+    return x, float(f)
+
+
 def optimize_angles(seq: AnsatzSequence, start: StateVector, target: StateVector,
                     L: int, seed_angles=None, rng_seed: int = 0,
                     n_starts: int = 3, maxiter: int = 500) -> tuple[AnsatzSequence, float]:
     """Minimize the infidelity density over the layer angles.
 
-    Quasi-Newton (BFGS) on the ansatz sector (`SectorPlan`) with the exact
-    adjoint gradient; multi-start with the seed angles, zeros and a
-    perturbed seed.
+    Quasi-Newton (BFGS, _bfgs) on the ansatz sector (`SectorPlan`) with the
+    exact adjoint gradient; multi-start with the seed angles, zeros and a
+    perturbed seed.  Raises OptimizationError when no start ends at a finite
+    value.
     """
-    from scipy.optimize import minimize
-
     plan = SectorPlan(seq, start)
     tgt = plan.sector.extract(target)
     rng = np.random.default_rng(rng_seed)
@@ -208,10 +240,10 @@ def optimize_angles(seq: AnsatzSequence, start: StateVector, target: StateVector
     starts = [seed, np.zeros(k), seed + rng.normal(0.0, 0.05, k)][:max(1, n_starts)]
     best_x, best_val = None, np.inf
     for x0 in starts:
-        res = minimize(plan.infidelity_and_grad, x0, args=(tgt, L), jac=True,
-                       method="BFGS", options={"gtol": 1e-8, "maxiter": maxiter})
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
+        x, value = _bfgs(lambda th: plan.infidelity_and_grad(th, tgt, L), x0,
+                         gtol=1e-8, maxiter=maxiter)
+        if value < best_val:
+            best_val, best_x = value, x
     if best_x is None:
         raise OptimizationError("optimizer produced no result")
     return seq.with_angles(best_x), best_val

@@ -116,9 +116,9 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _spec_from(args: argparse.Namespace) -> LatticeSpec:
-    if args.heavy:
+    if args.heavy is not None:  # "" places no heavy quark
         try:
-            positions = tuple(int(tok) for tok in args.heavy.split(",") if tok != "")
+            positions = tuple(map(int, args.heavy.split(","))) if args.heavy else ()
         except ValueError:
             raise CliError(f"--heavy: cannot read {args.heavy!r}")
         for i, x in enumerate(positions):
@@ -166,7 +166,7 @@ def _csv(header: list, rows: list) -> str:
 
 def _fmt(v):
     if isinstance(v, float):  # numpy floats too; print them as plain floats
-        return repr(round(float(v), 12))
+        return repr(round(float(v), 12) + 0.0)  # + 0.0: -0.0 prints as 0.0
     return v
 
 
@@ -558,7 +558,8 @@ def _add_common(p: _Parser, lattice: bool = True) -> None:
         p.add_argument("--nq", type=int, default=1,
                        help="number of heavy quarks (0, 1 at x=0, 2 at x=0 and L-1)")
         p.add_argument("--heavy", type=str, default=None,
-                       help="comma-separated heavy-quark positions, overrides --nq")
+                       help="comma-separated heavy-quark positions, overrides --nq; "
+                            "an empty value places none")
 
 
 def _add_schedule(p: _Parser, dt: float, horizon: float = 10.0) -> None:

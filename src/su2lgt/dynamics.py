@@ -273,8 +273,7 @@ def _sector_expectations(h: PauliSum, s: StateVector,
     """<s|op|s> for each named op, on the basis states h reaches from s."""
     sector = Sector.closure(h, s)
     v = sector.extract(s)
-    return {name: float(np.vdot(v, sector.restrict(op) @ v).real)
-            for name, op in ops.items()}
+    return {name: sector.expectation(op, v) for name, op in ops.items()}
 
 
 class _SectorMeter:

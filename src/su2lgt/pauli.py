@@ -428,11 +428,12 @@ class Sector:
     """A sorted set of basis states that an operator maps into itself.
 
     `closure` collects the basis states reachable from a state's support
-    through the operator's non-zero matrix elements; `restrict` gives an
-    operator as a sparse matrix on those states, `eigh` eigendecomposes it
-    there, and `extract`/`embed` move amplitudes between a state and the
-    sector.  A sector built by `closure` keeps the matrix elements
-    it swept, and `restrict`/`eigh` of the same operator reuse them.
+    through the operator's non-zero matrix elements; `dense` and `restrict`
+    give an operator as a dense or a sparse matrix on those states,
+    `expectation` its expectation value there, `eigh` eigendecomposes it,
+    and `extract`/`embed` move amplitudes between a state and the sector.
+    A sector built by `closure` keeps the matrix elements it swept, and the
+    readers of the same operator reuse them.
     """
 
     _CHUNK = 1 << 17  # (state, term) entries per block of the sign table
@@ -554,10 +555,26 @@ class Sector:
             vals = vals.real
         return rows, keep, vals
 
+    def dense(self, op: PauliSum) -> np.ndarray:
+        """P_S op P_S as a dense array on the sector, the matrix of restrict
+        (real when op's elements are).  Raises ValueError if an element
+        above PauliSum.ZERO_TOL leads out of the sector."""
+        rows, keep, vals = self._table(op)
+        out = np.zeros((len(self), len(self)), dtype=vals.dtype)
+        cols, groups = keep.nonzero()
+        out[rows[cols, groups], cols] = vals[cols, groups]
+        return out
+
+    def expectation(self, op: PauliSum, v: np.ndarray) -> float:
+        """Re <v| op |v> for amplitudes v on the sector, summed over the
+        element table.  Raises ValueError as restrict does."""
+        rows, keep, vals = self._table(op)
+        return float(np.vdot(v[rows[keep]], vals[keep] * v[keep.nonzero()[0]]).real)
+
     def restrict(self, op: PauliSum):
         """P_S op P_S as a CSR matrix on the sector (real when op's elements
-        are).  Raises ValueError if an element above PauliSum.ZERO_TOL
-        leads out of the sector."""
+        are), for scipy's sparse routines.  Raises ValueError if an element
+        above PauliSum.ZERO_TOL leads out of the sector."""
         from scipy import sparse
 
         rows, keep, vals = self._table(op)

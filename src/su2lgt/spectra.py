@@ -51,20 +51,22 @@ def lanczos_ground(h: PauliSum, start: StateVector,
     """Lowest eigenpair of h in the start vector's sector.
 
     The start vector selects the sector: the basis states that h reaches
-    from its support (see Sector.closure).  h restricted to them is
-    diagonalized densely, lowest eigenpair only; sectors at L <= 3 hold at
-    most 1200 states.  The state is kept on the sector (Sector.embed).
-    Raises LanczosError for a sector of more than MAX_DENSE_STATES states,
-    and unless ||H psi - E psi|| < tol.
+    from its support (see Sector.closure).  h restricted to them is filled
+    in as a dense matrix from the sector's element table (Sector.dense) and
+    diagonalized by np.linalg.eigh; sectors at L <= 3 hold at most 1200
+    states.  The state is kept on the sector (Sector.embed).  Raises
+    LanczosError for a sector of more than MAX_DENSE_STATES states, when
+    LAPACK does not converge, and unless ||H psi - E psi|| < tol.
     """
-    from scipy.linalg import eigh
-
     sector = Sector.closure(h, start)
     if len(sector) > MAX_DENSE_STATES:
         raise LanczosError(f"the sector holds {len(sector)} states; the dense "
                            f"ground-state solve takes at most {MAX_DENSE_STATES}")
-    hs = sector.restrict(h)
-    evals, evecs = eigh(hs.toarray(), subset_by_index=(0, 0))
+    hs = sector.dense(h)
+    try:
+        evals, evecs = np.linalg.eigh(hs)
+    except np.linalg.LinAlgError as exc:
+        raise LanczosError(f"the dense ground-state solve failed: {exc}")
     energy, amps = float(evals[0]), evecs[:, 0]
     residual = float(np.linalg.norm(hs @ amps - energy * amps))
     if not residual < tol:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from su2lgt import LatticeSpec
-from su2lgt.ansatz import (AnsatzSequence, Layer, SectorPlan, build_pool,
-                           infidelity_density, optimize_angles, pool_by_name,
-                           sequence_from_names)
+from su2lgt.ansatz import (AnsatzSequence, Layer, OptimizationError, SectorPlan, _bfgs,
+                           build_pool, infidelity_density, optimize_angles,
+                           pool_by_name, sequence_from_names)
 from su2lgt.pauli import StateVector, exp_sum_apply
 from su2lgt.reference import STAGED
 from su2lgt.spectra import ground_state, sc_state
@@ -155,3 +155,55 @@ def test_optimized_value_equals_full_register_recompute(L, n_q, k):
     opt, value = optimize_angles(seq, start, target, L, n_starts=1)
     assert abs(value - infidelity_density(opt.apply(start), target, L)) <= 1e-12
     assert value <= infidelity_density(seq.apply(start), target, L) + 1e-15
+
+
+def _rosenbrock(x):
+    value = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    grad[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return value, grad
+
+
+def _bfgs_problems():
+    """(name, fun, x0) for the staged L = 2 and L = 3 objectives, from the
+    final angles and from zeros, and for Rosenbrock functions."""
+    for L, n_q, k in [(2, 0, None), (2, 1, None), (3, 1, 4), (3, 1, 10)]:
+        seq, start, target = _staged(L, n_q, k)
+        plan = SectorPlan(seq, start)
+        tgt = plan.sector.extract(target)
+        fun = functools.partial(lambda th, p, t, L: p.infidelity_and_grad(th, t, L),
+                                p=plan, t=tgt, L=L)
+        yield f"L{L} n_Q {n_q} k {k}", fun, seq.angles
+        yield f"L{L} n_Q {n_q} k {k} zeros", fun, np.zeros(len(seq.layers))
+    yield "Rosenbrock 2", _rosenbrock, np.array([-1.2, 1.0])
+    yield "Rosenbrock 3", _rosenbrock, np.array([2.0, -1.0, 0.5])
+    yield "Rosenbrock 4", _rosenbrock, np.zeros(4)
+
+
+def test_bfgs_agrees_with_scipy_bfgs():
+    from scipy.optimize import minimize
+
+    for name, fun, x0 in _bfgs_problems():
+        x, value = _bfgs(fun, x0, gtol=1e-8, maxiter=500)
+        ref = minimize(fun, x0, jac=True, method="BFGS",
+                       options={"gtol": 1e-8, "maxiter": 500})
+        assert abs(value - ref.fun) <= 1e-12, name
+        assert np.max(np.abs(x - ref.x)) <= 1e-6, name
+        assert np.max(np.abs(fun(x)[1])) <= 1e-8, name
+
+
+def test_bfgs_stops_at_a_non_finite_start():
+    x0 = np.array([0.3, -0.2])
+    x, value = _bfgs(lambda x: (np.nan, np.full(2, np.nan)), x0, gtol=1e-8, maxiter=50)
+    assert np.isnan(value) and np.array_equal(x, x0)
+
+
+def test_optimizer_with_no_finite_start_raises(monkeypatch):
+    seq, start, target = _staged(2, 1)
+    def not_finite(self, thetas, target, L):
+        return np.nan, np.full(len(thetas), np.nan)
+
+    monkeypatch.setattr(SectorPlan, "infidelity_and_grad", not_finite)
+    with pytest.raises(OptimizationError):
+        optimize_angles(seq, start, target, 2, n_starts=3)

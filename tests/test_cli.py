@@ -54,6 +54,25 @@ def test_bad_heavy_position_returns_config_error(capsys):
     assert "position 0" in err and "Traceback" not in err
 
 
+def test_empty_heavy_places_no_heavy_quark(tmp_path, capsys):
+    # --heavy "" and {"heavy": ""} both mean no heavy quark, as --nq 0 does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"heavy": ""}))
+    runs = [run_cli(capsys, "groundstate", "--L", "1", *argv)
+            for argv in (["--heavy", ""], ["--config", str(path)], ["--nq", "0"])]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["heavy"] == []
+
+
+@pytest.mark.parametrize("heavy", [",", "1,", ",1", "0,,1"])
+def test_empty_heavy_token_is_rejected(capsys, heavy):
+    code = main(["groundstate", "--L", "2", "--heavy", heavy])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --heavy")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv, named", [
     (["groundstate", "--L", "2", "--g", "inf"], "g must be finite"),
     (["groundstate", "--L", "2", "--g", "nan"], "g must be finite"),
@@ -163,6 +182,36 @@ def test_estimator_output_is_pinned(L):
     assert hashlib.sha256(run.stdout).hexdigest() == _ESTIMATOR_SHA256[L]
 
 
+def test_output_does_not_depend_on_the_blas_thread_count():
+    # the package fixes one BLAS thread before numpy loads, whatever the
+    # environment asks for; each child runs the argvs in turn
+    import subprocess
+    import sys
+
+    argvs = [["groundstate", "--L", "3"], ["prepare", "--L", "3"],
+             ["observables", "--what", "entanglement", "--L", "3"],
+             ["observables", "--what", "estimator", "--L", "3", "--nq", "1"],
+             ["evolve", "--L", "3", "--horizon", "2"]]
+    code = ("from su2lgt.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0\n    print('--', flush=True)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k not in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             env=env, check=True)
+        assert run.stdout.count(b"--\n") == len(argvs)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_evolve_csv(capsys):
     code, out = run_cli(capsys, "evolve", "--L", "2", "--nq", "1", "--moves",
                         "0-1@0", "--horizon", "1", "--dt", "0.5")
@@ -176,9 +225,9 @@ def test_evolve_csv(capsys):
 
 # sha256 of the stdout of `evolve --L 2 --csv-z` with each evolver and order
 _EVOLVE_SHA256 = {
-    ("exact", "2"): "854b2b5fdba91d590bdc63e0a36b078c343aa9baa1fd840b742be90e31b8c60a",
-    ("trotter", "1"): "943fa320009c5fb50b0b0f371adf6b45de3d30b47d4fa4141d442f7dcb59c1ae",
-    ("trotter", "2"): "cdd51036afa9cea66521cd80c93991d2f84aa98558708ccb41ee22b8dc098270",
+    ("exact", "2"): "9ac30c99fc0ad80f5ffc42344842e10dc909dd9752703ad1c56484029fb4fa8f",
+    ("trotter", "1"): "8e8c5c8f7f672b2e2ed92807095ec423ed0fcc851e21e16d841c41445ee8c3a9",
+    ("trotter", "2"): "331e62976970bcf8f363995e69fff2d55fb7e93ab41a036fb377f0f29f1bacfe",
 }
 
 

@@ -192,6 +192,44 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert out.stdout.strip() == "[]"
 
 
+def test_ground_path_imports_no_scipy():
+    # a fresh interpreter: the dense ground solve, the angle optimizer, the
+    # component energies and the ground-path CLI commands run on numpy alone
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import contextlib, io, sys
+from su2lgt import LatticeSpec
+from su2lgt.ansatz import REFERENCE_SEQUENCES, optimize_angles, sequence_from_names
+from su2lgt.cli import main
+from su2lgt.dynamics import _sector_expectations
+from su2lgt.hamiltonian import build_hamiltonian
+from su2lgt.spectra import lanczos_ground, sc_state
+spec = LatticeSpec(L=3, heavy_positions=frozenset({0}))
+terms = build_hamiltonian(spec)
+_, psi = lanczos_ground(terms.total, sc_state(spec))
+_sector_expectations(terms.total, psi, terms.as_dict())
+names, angles = REFERENCE_SEQUENCES[3, 1]
+optimize_angles(sequence_from_names(spec, names[:4], angles[:4]), sc_state(spec),
+                psi, 3, n_starts=1)
+for argv in (["groundstate"], ["prepare"], ["prepare", "--optimize"],
+             ["observables", "--what", "entanglement"],
+             ["observables", "--what", "estimator"],
+             ["observables", "--what", "magic"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--L", "3"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 sums = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
               coeffs), max_size=12)))

@@ -4,7 +4,8 @@ import pytest
 from su2lgt import LatticeSpec
 from su2lgt.hamiltonian import build_hamiltonian, charge_square, mass_offset
 from su2lgt.pauli import StateVector
-from su2lgt.spectra import ground_state, hadron_mass, lanczos_ground, sc_state
+from su2lgt.spectra import (LanczosError, ground_state, hadron_mass, lanczos_ground,
+                           sc_state)
 
 
 def _heavy_sector_indices(spec):
@@ -62,6 +63,16 @@ def test_lanczos_on_one_state_sector_returns_that_state():
     assert e == pytest.approx(-0.7 + 0.3, abs=1e-14)
     assert abs(np.vdot(start.amps, psi.amps)) == pytest.approx(1.0, abs=1e-14)
     assert np.count_nonzero(psi.amps) == 1
+
+
+def test_eigensolver_failure_is_lanczos_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    spec = LatticeSpec(L=1, heavy_positions=frozenset({0}))
+    with pytest.raises(LanczosError, match="did not converge"):
+        lanczos_ground(build_hamiltonian(spec).total, sc_state(spec))
 
 
 def test_sc_vacuum_is_charge_free_basis_state():

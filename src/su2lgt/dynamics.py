@@ -68,25 +68,62 @@ class KrylovError(RuntimeError):
     """Exact propagation failed its energy-conservation check."""
 
 
+# The Lanczos propagator's largest basis, and the error it allows a step,
+# relative to the vector's norm (Saad's a-posteriori estimate).
+_KRYLOV_DIM = 40
+_KRYLOV_TOL = 1e-14
+
+
+def _lanczos_step(hs, w: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """(exp(-i hs tau') w, tau') for a Hermitian hs: a Lanczos basis of hs
+    from w, reorthogonalized in full, grows until Saad's estimate
+    beta_m |e_m^T exp(-i tau T_m) e_1| is at most _KRYLOV_TOL (a breakdown,
+    beta_m = 0, or a basis that spans the sector is exact).  When
+    _KRYLOV_DIM vectors do not get there, tau' halves from tau on the same
+    basis until they do, or until e_m^T exp(-i tau' T_m) e_1 is down to its
+    rounding."""
+    norm, size = np.linalg.norm(w), min(_KRYLOV_DIM, w.size)
+    q = np.empty((size + 1, w.size), dtype=complex)
+    q[0] = w / norm
+    alpha, beta = [], []
+    for m in range(1, size + 1):
+        r = hs @ q[m - 1]
+        coef = (q[:m] @ r.conj()).conj()
+        r -= coef @ q[:m]
+        r -= (q[:m] @ r.conj()).conj() @ q[:m]
+        alpha.append(coef[-1].real)
+        beta.append(np.linalg.norm(r))
+        # eigh reads the lower triangle of T_m
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        c = s @ (np.exp(-1j * tau * theta) * s[0])
+        if m == w.size or beta[-1] * abs(c[-1]) <= _KRYLOV_TOL:
+            return norm * (c @ q[:m]), tau
+        q[m] = r / beta[-1]
+    while beta[-1] * abs(c[-1]) > _KRYLOV_TOL and abs(c[-1]) > m * np.finfo(float).eps:
+        tau /= 2
+        c = s @ (np.exp(-1j * tau * theta) * s[0])
+    return norm * (c @ q[:m]), tau
+
+
 def _propagate(hs, v: np.ndarray, start: float, stop: float, num: int,
                tol: float) -> np.ndarray:
-    """exp(-i hs t) v for t = linspace(start, stop, num), one row each, by
-    scipy's expm_multiply (Al-Mohy and Higham's truncated Taylor series; a
-    grid of two or more times shares one norm estimate and steps from one
-    time to the next).
+    """exp(-i hs t) v for t = linspace(start, stop, num), one row each, for
+    a Hermitian hs on a sector (a SectorMatrix): a Lanczos propagator (Park
+    and Light, J. Chem. Phys. 85, 5870 (1986)) that marches from 0 through
+    the times in Lanczos steps (_lanczos_step).
 
     Raises KrylovError when <hs> at any of the times differs from <hs> in v
     by more than tol * max(1, |<hs>|).
     """
-    from scipy.sparse.linalg import expm_multiply
-
-    if num == 1:
-        w = expm_multiply(-1j * start * hs, v)[None]
-    else:
-        w = expm_multiply(-1j * hs, v, start=start, stop=stop, num=num,
-                          endpoint=True)
+    times = np.linspace(start, stop, num)
+    w, now = np.empty((num, v.size), dtype=complex), 0.0
+    for k, t in enumerate(times):
+        w[k] = v if k == 0 else w[k - 1]
+        while now != t:
+            w[k], step = _lanczos_step(hs, w[k], t - now)
+            now = t if step == t - now else now + step
     before = np.vdot(v, hs @ v).real
-    for t, wt in zip(np.linspace(start, stop, num), w):
+    for t, wt in zip(times, w):
         after = np.vdot(wt, hs @ wt).real
         if not abs(after - before) <= tol * max(1.0, abs(before)):
             raise KrylovError(f"<H> drifted from {before:.12g} to {after:.12g} "
@@ -96,13 +133,15 @@ def _propagate(hs, v: np.ndarray, start: float, stop: float, num: int,
 
 def evolve_exact(state: StateVector, h: PauliSum, t: float,
                  tol: float = 1e-11) -> StateVector:
-    """exp(-iHt)|state> on the basis states that h reaches from the state's
-    support (see Sector.closure), by scipy's expm_multiply (Al-Mohy and
-    Higham's truncated Taylor series) on the restricted operator.
+    """exp(-iHt)|state> for a Hermitian h, on the basis states that h
+    reaches from the state's support (see Sector.closure), by the Lanczos
+    propagator _propagate on the restricted operator.
 
-    Raises KrylovError when <H> drifts by more than tol * max(1, |<H>|)
-    over the propagation.
+    Raises ValueError for a non-Hermitian h, and KrylovError when <H>
+    drifts by more than tol * max(1, |<H>|) over the propagation.
     """
+    if not h.is_hermitian():
+        raise ValueError("evolve_exact requires a Hermitian operator")
     sector = Sector.closure(h, state)
     return sector.embed(_propagate(sector.restrict(h), sector.extract(state),
                                    t, t, 1, tol)[0])
@@ -297,8 +336,9 @@ class _SectorMeter:
         self.z_signs = 1.0 - 2.0 * bits
 
     def advance(self, v: np.ndarray, delta: float) -> np.ndarray:
-        """v on the sector evolved by delta: exactly (_propagate), or by one
-        Trotter step.  An advance of at most 1e-12 is none."""
+        """v on the sector evolved by delta: exactly (_propagate on h's
+        SectorMatrix), or by one Trotter step.  An advance of at most 1e-12
+        is none."""
         if delta <= 1e-12:
             return v
         if not self.factors:
@@ -330,7 +370,7 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
 
     Each interval between two moves runs and is measured on one sector
     (_SectorMeter): the exact evolver takes all of its records from one
-    expm_multiply over their time grid (_propagate), and the Trotter
+    Lanczos march over their time grid (_propagate), and the Trotter
     evolver steps from record to record with each factor of
     trotter_schedule decomposed once.  The move itself is fswap_move.
     """

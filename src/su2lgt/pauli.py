@@ -394,11 +394,11 @@ class StateVector:
 _MAX_BLOCK = 256
 
 
-class BlockDiagonal:
-    """A block-diagonal matrix on a sector, kept entry by entry: entry e
-    holds m = mr + i mi at (rows[e], cols[e]), and each row's entries come
-    in column order.  The positions `ones` are one-state blocks that hold 1
-    and have no entries."""
+class SectorMatrix:
+    """A sparse matrix on a sector, kept entry by entry: entry e holds
+    m = mr + i mi at (rows[e], cols[e]), and each row's entries come in
+    column order.  The positions `ones` (Sector.eigh's one-state blocks)
+    hold 1 on the diagonal and have no entries."""
 
     __slots__ = ("rows", "cols", "re", "im", "ones")
 
@@ -412,7 +412,7 @@ class BlockDiagonal:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector x on the sector, as a complex vector.
         add.at adds each row's terms one at a time, in column order, from
-        0: the sums of a sparse matrix product, bit for bit."""
+        0: the sums of a CSR matrix product, bit for bit."""
         x = np.asarray(x, dtype=complex)
         at = x[self.cols]
         terms = self.re * at
@@ -571,16 +571,16 @@ class Sector:
         rows, keep, vals = self._table(op)
         return float(np.vdot(v[rows[keep]], vals[keep] * v[keep.nonzero()[0]]).real)
 
-    def restrict(self, op: PauliSum):
-        """P_S op P_S as a CSR matrix on the sector (real when op's elements
-        are), for scipy's sparse routines.  Raises ValueError if an element
-        above PauliSum.ZERO_TOL leads out of the sector."""
-        from scipy import sparse
-
+    def restrict(self, op: PauliSum) -> SectorMatrix:
+        """P_S op P_S as a SectorMatrix on the sector (real when op's
+        elements are), whose product gives the bits of a CSR product.
+        Raises ValueError if an element above PauliSum.ZERO_TOL leads out of
+        the sector."""
         rows, keep, vals = self._table(op)
-        cols = np.broadcast_to(np.arange(len(self))[:, None], keep.shape)
-        return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                                 shape=(len(self), len(self)))
+        # entries column by column, so each row's come in column order
+        cols, groups = keep.nonzero()
+        return SectorMatrix(rows[cols, groups], cols, vals[cols, groups],
+                            np.empty(0, dtype=np.int64))
 
     def eigh(self, op: PauliSum):
         """Eigendecomposition P_S op P_S = V w V^H of a Hermitian op on the
@@ -589,7 +589,7 @@ class Sector:
         positions of w.  A one-state block is its diagonal element; the
         blocks of each larger size are diagonalized as one batch, and blocks
         with equal matrices share one eigendecomposition.  Returns w and V
-        and V^H as BlockDiagonal.  Raises ValueError for an op that leads
+        and V^H as SectorMatrix.  Raises ValueError for an op that leads
         out of the sector (see restrict) or a block of more than _MAX_BLOCK
         states."""
         rows_of, keep, vals = self._table(op)
@@ -648,8 +648,8 @@ class Sector:
             vec_of.take(which, axis=0, out=vecs[span].reshape(-1, size, size))
         # V^H holds conj(V[r, c]) at (c, r); taken in V's entry order, each
         # of its rows still comes in column order
-        return (w, BlockDiagonal(rows, cols, vecs, ones),
-                BlockDiagonal(cols, rows, vecs.conj(), ones))
+        return (w, SectorMatrix(rows, cols, vecs, ones),
+                SectorMatrix(cols, rows, vecs.conj(), ones))
 
 
 # -- operations on states ---------------------------------------------

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from su2lgt.dynamics import (MotionSchedule, ToyModelParams, _SectorMeter,
+from su2lgt import dynamics
+from su2lgt.dynamics import (MotionSchedule, ToyModelParams, _propagate, _SectorMeter,
                              _sector_expectations, dedx_estimate, evolve_exact, fswap_move,
                              gauge_pair_rounds, run_protocol,
                              toy_fswap_expectation, trotter_schedule,
                              trotter_step)
 from su2lgt.hamiltonian import build_hamiltonian, mass_offset
 from su2lgt.observables import z_profile
-from su2lgt.pauli import Sector, StateVector
+from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector
 from su2lgt.spectra import lanczos_ground, sc_state
 
 from conftest import random_state, spec_for
@@ -31,18 +34,98 @@ def test_evolve_exact_matches_dense_expm():
 
 
 def test_evolve_exact_raises_when_energy_is_not_conserved(monkeypatch):
-    import scipy.sparse.linalg
-
     from su2lgt.dynamics import KrylovError
 
-    exact = scipy.sparse.linalg.expm_multiply
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda a, v, *grid, **kw: exact(a, v, *grid, **kw)
-                        + 1e-4 * v[::-1])
+    exact = dynamics._lanczos_step
+
+    def drifting(hs, w, tau):
+        out, step = exact(hs, w, tau)
+        return out + 1e-4 * w[::-1], step
+
+    monkeypatch.setattr(dynamics, "_lanczos_step", drifting)
     spec = spec_for(1, (0,))
     v = random_state(spec.n_qubits, np.random.default_rng(3))
     with pytest.raises(KrylovError):
         evolve_exact(StateVector(v), _full_h(spec), 0.5)
+
+
+def test_evolve_exact_rejects_a_non_hermitian_operator():
+    spec = spec_for(1, (0,))
+    v = StateVector(random_state(spec.n_qubits, np.random.default_rng(3)))
+    h = _full_h(spec) + PauliSum(spec.n_qubits, [
+        PauliString.from_label("X" + "I" * (spec.n_qubits - 1), 0.5j)])
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve_exact(v, h, 0.5)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_propagate_agrees_with_expm_multiply_on_an_interval_sector(L):
+    # the sector of the ground state after a 0 -> 1 move, as run_protocol
+    # propagates it: one time, and a grid that starts after 0
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    spec = spec_for(L, (0,))
+    h = build_hamiltonian(spec).total
+    moved = fswap_move(lanczos_ground(h, sc_state(spec))[1], spec, 0, 1)
+    sector = Sector.closure(h, moved)
+    hs, v = sector.restrict(h), sector.extract(moved)
+    csr = sparse.csr_matrix(sector.dense(h))
+    one = _propagate(hs, v, 2.5, 2.5, 1, 1e-11)
+    assert np.abs(one - expm_multiply(-2.5j * csr, v)).max() < 1e-12
+    grid = _propagate(hs, v, 0.5, 3.0, 6, 1e-11)
+    oracle = expm_multiply(-1j * csr, v, start=0.5, stop=3.0, num=6, endpoint=True)
+    assert np.abs(grid - oracle).max() < 1e-12
+
+
+hermitian_sums = st.lists(st.tuples(st.text(alphabet="IXYZ", min_size=4, max_size=4),
+                                    st.floats(-1.0, 1.0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_sums, st.sets(st.integers(0, 15), min_size=1, max_size=4),
+       st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([10, 40]), st.integers(0, 2**31 - 1))
+@example([("ZIZI", 0.7), ("IIIZ", -0.2)], {6}, 2.0, 40, 0)  # a one-state sector
+@example([("ZYYX", -0.9), ("IIIZ", 0.8), ("YYZY", 0.1), ("YZXZ", -1.0), ("XZYI", 0.5),
+          ("ZIIZ", 0.1)], {1, 4, 6, 7}, 2.0, 10, 1)
+def test_propagate_agrees_with_dense_expm(pairs, support, t, dim, seed):
+    # a basis of 10 fills on the 12-state sector of the second example before
+    # the estimate is met, so 16 of its 18 steps halve
+    h = PauliSum(4, [PauliString.from_label(lab, c) for lab, c in pairs])
+    amps = np.zeros(16, dtype=complex)
+    amps[sorted(support)] = random_state(2, np.random.default_rng(seed))[:len(support)]
+    state = StateVector(amps / np.linalg.norm(amps))
+    sector = Sector.closure(h, state)
+    v = sector.extract(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_KRYLOV_DIM", dim)
+        got = _propagate(sector.restrict(h), v, 0.0, t, 3, 1e-9)
+    for ti, row in zip(np.linspace(0.0, t, 3), got):
+        assert np.abs(row - expm(-1j * ti * sector.dense(h)) @ v).max() < 1e-11
+    assert got[0].tobytes() == v.astype(complex).tobytes()
+
+
+def test_propagate_from_an_eigenvector_breaks_down_exactly():
+    # (|001> + sqrt 2 |010> + |100>)/2 is the 2 sqrt 2 eigenvector of the
+    # hopping chain on its 3-state sector: the first residual is 0, so one
+    # step of one product (and two for the drift check) is exact
+    class Counted:
+        def __init__(self, m):
+            self.m, self.calls = m, 0
+
+        def __matmul__(self, x):
+            self.calls += 1
+            return self.m @ x
+
+    h = PauliSum(3, [PauliString.from_label(lab) for lab in ("XXI", "YYI", "IXX", "IYY")])
+    amps = np.zeros(8)
+    amps[[1, 2, 4]] = 0.5, np.sqrt(0.5), 0.5
+    state = StateVector(amps)
+    sector = Sector.closure(h, state)
+    hs, v = Counted(sector.restrict(h)), sector.extract(state)
+    got = _propagate(hs, v, 7.0, 7.0, 1, 1e-11)[0]
+    assert len(sector) == 3 and hs.calls == 3
+    assert np.abs(got - np.exp(-14j * np.sqrt(2.0)) * v).max() < 1e-13
 
 
 def test_trotter_step_is_unitary_and_trivial_at_zero():

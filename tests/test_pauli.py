@@ -230,6 +230,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert out.stdout.strip() == "[]"
 
 
+
+def test_exact_propagation_imports_no_scipy():
+    # a fresh interpreter: evolve_exact, exact and Trotter protocols, the
+    # evolve and dedx commands and the motion, trotter and circuits report
+    # sections run on numpy alone
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import contextlib, io, sys
+from su2lgt import LatticeSpec
+from su2lgt.cli import main
+from su2lgt.dynamics import MotionSchedule, evolve_exact, run_protocol
+from su2lgt.hamiltonian import build_hamiltonian
+from su2lgt.spectra import sc_state
+spec = LatticeSpec(L=2, heavy_positions=frozenset({0}))
+evolve_exact(sc_state(spec), build_hamiltonian(spec).total, 0.7)
+schedule = MotionSchedule(events=((0.5, 0, 1),), horizon=1.0, dt=0.5)
+for evolver in ("exact", "trotter"):
+    run_protocol(spec, schedule, evolver=evolver)
+for argv in (["evolve", "--L", "3"], ["dedx", "--L", "3"],
+             ["report", "--sections", "motion,trotter,circuits"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
 sums = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
               coeffs), max_size=12)))

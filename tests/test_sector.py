@@ -33,8 +33,7 @@ def test_published_sector_is_closed_under_h(L, n_q):
     columns = np.array([h.matvec(np.eye(1, dim, s)[0]) for s in sector.indices]).T
     outside = np.setdiff1d(np.arange(dim), sector.indices)
     assert np.abs(columns[outside]).max() == 0.0
-    assert np.allclose(sector.restrict(h).toarray(), columns[sector.indices],
-                       atol=1e-13)
+    assert np.allclose(sector.dense(h), columns[sector.indices], atol=1e-13)
 
 
 def test_l3_matvec_of_the_ground_state_stays_on_its_sector():
@@ -94,7 +93,7 @@ def test_operator_without_terms_restricts_to_zero():
     # e.g. the penalty piece when its strength is 0
     sector = Sector.closure(PauliSum.zero(2), StateVector.from_ket("01"))
     assert sector.indices.tolist() == [1]
-    assert sector.restrict(PauliSum.zero(2)).toarray().tolist() == [[0.0]]
+    assert _dense(sector.restrict(PauliSum.zero(2)), 1).tolist() == [[0.0]]
 
 
 @settings(max_examples=25, deadline=None)
@@ -106,12 +105,12 @@ def test_restrict_matches_dense_on_the_closure(pairs, start):
     sector = Sector.closure(h, StateVector.basis(3, start))
     dense = dense_sum(pairs, 3)
     assert start in sector.indices
-    assert np.allclose(sector.restrict(h).toarray(),
+    assert np.allclose(_dense(sector.restrict(h), len(sector)),
                        dense[np.ix_(sector.indices, sector.indices)], atol=1e-12)
 
 
 def _dense(b, dim):
-    """A BlockDiagonal as a dense matrix, from its entries and one-state blocks."""
+    """A SectorMatrix as a dense matrix, from its entries and one-state blocks."""
     m = np.zeros((dim, dim), dtype=complex)
     m[b.rows, b.cols] = b.re if b.im is None else b.re + b.im
     m[b.ones, b.ones] = 1.0
@@ -141,7 +140,7 @@ def test_eigh_diagonalizes_the_restriction(pairs, support):
     v, vh = _dense(v, len(sector)), _dense(vh, len(sector))
     assert np.array_equal(vh, v.conj().T)
     assert np.allclose(vh @ v, np.eye(len(sector)), atol=1e-12)
-    assert np.allclose(v @ np.diag(w) @ vh, sector.restrict(h).toarray(), atol=1e-12)
+    assert np.allclose(v @ np.diag(w) @ vh, sector.dense(h), atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,7 +149,8 @@ def test_eigh_diagonalizes_the_restriction(pairs, support):
 @example([("XII", 1.0), ("IIZ", 0.25)], set(range(8)), 0)
 def test_block_product_gives_the_bits_of_a_sparse_product(pairs, support, seed):
     # each row adds its terms one at a time in column order, as scipy's CSR
-    # product does, so V and V^H give the bits the sparse V and V^H gave
+    # product does, so V, V^H and the restriction give the bits of a CSR
+    # product
     from scipy import sparse
 
     h = PauliSum(3, [PauliString.from_label(lab, c) for lab, c in pairs])
@@ -165,6 +165,8 @@ def test_block_product_gives_the_bits_of_a_sparse_product(pairs, support, seed):
         ones = sparse.csr_matrix((np.ones(b.ones.size), (b.ones, b.ones)),
                                  shape=dense.shape)
         assert (b @ x).tobytes() == ((kept + ones) @ x).tobytes()
+    assert (sector.restrict(h) @ x).tobytes() == (
+        sparse.csr_matrix(sector.dense(h)) @ x).tobytes()
 
 
 def test_eigh_rejects_a_block_wider_than_its_limit():
@@ -228,7 +230,7 @@ def test_exp_sum_apply_matches_expm_of_the_restriction(L):
              if L == 1 else prepared_state(spec))
     for name, gen, theta in _generator_steps(spec):
         sector = Sector.closure(gen, state)
-        oracle = expm(-1j * theta * sector.restrict(gen).toarray()) @ sector.extract(state)
+        oracle = expm(-1j * theta * sector.dense(gen)) @ sector.extract(state)
         got = exp_sum_apply(gen, theta, state)
         assert np.abs(got.amps[sector.indices] - oracle).max() < 1e-12, name
 

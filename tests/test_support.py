@@ -105,7 +105,8 @@ def test_element_chunks_do_not_move_bits(monkeypatch):
         out = []
         for sector in (swept, Sector(swept.n, swept.indices)):
             m = sector.restrict(h)
-            out += [m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()]
+            out += [part.tobytes() for part in (m.rows, m.cols, m.re, m.im)
+                    if part is not None]
         sector = Sector.closure_under(gens, sc_state(l2))
         for gen in gens:
             w, v, vh = sector.eigh(gen)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import TrotterFactor, trotter_schedule
 from .lattice import LatticeSpec
-from .pauli import PauliString, PauliSum, StateVector, _bit, _qubits, apply_unitary_on
+from .pauli import PauliString, PauliSum, StateVector, _bit, _qubits
 
 # ---------------------------------------------------------------------------
 # circuit IR
@@ -105,15 +105,39 @@ def _gate_matrix(g: Gate) -> np.ndarray:
 _FUSE_WIDTH = 4
 
 
-def _block_matrix(wires: list[int], gates) -> np.ndarray:
-    """The 2^k x 2^k matrix of gates acting on the k listed wires (the first
-    the most significant): the identity, seen as a 2k-qubit state whose
-    first k qubits index the rows, with each gate applied to those."""
+def _apply_dense(blocks, psi: np.ndarray) -> np.ndarray:
+    """Each (wires, matrix) block in turn on the tensor psi, whose first axes
+    are the register's qubits (any axes after them ride along): one
+    tensordot over the block's wires, the new axes moved back as a view."""
+    for wires, u in blocks:
+        k = len(wires)
+        psi = np.tensordot(u.reshape((2,) * 2 * k), psi,
+                           axes=(list(range(k, 2 * k)), wires))
+        psi = np.moveaxis(psi, range(k), wires)
+    return psi
+
+
+def _dense_unitary(blocks, k: int) -> np.ndarray:
+    """The 2^k x 2^k matrix of the blocks on k wires, each applied in turn
+    to the identity (its rows' k qubits leading): O(4^k) work per block."""
+    eye = np.eye(1 << k, dtype=complex).reshape((2,) * k + (1 << k,))
+    return np.ascontiguousarray(_apply_dense(blocks, eye)).reshape(1 << k, 1 << k)
+
+
+def _block_matrix(wires: list[int], gates, embedded: dict) -> np.ndarray:
+    """The 2^k x 2^k matrix of gates on the k listed wires (the first the most
+    significant): the product of each gate's embedding on the k wires, kept
+    in `embedded` by (kind, param, local wires, k) for the caller's use."""
     k = len(wires)
-    u = StateVector(np.eye(1 << k, dtype=complex).reshape(-1), normalized=False)
+    u = np.eye(1 << k, dtype=complex)
     for g in gates:
-        u = apply_unitary_on(_gate_matrix(g), [wires.index(q) for q in g.qubits], u)
-    return u.amps.reshape(1 << k, 1 << k)
+        local = [wires.index(q) for q in g.qubits]
+        key = (g.kind, g.param, *local, k)
+        e = embedded.get(key)
+        if e is None:
+            e = embedded[key] = _dense_unitary([(local, _gate_matrix(g))], k)
+        u = e @ u
+    return u
 
 
 def _fused_blocks(gates) -> list[tuple[list[int], np.ndarray]]:
@@ -129,13 +153,27 @@ def _fused_blocks(gates) -> list[tuple[list[int], np.ndarray]]:
                 members.append(g)
                 continue
         runs.append((list(g.qubits), [g]))
-    return [(wires, _block_matrix(wires, members)) for wires, members in runs]
+    embedded: dict = {}
+    return [(wires, _block_matrix(wires, members, embedded)) for wires, members in runs]
 
 
 # Circuit.apply works on the support while it holds at most 2^n / this many
 # states: there, gathering the touched groups costs less than a pass over
 # the whole register (notes/decisions.md has the crossover).
 _SPARSE_SHARE = 32
+
+
+def _gather(n: int, wires: list[int], idx: np.ndarray, vals: np.ndarray) -> tuple:
+    """The groups of the indices idx off the k wires (their bits there
+    cleared), the (2^k x groups) matrix that holds vals at (bits on the
+    wires, the first most significant; group), and each row's bits spread
+    to the wires."""
+    shifts, bits = n - 1 - np.array(wires), np.arange(len(wires) - 1, -1, -1)
+    local = ((idx[:, None] >> shifts) & 1) @ (1 << bits)
+    groups, column = np.unique(idx & ~int((1 << shifts).sum()), return_inverse=True)
+    gathered = np.zeros((1 << len(wires), groups.size), dtype=complex)
+    gathered[local, column] = vals
+    return groups, gathered, ((np.arange(1 << len(wires))[:, None] >> bits) & 1) @ (1 << shifts)
 
 
 def _apply_on_support(n: int, wires: list[int], u: np.ndarray, idx: np.ndarray,
@@ -145,16 +183,10 @@ def _apply_on_support(n: int, wires: list[int], u: np.ndarray, idx: np.ndarray,
     wires, gathered as the columns of one (2^k x groups) matrix, times u.
     Returns the indices and amplitudes of the outputs above eps times the
     largest output; the outputs dropped are rounding residue."""
-    shifts = n - 1 - np.array(wires)
-    bits = np.arange(len(wires) - 1, -1, -1)  # the first wire most significant
-    local = ((idx[:, None] >> shifts) & 1) @ (1 << bits)
-    groups, column = np.unique(idx & ~int((1 << shifts).sum()), return_inverse=True)
-    gathered = np.zeros((u.shape[1], groups.size), dtype=complex)
-    gathered[local, column] = vals
+    groups, gathered, offsets = _gather(n, wires, idx, vals)
     out = u @ gathered
     size = np.abs(out)
     keep = size > np.finfo(float).eps * size.max(initial=0.0)
-    offsets = ((np.arange(u.shape[0])[:, None] >> bits) & 1) @ (1 << shifts)
     return (offsets[:, None] | groups)[keep], out[keep]
 
 
@@ -220,12 +252,7 @@ class Circuit:
             amps[idx] = vals
         else:
             amps = state.amps
-        psi = amps.reshape((2,) * n)
-        for wires, u in blocks:  # the blocks the support loop left
-            k = len(wires)
-            psi = np.tensordot(u.reshape((2,) * 2 * k), psi,
-                               axes=(list(range(k, 2 * k)), wires))
-            psi = np.moveaxis(psi, range(k), wires)
+        psi = _apply_dense(blocks, amps.reshape((2,) * n))  # the blocks left
         amps = np.ascontiguousarray(psi).reshape(-1)
         if self.phase:
             amps = np.exp(1j * self.phase) * amps
@@ -234,7 +261,7 @@ class Circuit:
     def unitary(self) -> np.ndarray:
         if self.n_qubits > 12:
             raise ValueError("dense unitary limited to 12 qubits")
-        u = _block_matrix(list(range(self.n_qubits)), self.gates)
+        u = _dense_unitary(_fused_blocks(self.gates), self.n_qubits)
         return np.exp(1j * self.phase) * u if self.phase else u
 
     def __repr__(self):

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import clifford_conjugate, ghz_evolution_circuit
+from .circuits import (_apply_on_support, _gather, clifford_conjugate,
+                       ghz_evolution_circuit)
 from .hamiltonian import charge_cross, charge_square
 from .lattice import LatticeSpec
-from .pauli import (PauliSum, StateVector, _bit, _sign_vector,
-                    apply_unitary_on, partial_trace)
+from .pauli import PauliSum, StateVector, _bit
 
 _EIG_CLIP = 1e-14
 
@@ -23,12 +23,12 @@ _EIG_CLIP = 1e-14
 # ---------------------------------------------------------------------------
 
 def z_profile(state: StateVector, pair_average: bool = False) -> np.ndarray:
-    """Per-qubit <Z_j>; optionally averaged over (r, g) color pairs."""
-    p = np.abs(state.amps) ** 2
-    # qubit j is bit n-1-j: axis 1 of the (2^j, 2, rest) view holds it
-    marginals = np.array([p.reshape(1 << j, 2, -1).sum(axis=(0, 2))
-                          for j in range(state.n)])
-    out = marginals[:, 0] - marginals[:, 1]
+    """Per-qubit <Z_j>, the support's weight |c|^2 on bit j = 0 less that on
+    bit j = 1; optionally averaged over (r, g) color pairs."""
+    idx, vals = state.support()
+    p = np.abs(vals) ** 2
+    ones = (((idx >> (state.n - 1 - j)) & 1).astype(bool) for j in range(state.n))
+    out = np.array([p[~one].sum() - p[one].sum() for one in ones])
     if pair_average:
         out = np.repeat(0.5 * (out[0::2] + out[1::2]), 2)
     return out
@@ -47,6 +47,21 @@ def _flavor_qubits(spec: LatticeSpec, x: int, flavor: str) -> list[int]:
     return list(spec.qubits_of(3 * x + offset))
 
 
+def _at(idx: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The amplitude at each basis index x of the state that holds vals at
+    the sorted indices idx, and 0 off them."""
+    pos = np.minimum(np.searchsorted(idx, x), idx.size - 1)
+    return np.where(idx[pos] == x, vals[pos], 0.0)
+
+
+def _reduced_density(n: int, keep: list[int], idx: np.ndarray,
+                     vals: np.ndarray) -> np.ndarray:
+    """Reduced density matrix over the kept qubits (in that order, the first
+    most significant) of the state that holds vals at the indices idx."""
+    m = _gather(n, keep, idx, vals)[1]
+    return m @ m.conj().T
+
+
 def mutual_information(state: StateVector, spec: LatticeSpec, x: int,
                        flavor: str = "quark") -> float:
     """I = S(heavy pair) + S(flavor pair at x) - S(joint), in bits."""
@@ -55,21 +70,21 @@ def mutual_information(state: StateVector, spec: LatticeSpec, x: int,
     x_q = next(iter(spec.heavy_positions))
     heavy = list(spec.qubits_of(3 * x_q))
     flav = _flavor_qubits(spec, x, flavor)
-    state = StateVector(state.amps, normalized=False)  # the register, built once
-    s_h = _entropy(partial_trace(state, heavy))
-    s_f = _entropy(partial_trace(state, flav))
-    s_hf = _entropy(partial_trace(state, heavy + flav))
+    idx, vals = state.support()
+    s_h, s_f, s_hf = (_entropy(_reduced_density(state.n, keep, idx, vals))
+                      for keep in (heavy, flav, heavy + flav))
     return s_h + s_f - s_hf
 
 
 def four_tangle(state: StateVector, spec: LatticeSpec, x_q: int, x: int,
                 flavor: str = "quark") -> float:
-    """|<psi| Y_Qr Y_Qg Y_fr Y_fg |psi*>|^2 on the full register."""
+    """|<psi| Y_Qr Y_Qg Y_fr Y_fg |psi*>|^2, from the state's support: the
+    Y string of mask m sends |s> to (-1)^{|s & m|} |s ^ m>."""
     qubits = list(spec.qubits_of(3 * x_q)) + _flavor_qubits(spec, x, flavor)
-    ys = PauliSum.from_products(state.n, [({j: "Y" for j in qubits}, 1.0)])
+    m = sum(_bit(state.n, q) for q in qubits)
     idx, vals = state.support()
-    rotated = ys.apply(StateVector.on_basis(state.n, idx, vals.conj(), normalized=False))
-    return float(abs(np.vdot(state.amps, rotated.amps)) ** 2)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & m) & 1)
+    return float(abs(np.vdot(vals, signs * _at(idx, vals, idx ^ m).conj())) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +173,7 @@ def _sre_exact(state: StateVector, tol: float = 1e-12) -> float:
     return _sre_sparse_exact(c, pair, counts)
 
 
-def _sre_sampled(amps: np.ndarray, n: int, samples: int, seed,
+def _sre_sampled(state: StateVector, samples: int, seed,
                  tol: float = 1e-12) -> tuple[float, float]:
     """Monte-Carlo estimate of the 4-replica sum and a bootstrap error.
 
@@ -166,19 +181,18 @@ def _sre_sampled(amps: np.ndarray, n: int, samples: int, seed,
     estimate of the replica sum; the error is propagated to M2.
     """
     rng = np.random.default_rng(seed)
-    c = amps
-    supp = np.flatnonzero(np.abs(c) > tol)
-    p = np.abs(c[supp]) ** 2
+    supp, c = state.support()
+    keep = np.abs(c) > tol
+    supp, c = supp[keep], c[keep]
+    p = np.abs(c) ** 2
     p = p / p.sum()
     draws = rng.choice(supp.size, size=(samples, 4), p=p)
     s = supp[draws]
-    cdict = np.zeros(1 << n, dtype=complex)
-    cdict[supp] = c[supp]
-    c1, c2, c3, c4 = (c[s[:, k]] for k in range(4))
-    t123 = cdict[s[:, 0] ^ s[:, 1] ^ s[:, 2]]
-    t124 = cdict[s[:, 0] ^ s[:, 1] ^ s[:, 3]]
-    t134 = cdict[s[:, 0] ^ s[:, 2] ^ s[:, 3]]
-    t234 = cdict[s[:, 1] ^ s[:, 2] ^ s[:, 3]]
+    c1, c2, c3, c4 = (c[draws[:, k]] for k in range(4))
+    t123 = _at(supp, c, s[:, 0] ^ s[:, 1] ^ s[:, 2])
+    t124 = _at(supp, c, s[:, 0] ^ s[:, 1] ^ s[:, 3])
+    t134 = _at(supp, c, s[:, 0] ^ s[:, 2] ^ s[:, 3])
+    t234 = _at(supp, c, s[:, 1] ^ s[:, 2] ^ s[:, 3])
     weight = (np.abs(c1) * np.abs(c2) * np.abs(c3) * np.abs(c4)) ** 2
     terms = (c1 * c2 * c3 * t123 * np.conj(t124 * t134 * t234 * c4)).real / weight
     est = float(terms.mean())
@@ -203,7 +217,7 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
         m2 = float(-np.log2(max(val, _EIG_CLIP)))
         return SreEstimate(value=max(m2, 0.0), std_error=0.0, method="exact")
     if method == "sampled":
-        est, err = _sre_sampled(state.amps, state.n, samples, seed)
+        est, err = _sre_sampled(state, samples, seed)
         m2 = float(-np.log2(max(est, _EIG_CLIP)))
         std = err / (max(est, _EIG_CLIP) * np.log(2.0))
         return SreEstimate(value=m2, std_error=std, method="sampled",
@@ -231,16 +245,18 @@ class EstimatorGroup:
     ghz: bool                     # apply the GHZ adjoint before measuring
 
     def evaluate(self, state: StateVector) -> float:
-        s = state
+        """On the state's support: the GHZ adjoint on the group's wires, then
+        per Z string of mask z the weights |c|^2 signed by parity(index & z)."""
+        idx, vals = state.support()
         if self.ghz:
-            s = apply_unitary_on(ghz_evolution_unitary().conj().T,
-                                 list(self.qubits), s)
-        p = np.abs(s.amps) ** 2
+            idx, vals = _apply_on_support(state.n, list(self.qubits),
+                                          ghz_evolution_unitary().conj().T, idx, vals)
+        p = np.abs(vals) ** 2
         total = 0.0
         for label, coeff in zip(self.paulis, self.coeffs):
             z = sum(_bit(state.n, self.qubits[k])
                     for k, ch in enumerate(label) if ch == "Z")
-            total += coeff * float(p @ _sign_vector(state.n, z))
+            total += coeff * float(p @ (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)))
         return total
 
     def as_pauli_sum(self, n: int) -> PauliSum:
@@ -283,7 +299,6 @@ def energy_loss_estimator(spec: LatticeSpec) -> tuple[EstimatorGroup, ...]:
 
 
 def evaluate_energy_loss(groups, state: StateVector) -> tuple[list[float], float]:
-    state = StateVector(state.amps, normalized=False)  # the register, built once
     values = [g.evaluate(state) for g in groups]
     return values, float(sum(values))
 
@@ -300,9 +315,10 @@ def shot_sample(state: StateVector, diagonal_paulis, n_shots: int,
         if ps.x != 0:
             raise ValueError("shot_sample handles diagonal (Z/I) strings only")
     rng = np.random.default_rng(seed)
-    p = np.abs(state.amps) ** 2
+    idx, vals = state.support()
+    p = np.abs(vals) ** 2
     p = p / p.sum()
-    hits = rng.choice(p.size, size=n_shots, p=p)
+    hits = idx[rng.choice(p.size, size=n_shots, p=p)]
     out = []
     for ps in diagonal_paulis:
         signs = 1.0 - 2.0 * (np.bitwise_count(hits & ps.z) & 1)
@@ -362,10 +378,10 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
                          evolver: str = "exact") -> tuple[float, float]:
     """<H> from ancilla-probability differences extrapolated to t -> 0.
 
-    Simulates the one-ancilla circuit (H, S, controlled-U(t), H) for each
-    grid time, forms (P0 - P1)/t, and fits polynomials in t; returns the
-    median intercept and the half-spread over fit orders and trailing
-    subranges as the uncertainty.
+    The one-ancilla circuit (H, S, controlled-U(t), H) gives P0 - P1 =
+    -Im <psi|U(t) psi>, an inner product over the two supports, per grid
+    time.  Fits polynomials in t to (P0 - P1)/t; returns the median intercept
+    and the half-spread over fit orders and trailing subranges as the error.
 
     ``h`` is the measured operator; passing a LatticeSpec measures the
     gauge-energy difference operator for that lattice.
@@ -375,7 +391,7 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
     ts = np.asarray(sorted(dt_grid), dtype=float)
     if ts.size < max(_FIT_ORDERS) + 2 or np.any(ts <= 0):
         raise ValueError("need a positive grid with more points than the fit order")
-    ys, psi = [], state.amps
+    ys, (idx, psi) = [], state.support()
     for t in ts:
         if evolver == "exact":
             from .dynamics import evolve_exact
@@ -384,15 +400,9 @@ def hadamard_test_energy(state: StateVector, h, dt_grid,
             evolved = _apply_split_evolution(h, t, state)
         else:
             raise ValueError("evolver must be 'exact' or 'trotter'")
-        # ancilla register: |anc> (x) |psi>, anc prepared by H then S, final H
-        phi = evolved.amps
-        branch0 = psi + 1j * phi
-        branch1 = psi - 1j * phi
-        full = np.concatenate([branch0, branch1]) / 2.0
-        dim = psi.size
-        p0 = float(np.sum(np.abs(full[:dim]) ** 2))
-        p1 = float(np.sum(np.abs(full[dim:]) ** 2))
-        ys.append((p0 - p1) / t)
+        at, phi = evolved.support()
+        _, i, j = np.intersect1d(idx, at, assume_unique=True, return_indices=True)
+        ys.append(-np.vdot(psi[i], phi[j]).imag / t)
     ys = np.array(ys)
     intercepts = []
     for order in _FIT_ORDERS:

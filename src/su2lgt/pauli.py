@@ -61,15 +61,6 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
-    """(-1)^{parity(sigma & z)} for every basis index sigma, as float64."""
-    signs = np.ones(1 << n_qubits)
-    for p in range(n_qubits):
-        if z_mask >> p & 1:
-            signs.reshape(-1, 1 << (p + 1))[:, 1 << p:] *= -1.0
-    return signs
-
-
 class PauliString:
     """A single weighted Pauli string on a fixed register."""
 
@@ -111,7 +102,7 @@ class PauliString:
         cols = np.arange(dim)
         rows = cols ^ self.x
         m = np.zeros((dim, dim), dtype=complex)
-        m[rows, cols] = c * _sign_vector(self.n, self.z)
+        m[rows, cols] = c * (1.0 - 2.0 * (np.bitwise_count(cols & self.z) & 1))
         return m
 
     def __repr__(self):
@@ -373,10 +364,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "StateVector":
-        amps = self.amps
-        return StateVector(amps / np.linalg.norm(amps), normalized=False)
 
     def overlap(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amps, other.amps))
@@ -699,27 +686,3 @@ def exp_sum_apply(h: PauliSum, theta: float, s: StateVector) -> StateVector:
     H, a non-finite theta or a block wider than Sector.eigh takes.
     """
     return exp_chain_apply([(h, theta)], s)
-
-
-def apply_unitary_on(u: np.ndarray, qubits: list[int], s: StateVector) -> StateVector:
-    """Apply a dense unitary on the listed qubits (in that tensor order)."""
-    n, k = s.n, len(qubits)
-    psi = s.amps.reshape([2] * n)
-    src = list(qubits)
-    psi = np.moveaxis(psi, src, range(k))
-    shape = psi.shape
-    psi = u @ psi.reshape(1 << k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), src)
-    return StateVector(np.ascontiguousarray(psi).reshape(-1), normalized=False)
-
-
-def partial_trace(s: StateVector, keep: list[int]) -> np.ndarray:
-    """Reduced density matrix over the kept qubits (dense, |keep| <= 8)."""
-    keep = list(keep)
-    if len(keep) > 8:
-        raise ValueError("keep set too large for dense density matrix")
-    n = s.n
-    psi = s.amps.reshape([2] * n)
-    psi = np.moveaxis(psi, keep, range(len(keep)))
-    mat = psi.reshape(1 << len(keep), -1)
-    return mat @ mat.conj().T

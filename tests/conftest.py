@@ -47,6 +47,17 @@ def reduced_density(amps: np.ndarray, keep, n: int) -> np.ndarray:
     return t @ t.conj().T
 
 
+def apply_on_wires(u: np.ndarray, wires, amps: np.ndarray) -> np.ndarray:
+    """u acting on the listed wires of the register amps (the first wire the
+    most significant of u's index) and the identity elsewhere: the kron
+    embedding u (x) 1 with the wires permuted to the front, applied through
+    the register's qubit axes."""
+    n, k = amps.size.bit_length() - 1, len(wires)
+    t = np.moveaxis(amps.reshape((2,) * n), list(wires), range(k))
+    t = (u @ t.reshape(1 << k, -1)).reshape(t.shape)
+    return np.ascontiguousarray(np.moveaxis(t, range(k), list(wires))).reshape(-1)
+
+
 _SPEC_CACHE: dict[tuple[int, tuple[int, ...]], object] = {}
 
 

@@ -16,9 +16,9 @@ from su2lgt.circuits import (Circuit, CircuitParseError, Gate,
                              layer_circuit, measurement_basis_circuit,
                              meson_circuit, parse_text, pipeline_circuit,
                              rbox, sc_prep_circuit, trotter_circuit)
-from su2lgt.pauli import PauliString, PauliSum, StateVector, apply_unitary_on
+from su2lgt.pauli import PauliString, PauliSum, StateVector
 
-from conftest import dense_label, random_state, spec_for
+from conftest import apply_on_wires, dense_label, kron_chain, random_state, spec_for
 
 _H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 _S = np.diag([1, 1j])
@@ -340,10 +340,10 @@ def fusable_circuits(draw):
                      Gate("cx", (7, 0)), Gate("rz", (0,), 1.1)], phase=0.3))
 def test_fused_apply_matches_per_gate_reference(c):
     v = StateVector(random_state(c.n_qubits, np.random.default_rng(c.n_qubits)))
-    ref = v
+    ref = v.amps
     for g in c.gates:
-        ref = apply_unitary_on(circuits_module._gate_matrix(g), list(g.qubits), ref)
-    ref = np.exp(1j * c.phase) * ref.amps
+        ref = apply_on_wires(circuits_module._gate_matrix(g), g.qubits, ref)
+    ref = np.exp(1j * c.phase) * ref
     assert np.max(np.abs(c.apply(v).amps - ref)) < 1e-12
 
 
@@ -352,6 +352,50 @@ def test_fusion_groups_the_pipeline_into_four_wire_blocks():
     blocks = circuits_module._fused_blocks(pipeline_circuit(spec).gates)
     assert len(blocks) == 95
     assert max(len(wires) for wires, _ in blocks) == 4
+
+
+@st.composite
+def gate_runs(draw):
+    """A block's wires (at most four of an eight-qubit register, in any
+    order) and a run of gates on them."""
+    wires = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    kinds = _KINDS_1Q + _KINDS_P + (["cx", "cz"] if len(wires) > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("cx", "cz"):
+            a, b = draw(st.permutations(wires))[:2]
+            gates.append(Gate(kind, (a, b)))
+        else:
+            param = draw(st.floats(-3, 3, allow_nan=False)) if kind in _KINDS_P else None
+            gates.append(Gate(kind, (draw(st.sampled_from(wires)),), param))
+    return wires, gates
+
+
+def _kron_embedding(g: Gate, wires) -> np.ndarray:
+    """g on the block's wires as a kron product of one-qubit factors, the
+    first wire the leftmost; a controlled gate as the sum over the control's
+    two projectors."""
+    def on(factors):
+        return kron_chain([factors.get(q, np.eye(2)) for q in wires])
+    if g.kind in ("cx", "cz"):
+        c, t = g.qubits
+        target = np.array([[0, 1], [1, 0]]) if g.kind == "cx" else np.diag([1, -1])
+        return on({c: np.diag([1, 0])}) + on({c: np.diag([0, 1]), t: target})
+    return on({g.qubits[0]: circuits_module._gate_matrix(g)})
+
+
+@given(gate_runs())
+@settings(max_examples=60, deadline=None)
+@example(([2, 0, 1], [Gate("cx", (2, 0)), Gate("ry", (1,), 0.7), Gate("cz", (1, 2))]))
+def test_block_matrix_matches_kron_embedding(run):
+    wires, gates = run
+    got = circuits_module._block_matrix(wires, gates, {})
+    oracle = np.eye(1 << len(wires))
+    for g in gates:
+        oracle = _kron_embedding(g, wires) @ oracle
+    assert np.allclose(got, oracle, atol=1e-12)
+    assert np.abs(got - oracle).max() <= 1e-14
 
 
 @pytest.mark.parametrize("start", ["basis", "random", "zero"])
@@ -368,11 +412,11 @@ def test_apply_gives_the_bits_of_one_kernel_call_per_block(start):
          "random": StateVector(random_state(n, np.random.default_rng(13))),
          "zero": StateVector(np.zeros(1 << n), normalized=False)}[start]
     blocks = circuits_module._fused_blocks(circ.gates)
-    ref = s
+    ref = s.amps
     for wires, u in blocks:
-        ref = apply_unitary_on(u, wires, ref)
+        ref = apply_on_wires(u, wires, ref)
     got = circ.apply(s).amps
-    ref = np.exp(1j * circ.phase) * ref.amps
+    ref = np.exp(1j * circ.phase) * ref
     if start == "random":
         assert np.array_equal(got, ref)
         return
@@ -386,7 +430,7 @@ def test_apply_gives_the_bits_of_one_kernel_call_per_block(start):
     for wires, u in blocks:
         before = np.zeros(1 << n, dtype=complex)
         before[idx] = vals
-        dense = apply_unitary_on(u, wires, StateVector(before, normalized=False)).amps
+        dense = apply_on_wires(u, wires, before)
         idx, vals = circuits_module._apply_on_support(n, wires, u, idx, vals)
         outside = np.ones(1 << n, dtype=bool)
         outside[idx] = False

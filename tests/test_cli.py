@@ -157,11 +157,11 @@ def test_observables_estimator(capsys):
 
 
 # sha256 of the stdout of `observables --what estimator --nq 1` at each L, with
-# one BLAS thread: the JSON holds full-precision floats, and at L = 3 a
-# threaded BLAS dot product splits its sums by thread count
+# one BLAS thread: the JSON holds full-precision floats, summed over the
+# state's support
 _ESTIMATOR_SHA256 = {
-    "2": "ac1db5438da7e175d2f0b518a0735bd884a794bcc08aa752a0063ae0b3f789bd",
-    "3": "82c890b3d6b2a16bf9c8690afddcc5901e56ab32f97ec04810c6ebb44506964e",
+    "2": "d4bade205edd00df8bd61e64e037e735c8d0d102c2346a3cecc5b35c25c34443",
+    "3": "a26daa472aa51134100ad97c5985c93edef2fde3ca0f00521ff2908803aad64f",
 }
 
 

@@ -4,10 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from su2lgt.pauli import (PauliString, PauliSum, StateVector, apply_unitary_on,
-                          exp_sum_apply, partial_trace)
+from su2lgt.pauli import PauliString, PauliSum, StateVector, exp_sum_apply
 
-from conftest import dense_label, dense_sum, random_state, reduced_density
+from conftest import dense_label, dense_sum, random_state
 
 labels = st.integers(1, 4).flatmap(
     lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n))
@@ -97,30 +96,6 @@ def test_basis_and_ket_conventions():
     assert z0.expectation(s) == pytest.approx(1.0)
     assert z1.expectation(s) == pytest.approx(-1.0)
     assert np.allclose(StateVector.basis(2, 0b01).amps, s.amps)
-
-
-@given(st.integers(0, 2**31 - 1))
-def test_partial_trace_matches_reshape_oracle(seed):
-    rng = np.random.default_rng(seed)
-    v = random_state(4, rng)
-    for keep in ([0], [3], [1, 2], [0, 3], [0, 1, 2]):
-        rho = partial_trace(StateVector(v), keep)
-        oracle = reduced_density(v, keep, 4)
-        assert np.trace(rho) == pytest.approx(1.0)
-        assert np.allclose(rho, oracle, atol=1e-12)
-
-
-@given(st.integers(0, 2**31 - 1))
-def test_apply_unitary_on_matches_kron_embedding(seed):
-    rng = np.random.default_rng(seed)
-    v = random_state(3, rng)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4))
-                        + 1j * rng.standard_normal((4, 4)))
-    out = apply_unitary_on(q, [2, 0], StateVector(v, normalized=False))
-    # oracle: permute qubits so that (2, 0) become the leading axes
-    t = v.reshape(2, 2, 2).transpose(2, 0, 1).reshape(4, 2)
-    t = (q @ t).reshape(2, 2, 2).transpose(1, 2, 0).ravel()
-    assert np.allclose(out.amps, t, atol=1e-12)
 
 
 def test_overlap_and_fidelity():

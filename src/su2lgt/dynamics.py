@@ -15,7 +15,7 @@ from .hamiltonian import (build_hamiltonian, build_kinetic_parts, build_mass,
                           symmetric_boundary_sites)
 from .lattice import LatticeSpec
 from .pauli import (PauliString, PauliSum, Sector, StateVector, apply_chain,
-                    exp_chain_apply, exp_sum_apply)
+                    exp_chain_apply, exp_sum_apply, lanczos)
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +82,17 @@ def _lanczos_step(hs, w: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     _KRYLOV_DIM vectors do not get there, tau' halves from tau on the same
     basis until they do, or until e_m^T exp(-i tau' T_m) e_1 is down to its
     rounding."""
-    norm, size = np.linalg.norm(w), min(_KRYLOV_DIM, w.size)
-    q = np.empty((size + 1, w.size), dtype=complex)
-    q[0] = w / norm
-    alpha, beta = [], []
-    for m in range(1, size + 1):
-        r = hs @ q[m - 1]
-        coef = (q[:m] @ r.conj()).conj()
-        r -= coef @ q[:m]
-        r -= (q[:m] @ r.conj()).conj() @ q[:m]
-        alpha.append(coef[-1].real)
-        beta.append(np.linalg.norm(r))
+    norm = np.linalg.norm(w)
+    for q, alpha, beta in lanczos(hs, w / norm, min(_KRYLOV_DIM, w.size)):
         # eigh reads the lower triangle of T_m
         theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
         c = s @ (np.exp(-1j * tau * theta) * s[0])
-        if m == w.size or beta[-1] * abs(c[-1]) <= _KRYLOV_TOL:
-            return norm * (c @ q[:m]), tau
-        q[m] = r / beta[-1]
-    while beta[-1] * abs(c[-1]) > _KRYLOV_TOL and abs(c[-1]) > m * np.finfo(float).eps:
+        if len(q) == w.size or beta[-1] * abs(c[-1]) <= _KRYLOV_TOL:
+            return norm * (c @ q), tau
+    while beta[-1] * abs(c[-1]) > _KRYLOV_TOL and abs(c[-1]) > len(q) * np.finfo(float).eps:
         tau /= 2
         c = s @ (np.exp(-1j * tau * theta) * s[0])
-    return norm * (c @ q[:m]), tau
+    return norm * (c @ q), tau
 
 
 def _propagate(hs, v: np.ndarray, start: float, stop: float, num: int,

@@ -266,8 +266,10 @@ class PauliSum:
             raise ValueError("expectation requires a Hermitian PauliSum")
         if state.n != self.n:
             raise ValueError("register size mismatch")
-        amps = state.amps
-        val = np.vdot(amps, self.matvec(amps))
+        # the elements between two support states; the rest meet a zero
+        idx, v = state.support()
+        rows, keep, vals = Sector(self.n, idx)._table(self, closed=False)
+        val = np.vdot(v[rows[keep]], vals[keep] * v[keep.nonzero()[0]])
         if abs(val.imag) >= 1e-10:
             raise ValueError(f"imaginary residual {val.imag:g} in expectation")
         return float(val.real)
@@ -363,10 +365,14 @@ class StateVector:
         return StateVector.on_basis(self.n, self.indices, self.values, normalized=False)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(np.linalg.norm(self.values))
 
     def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
+        if other.n != self.n:
+            raise ValueError("register size mismatch")
+        (i, a), (j, b) = self.support(), other.support()
+        _, at, bt = np.intersect1d(i, j, assume_unique=True, return_indices=True)
+        return complex(np.vdot(a[at], b[bt]))
 
     def fidelity(self, other: "StateVector") -> float:
         return abs(self.overlap(other)) ** 2
@@ -397,10 +403,10 @@ class SectorMatrix:
         self.im = 1j * vals.imag if vals.dtype.kind == "c" else None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product with a vector x on the sector, as a complex vector.
-        add.at adds each row's terms one at a time, in column order, from
-        0: the sums of a CSR matrix product, bit for bit."""
-        x = np.asarray(x, dtype=complex)
+        """The product with a vector x on the sector, complex unless x and the
+        matrix are real.  add.at adds each row's terms one at a time, in
+        column order, from 0: the sums of a CSR matrix product, bit for bit."""
+        x = np.asarray(x, dtype=None if self.im is None else complex)
         at = x[self.cols]
         terms = self.re * at
         if self.im is not None:
@@ -409,6 +415,25 @@ class SectorMatrix:
         np.add.at(out, self.rows, terms)
         out[self.ones] = x[self.ones]
         return out
+
+
+def lanczos(hs, q0: np.ndarray, size: int):
+    """The Lanczos recurrence of a Hermitian hs from the unit vector q0, in
+    q0's arithmetic, with two classical Gram-Schmidt passes against the
+    whole basis.  After the m-th of at most size products it yields q[:m]
+    and T_m's diagonal alpha and subdiagonal beta, beta[-1] the residual's."""
+    q = np.empty((size + 1, q0.size), dtype=q0.dtype)
+    q[0] = q0
+    alpha, beta = [], []
+    for m in range(1, size + 1):
+        r = hs @ q[m - 1]
+        coef = (q[:m] @ r.conj()).conj()
+        r -= coef @ q[:m]
+        r -= (q[:m] @ r.conj()).conj() @ q[:m]
+        alpha.append(coef[-1].real)
+        beta.append(np.linalg.norm(r))
+        yield q[:m], alpha, beta
+        q[m] = r / beta[-1]
 
 
 class Sector:
@@ -514,13 +539,13 @@ class Sector:
         the sector's indices."""
         return StateVector.on_basis(self.n, self.indices, v, normalized=False)
 
-    def _table(self, op: PauliSum):
+    def _table(self, op: PauliSum, closed: bool = True):
         """op's elements on the sector as (rows, keep, vals): vals[j, g] =
         <sigma_j ^ x_g| op |sigma_j>, rows[j, g] the sector position of
         sigma_j ^ x_g (j itself where that state is outside), and keep
         marking the non-zero elements inside.  vals is real when every kept
-        element is.  Raises ValueError if an element above
-        PauliSum.ZERO_TOL leads out of the sector."""
+        element is.  Unless closed is False, raises ValueError if an element
+        above PauliSum.ZERO_TOL leads out of the sector."""
         if op.n != self.n:
             raise ValueError("register size mismatch")
         idx, dim = self.indices, self.indices.size
@@ -534,7 +559,7 @@ class Sector:
         else:
             rows = np.searchsorted(idx, target).clip(max=dim - 1)
             inside = idx[rows] == target
-            if np.any(~inside & (np.abs(vals) > PauliSum.ZERO_TOL)):
+            if closed and np.any(~inside & (np.abs(vals) > PauliSum.ZERO_TOL)):
                 raise ValueError("operator leads out of the sector")
             rows = np.where(inside, rows, np.arange(dim)[:, None])
         keep = inside & (vals != 0)

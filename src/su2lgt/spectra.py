@@ -7,7 +7,7 @@ import numpy as np
 
 from .hamiltonian import build_hamiltonian, mass_offset
 from .lattice import LatticeSpec
-from .pauli import PauliSum, Sector, StateVector
+from .pauli import PauliSum, Sector, StateVector, lanczos
 
 
 # the largest sector whose ground state is solved as a dense matrix: above
@@ -17,10 +17,7 @@ MAX_DENSE_STATES = 12_000
 
 
 class LanczosError(RuntimeError):
-    def __init__(self, message, energy=None, residual=None):
-        super().__init__(message)
-        self.energy = energy
-        self.residual = residual
+    """The ground-state solve failed or missed its residual tolerance."""
 
 
 def sc_state(spec: LatticeSpec) -> StateVector:
@@ -50,28 +47,41 @@ def lanczos_ground(h: PauliSum, start: StateVector,
                    tol: float = 1e-10) -> tuple[float, StateVector]:
     """Lowest eigenpair of h in the start vector's sector.
 
-    The start vector selects the sector: the basis states that h reaches
-    from its support (see Sector.closure).  h restricted to them is filled
-    in as a dense matrix from the sector's element table (Sector.dense) and
-    diagonalized by np.linalg.eigh; sectors at L <= 3 hold at most 1200
-    states.  The state is kept on the sector (Sector.embed).  Raises
-    LanczosError for a sector of more than MAX_DENSE_STATES states, when
-    LAPACK does not converge, and unless ||H psi - E psi|| < tol.
+    The start vector selects the sector, the basis states that h reaches
+    from its support (Sector.closure).  The Lanczos basis from the start
+    (real when h and the start are) grows until the lowest Ritz pair's
+    residual beta_m |s_m| is at most 1e-13, tested every 10 products.  A
+    Cholesky factorization of the dense H_S - (E - 1e-9 max(1, |E|)) proves
+    that no eigenvalue lies below E; where it fails, the start missed the
+    lowest state's symmetry class and np.linalg.eigh of H_S gives the pair.
+    Raises LanczosError for a sector of more than MAX_DENSE_STATES states,
+    when LAPACK does not converge, and unless ||H psi - E psi|| < tol.
     """
     sector = Sector.closure(h, start)
     if len(sector) > MAX_DENSE_STATES:
         raise LanczosError(f"the sector holds {len(sector)} states; the dense "
                            f"ground-state solve takes at most {MAX_DENSE_STATES}")
-    hs = sector.dense(h)
+    hr, v, hs = sector.restrict(h), sector.extract(start), sector.dense(h)
+    v = v.real if hr.im is None and not v.imag.any() else v
     try:
-        evals, evecs = np.linalg.eigh(hs)
+        for q, alpha, beta in lanczos(hr, v / np.linalg.norm(v), v.size):
+            if len(q) % 10 == 0 or len(q) == v.size or beta[-1] <= 1e-13:
+                theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+                if len(q) == v.size or beta[-1] * abs(s[-1, 0]) <= 1e-13:
+                    break
+        energy, amps = float(theta[0]), s[:, 0] @ q
+        shifted = hs.copy()
+        shifted.flat[::v.size + 1] -= energy - 1e-9 * max(1.0, abs(energy))
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            evals, evecs = np.linalg.eigh(hs)
+            energy, amps = float(evals[0]), evecs[:, 0]
     except np.linalg.LinAlgError as exc:
         raise LanczosError(f"the dense ground-state solve failed: {exc}")
-    energy, amps = float(evals[0]), evecs[:, 0]
     residual = float(np.linalg.norm(hs @ amps - energy * amps))
     if not residual < tol:
-        raise LanczosError(f"ground-state residual {residual:.3e} is not below "
-                           f"{tol:.1e}", energy=energy, residual=residual)
+        raise LanczosError(f"ground-state residual {residual:.3e} is not below {tol:.1e}")
     return energy, sector.embed(amps)
 
 

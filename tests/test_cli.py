@@ -226,7 +226,7 @@ def test_evolve_csv(capsys):
 # sha256 of the stdout of `evolve --L 2 --csv-z` with each evolver and order
 _EVOLVE_SHA256 = {
     ("exact", "2"): "9ac30c99fc0ad80f5ffc42344842e10dc909dd9752703ad1c56484029fb4fa8f",
-    ("trotter", "1"): "8e8c5c8f7f672b2e2ed92807095ec423ed0fcc851e21e16d841c41445ee8c3a9",
+    ("trotter", "1"): "00254266474df7b52354fe0add556efbec833788f0d5702630d885ef1d3760f2",
     ("trotter", "2"): "331e62976970bcf8f363995e69fff2d55fb7e93ab41a036fb377f0f29f1bacfe",
 }
 

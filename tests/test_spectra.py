@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2lgt import LatticeSpec
 from su2lgt.hamiltonian import build_hamiltonian, charge_square, mass_offset
-from su2lgt.pauli import StateVector
+from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector
 from su2lgt.spectra import (LanczosError, ground_state, hadron_mass, lanczos_ground,
                            sc_state)
 
@@ -73,6 +75,85 @@ def test_eigensolver_failure_is_lanczos_error(monkeypatch):
     spec = LatticeSpec(L=1, heavy_positions=frozenset({0}))
     with pytest.raises(LanczosError, match="did not converge"):
         lanczos_ground(build_hamiltonian(spec).total, sc_state(spec))
+
+
+def _count_solves(monkeypatch):
+    """Patch numpy's cholesky and eigh to log each call: ("cholesky", did
+    it raise) or ("eigh", the matrix's size)."""
+    calls, cholesky, eigh = [], np.linalg.cholesky, np.linalg.eigh
+
+    def counted_cholesky(a):
+        try:
+            out = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls.append(("cholesky", True))
+            raise
+        calls.append(("cholesky", False))
+        return out
+
+    def counted_eigh(a):
+        calls.append(("eigh", len(a)))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    return calls
+
+
+def test_certificate_failure_falls_back_to_the_dense_eigh(monkeypatch):
+    # (|00> + |11>)/sqrt(2) is the eigenstate of XX + ZZ at 2 in its
+    # two-state sector; the lowest, at 0, is orthogonal to it, so Lanczos
+    # stops at once on E = 2, the Cholesky certificate fails, and eigh runs
+    h = PauliSum(2, [PauliString.from_label("XX"), PauliString.from_label("ZZ")])
+    start = StateVector.on_basis(2, [0b00, 0b11], [2 ** -0.5, 2 ** -0.5])
+    dense = Sector.closure(h, start).dense(h)
+    evals, evecs = np.linalg.eigh(dense)
+    calls = _count_solves(monkeypatch)
+    e, psi = lanczos_ground(h, start)
+    assert calls == [("eigh", 1), ("cholesky", True), ("eigh", 2)]
+    assert e == evals[0] == pytest.approx(0.0, abs=1e-15)
+    assert np.array_equal(psi.support()[1], evecs[:, 0])
+
+
+def test_paper_sectors_pass_the_certificate(monkeypatch):
+    # the seven sectors of the ground workload: Lanczos alone, no full eigh
+    calls = _count_solves(monkeypatch)
+    for L, heavy in [(1, ()), (1, (0,)), (2, ()), (2, (0,)), (3, ()), (3, (0,)),
+                     (3, (0, 2))]:
+        spec = LatticeSpec(L=L, heavy_positions=frozenset(heavy))
+        h = build_hamiltonian(spec).total
+        size = len(Sector.closure(h, sc_state(spec)))
+        del calls[:]
+        lanczos_ground(h, sc_state(spec))
+        assert calls.count(("cholesky", False)) == 1
+        assert ("cholesky", True) not in calls and ("eigh", size) not in calls
+
+
+@st.composite
+def pauli_problems(draw):
+    """(a Hermitian PauliSum of 1-6 qubits, a normalized start state on a
+    few basis states)."""
+    n = draw(st.integers(1, 6))
+    terms = draw(st.lists(st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                                    st.floats(-2.0, 2.0)), min_size=1, max_size=8))
+    h = PauliSum(n, [PauliString.from_label(label, c) for label, c in terms])
+    idx = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)))
+    # equal weights often span a symmetry class without the lowest state
+    amps = np.array([draw(st.one_of(st.sampled_from([1.0, -1.0, 1j]), st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False))) for _ in idx])
+    if not np.linalg.norm(amps) > 1e-3:
+        amps[0] = 1.0
+    return h, StateVector.on_basis(n, idx, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_problems())
+def test_lanczos_ground_matches_the_dense_eigh(problem):
+    h, start = problem
+    e, psi = lanczos_ground(h, start)
+    want = np.linalg.eigvalsh(Sector.closure(h, start).dense(h))[0]
+    assert abs(e - want) <= 1e-12 * max(1.0, abs(want))
+    assert np.linalg.norm(h.apply(psi).amps - e * psi.amps) < 1e-10
 
 
 def test_sc_vacuum_is_charge_free_basis_state():

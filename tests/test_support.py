@@ -159,3 +159,53 @@ def test_the_ground_state_holds_no_full_register():
                      "before = tracemalloc.get_traced_memory()[0]\n"
                      "e, psi = lanczos_ground(h, start)")
     assert kept < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_overlap_norm_and_expectation_on_the_support(data):
+    # kept on their supports or on the whole register, states give the
+    # inner products of their full registers
+    n, idx, v = data.draw(sector_vectors())
+    jdx = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=12)))
+    w = np.array([complex(data.draw(_PART), data.draw(_PART)) for _ in jdx])
+    a, b = Sector(n, idx).embed(v), Sector(n, jdx).embed(w)
+    full_a, full_b = (StateVector(s.amps, normalized=False) for s in (a, b))
+    want = np.vdot(a.amps, b.amps)
+    for x, y in [(a, b), (full_a, b), (a, full_b), (full_a, full_b)]:
+        assert x.overlap(y) == pytest.approx(want, abs=1e-12)
+        assert x.norm() == pytest.approx(np.linalg.norm(x.amps), abs=1e-12)
+    terms = data.draw(st.lists(st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                                         st.floats(-2.0, 2.0)), min_size=1, max_size=4))
+    op = PauliSum(n, [PauliString.from_label(label, c) for label, c in terms])
+    want = np.vdot(a.amps, op.to_dense() @ a.amps).real
+    for x in (a, full_a):
+        assert op.expectation(x) == pytest.approx(want, abs=1e-12)
+
+
+def test_overlap_and_expectation_build_no_full_register():
+    # a fresh interpreter: on the L = 3 prepared state (488 support states)
+    # infidelity_density and <Delta H_g> read the supports; through .amps
+    # each built the 4 MiB register and traced 8.0 and 8.1 MiB peaks
+    script = ("import tracemalloc\n"
+              "from su2lgt import LatticeSpec\n"
+              "from su2lgt.ansatz import infidelity_density, prepared_state\n"
+              "from su2lgt.observables import delta_hg_operator\n"
+              "from su2lgt.spectra import ground_state\n"
+              "spec = LatticeSpec(L=3, heavy_positions=frozenset({0}))\n"
+              "state, target = prepared_state(spec), ground_state(spec)[1]\n"
+              "op = delta_hg_operator(spec)\n"
+              "tracemalloc.start()\n"
+              "infidelity_density(state, target, 3)\n"
+              "print(tracemalloc.get_traced_memory()[1] / 2 ** 20)\n"
+              "tracemalloc.reset_peak()\n"
+              "op.expectation(state)\n"
+              "print(tracemalloc.get_traced_memory()[1] / 2 ** 20)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    overlap_mib, expectation_mib = map(float, proc.stdout.split())
+    assert overlap_mib < 1.0      # 0.06 MiB when measured
+    assert expectation_mib < 1.0  # 0.52 MiB when measured

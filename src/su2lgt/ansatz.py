@@ -234,10 +234,11 @@ def optimize_angles(seq: AnsatzSequence, start: StateVector, target: StateVector
     """
     plan = SectorPlan(seq, start)
     tgt = plan.sector.extract(target)
-    rng = np.random.default_rng(rng_seed)
     k = len(seq.layers)
     seed = np.asarray(seed_angles, dtype=float) if seed_angles is not None else seq.angles
-    starts = [seed, np.zeros(k), seed + rng.normal(0.0, 0.05, k)][:max(1, n_starts)]
+    starts = [seed, np.zeros(k)][:max(1, n_starts)]
+    if n_starts >= 3:  # numpy.random loads only for the perturbed start
+        starts.append(seed + np.random.default_rng(rng_seed).normal(0.0, 0.05, k))
     best_x, best_val = None, np.inf
     for x0 in starts:
         x, value = _bfgs(lambda th: plan.infidelity_and_grad(th, tgt, L), x0,

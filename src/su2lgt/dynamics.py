@@ -428,20 +428,14 @@ class DedxResult:
     vac_steps: list[float]      # per-interval energy cost in the vacuum run
     med_steps: list[float]
     dedx: list[float]           # vacuum-subtracted per-interval estimate
-    diffh_plateaus: list[float] | None = None
 
 
-def dedx_estimate(vac_run: ProtocolResult, med_run: ProtocolResult,
-                  e_static: float | None = None,
-                  e_empty: float | None = None) -> DedxResult:
+def dedx_estimate(vac_run: ProtocolResult, med_run: ProtocolResult) -> DedxResult:
     """Per-interval dE/dx from a vacuum and an in-medium run.
 
     Both runs must share the same move schedule.  The estimate for each
     interval is the in-medium energy cost of the move minus the vacuum
-    cost.  When the reference energies of the static-quark and empty
-    sectors are supplied (or derivable), the four-term subtraction
-    E(QQ) - E(Q moving) - E(Q static) + E(vacuum) is also reported, which
-    removes the leading lattice artifacts.
+    cost.
     """
     if vac_run.schedule.event_times != med_run.schedule.event_times:
         raise ValueError("runs use different move schedules")
@@ -452,21 +446,8 @@ def dedx_estimate(vac_run: ProtocolResult, med_run: ProtocolResult,
     vac_steps = [vac_rel[i + 1] - vac_rel[i] for i in range(len(vac_rel) - 1)]
     med_steps = [med_rel[i + 1] - med_rel[i] for i in range(len(med_rel) - 1)]
     dedx = [m - v for m, v in zip(med_steps, vac_steps)]
-
-    diffh = None
-    if e_static is None and med_run.spec.n_Q == 2 and vac_run.spec.n_Q == 1:
-        from .spectra import ground_state
-        moving = vac_run.spec.heavy_positions
-        static = med_run.spec.heavy_positions - moving
-        if len(static) == 1:
-            e_static, _ = ground_state(med_run.spec.with_heavy(*static))
-            if e_empty is None:
-                e_empty, _ = ground_state(med_run.spec.with_heavy())
-    if e_static is not None and e_empty is not None:
-        diffh = [m - v - e_static + e_empty for m, v in zip(pm, pv)]
     return DedxResult(vac_plateaus=vac_rel, med_plateaus=med_rel,
-                      vac_steps=vac_steps, med_steps=med_steps,
-                      dedx=dedx, diffh_plateaus=diffh)
+                      vac_steps=vac_steps, med_steps=med_steps, dedx=dedx)
 
 
 # ---------------------------------------------------------------------------

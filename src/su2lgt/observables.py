@@ -13,7 +13,7 @@ from .circuits import (_apply_on_support, _gather, clifford_conjugate,
                        ghz_evolution_circuit)
 from .hamiltonian import charge_cross, charge_square
 from .lattice import LatticeSpec
-from .pauli import PauliSum, StateVector, _bit
+from .pauli import PauliSum, StateVector, _bit, _sorted_unique
 
 _EIG_CLIP = 1e-14
 
@@ -113,7 +113,7 @@ def _sre_dense(amps: np.ndarray, n: int) -> float:
     w_hi, w_lo = _hadamard(n - lo), _hadamard(lo)
     idx = np.arange(dim)
     total = 0.0
-    block = max(1, (1 << 20) // dim)
+    block = max(1, (1 << 16) // dim)
     for x0 in range(0, dim, block):
         xs = np.arange(x0, min(x0 + block, dim))
         g = amps.conj() * amps[idx ^ xs[:, None]]
@@ -125,52 +125,38 @@ def _sre_dense(amps: np.ndarray, n: int) -> float:
     return total / dim
 
 
-def _sre_sparse_exact(c: np.ndarray, pair: np.ndarray, counts: np.ndarray) -> float:
-    """Exact sum_P <P>^4 / 2^n from a state's support amplitudes c.
-
-    `pair[a, b]` indexes s_a ^ s_b among the support's sorted XOR
-    differences, and counts[u] is how many pairs differ by u.  With h_u(s) =
-    conj(c_s) c_{s^u}, the sum is sum_u sum_v |A_u(v)|^2, where A_u(v) =
-    sum_s h_u(s) conj(h_u(s^v)) is the XOR autocorrelation of h_u; both s
-    and s^v run over the k_u support states that have a partner at u.
-    """
-    if not np.any(c.imag):
-        c = c.real
-    total = 0.0
-    order = np.argsort(pair, axis=None, kind="stable")
-    for f in np.split(order, np.cumsum(counts)[:-1]):
-        a, b = np.divmod(f, c.size)  # s_a ^ s_b = u
-        h = c[a].conj() * c[b]
-        w = np.outer(h, h.conj()).ravel()
-        v = pair[np.ix_(a, a)].ravel()
-        for part in (w.real, w.imag) if np.iscomplexobj(w) else (w,):
-            acc = np.bincount(v, part)
-            total += float(acc @ acc)
-    return total
+# the widest span of a support that the exact M2 transforms: the cost grows
+# ~4^r, and r = 13 already takes seconds
+_MAX_SPAN_RANK = 14
 
 
 def _sre_exact(state: StateVector, tol: float = 1e-12) -> float:
-    """sum_P <P>^4 / 2^n by the cheaper of two exact paths.
+    """sum_P <P>^4 / 2^n on the span of the support (amplitudes above tol).
 
-    The dense transform costs ~n 4^n.  The support sum costs ~sum_u k_u^2
-    plus |D| per difference, over the support's XOR differences D (the
-    amplitudes above tol); since sum_u k_u^2 >= K^4 / |D| for K support
-    states, a wide support goes to the dense transform before its K^2 pair
-    table is built.
+    The support is a coset s0 ^ V.  Gaussian elimination of s ^ s0 over
+    GF(2) gives V's rank r and each state's r-bit coordinates, an affine
+    bit map that a CNOT network and an X string realize.  The sum does not
+    change under Cliffords, factors over tensor products and is 1 on a
+    basis state, so it is the dense transform of the r-qubit state.  Raises
+    ValueError when r exceeds _MAX_SPAN_RANK.
     """
-    n = state.n
     supp, c = state.support()
     keep = np.abs(c) > tol
     supp, c = supp[keep], c[keep]
-    k, dense = supp.size, n * 4.0 ** n
-    if k ** 4 >= dense * min(k * k, 2.0 ** n):
-        return _sre_dense(state.amps, n)
-    diffs, pair = np.unique(supp[:, None] ^ supp, return_inverse=True)
-    pair = pair.reshape(k, k)
-    counts = np.bincount(pair.ravel())
-    if float(counts @ counts) + float(diffs.size) ** 2 >= dense:
-        return _sre_dense(state.amps, n)
-    return _sre_sparse_exact(c, pair, counts)
+    rows = supp ^ supp[0]
+    coords = np.zeros_like(rows)
+    r = 0
+    while (top := int(rows.max())):  # the pivot holds the highest bit left
+        has = rows >= 1 << (top.bit_length() - 1)
+        rows[has] ^= top
+        coords[has] |= 1 << r
+        r += 1
+    if r > _MAX_SPAN_RANK:
+        raise ValueError(f"the support spans GF(2) rank {r}, above the exact "
+                         f"M2's cap of {_MAX_SPAN_RANK}; use method='sampled'")
+    amps = np.zeros(1 << r, dtype=c.dtype)
+    amps[coords] = c
+    return _sre_dense(amps, r)
 
 
 def _sre_sampled(state: StateVector, samples: int, seed,
@@ -206,11 +192,11 @@ def sre_m2(state: StateVector, method: str = "exact", samples: int = 2000,
            seed=None) -> SreEstimate:
     """Stabilizer Renyi entropy M2 = -log2(sum_P <P>^4 / 2^n).
 
-    The exact method sums over all Pauli strings, by a Walsh-Hadamard
-    transform of the whole register or by an equal sum over the state's
-    support, whichever costs fewer operations (`_sre_exact`); it samples
-    nothing.  The sampled method draws replica quadruples with a bootstrap
-    uncertainty.
+    The exact method sums over all Pauli strings by a Walsh-Hadamard
+    transform on the span of the state's support, 2^r amplitudes for GF(2)
+    rank r (`_sre_exact`); it samples nothing, and raises ValueError above
+    rank _MAX_SPAN_RANK.  The sampled method draws replica quadruples with
+    a bootstrap uncertainty.
     """
     if method == "exact":
         val = _sre_exact(state)
@@ -362,7 +348,7 @@ def depolarized(true_value: float, survival: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _trotter_groups(h: PauliSum):
-    return [h[h.x == x] for x in np.unique(h.x)]
+    return [h[h.x == x] for x in _sorted_unique(h.x)]
 
 
 def _apply_split_evolution(h: PauliSum, t: float, s: StateVector) -> StateVector:

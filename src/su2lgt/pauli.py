@@ -29,6 +29,16 @@ def _qubits(n_qubits: int, mask: int) -> list[int]:
     return [j for j in range(n_qubits) if mask & _bit(n_qubits, j)]
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a, by a sort and a neighbour mask:
+    np.unique's hash path is slower on these int arrays, and its first call
+    in a process imports numpy.ma."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 # the (X, Z) bits of each letter
 _MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -506,7 +516,7 @@ class Sector:
             vals = [cls._elements(table, front) for table in tables]
             fronts.append(front)
             swept.append(vals)
-            hit = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
+            hit = _sorted_unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
                 (front[:, None] ^ table[0])[np.abs(part) > PauliSum.ZERO_TOL]
                 for table, part in zip(tables, vals)]))
             pos = np.searchsorted(reached, hit).clip(max=reached.size - 1)

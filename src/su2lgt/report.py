@@ -226,14 +226,13 @@ def _sec_motion(seed: int) -> list[Check]:
     # plateaus at a fraction of the evolution cost
     schedule = MotionSchedule(events=((t0, 0, 1), (t1, 1, 2)),
                               horizon=ref.MOTION["horizon"], dt=2.5)
-    e_static, psi_vac = ground_state(_spec(3, 1))
+    _, psi_vac = ground_state(_spec(3, 1))
     _, psi_med = ground_state(_spec(3, 2))
     vac = run_protocol(_spec(3, 1), schedule, initial=psi_vac,
                        krylov_tol=1e-9)
     med = run_protocol(_spec(3, 2), schedule, initial=psi_med,
                        krylov_tol=1e-9)
-    e_empty, _ = ground_state(_spec(3, 0))
-    result = dedx_estimate(vac, med, e_static=e_static, e_empty=e_empty)
+    result = dedx_estimate(vac, med)
     out = [Check("motion_base_vacuum", vac.plateau_energies()[0],
                  ref.MOTION["vacuum_base"], 2e-3),
            Check("motion_base_medium", med.plateau_energies()[0],

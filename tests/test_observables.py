@@ -154,8 +154,8 @@ def test_sre_sampled_agrees_with_exact():
 
 
 def test_sre_sparse_exact_path_matches_dense():
-    # > 14 qubits triggers the amplitude-space evaluation; compare the two
-    # code paths on the same state embedded at different sizes
+    # a real 4-qubit state embedded in the first 16 amplitudes of a 16-qubit
+    # register spans rank 4, so its exact M2 is the 4-qubit one
     rng = np.random.default_rng(13)
     small = random_state(4, rng)
     big = np.zeros(1 << 16)
@@ -168,34 +168,117 @@ def test_sre_sparse_exact_path_matches_dense():
     assert sparse_val == pytest.approx(dense_val, abs=1e-9)
 
 
-def _refuse(*args):
-    raise AssertionError("took the other exact M2 path")
+def _transform_sizes(monkeypatch) -> list[int]:
+    """The register sizes that `_sre_dense` is called with from now on."""
+    sizes, dense = [], observables._sre_dense
+
+    def spy(amps, n):
+        sizes.append(n)
+        return dense(amps, n)
+
+    monkeypatch.setattr(observables, "_sre_dense", spy)
+    return sizes
 
 
 @pytest.mark.parametrize("heavy", [(), (0,)])
 def test_l2_prepared_states_take_the_sparse_m2_path(heavy, monkeypatch):
+    # the 36 and 42 support states of the 12-qubit register span ranks 6
+    # and 7, and the transform runs on that span alone
     state = prepared_state(spec_for(2, heavy))
     dense = -np.log2(observables._sre_dense(state.amps, state.n))
-    monkeypatch.setattr(observables, "_sre_dense", _refuse)
+    sizes = _transform_sizes(monkeypatch)
     assert sre_m2(state, method="exact").value == pytest.approx(dense, abs=1e-12)
+    assert sizes == [6 + len(heavy)]
 
 
-def test_sre_sparse_path_is_exact_on_complex_amplitudes(monkeypatch):
+def test_sre_sparse_path_is_exact_on_complex_amplitudes():
     rng = np.random.default_rng(17)
     amps = np.zeros(1 << 10, dtype=complex)
     amps[rng.choice(amps.size, 12, replace=False)] = (rng.standard_normal(12)
                                                       + 1j * rng.standard_normal(12))
     state = StateVector(amps / np.linalg.norm(amps))
     dense = -np.log2(observables._sre_dense(state.amps, state.n))
-    monkeypatch.setattr(observables, "_sre_dense", _refuse)
     assert sre_m2(state, method="exact").value == pytest.approx(dense, abs=1e-12)
 
 
 def test_sre_full_support_state_takes_the_dense_path(monkeypatch):
+    # a full support spans the whole register: one transform of all 2^n
     state = StateVector(random_state(6, np.random.default_rng(19)))
     dense = -np.log2(observables._sre_dense(state.amps, state.n))
-    monkeypatch.setattr(observables, "_sre_sparse_exact", _refuse)
+    sizes = _transform_sizes(monkeypatch)
     assert sre_m2(state, method="exact").value == pytest.approx(dense, abs=1e-12)
+    assert sizes == [6]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_sre_exact_is_the_transform_on_the_span(data):
+    # an r-qubit state, on all or part of its register, spread over n qubits
+    # by a random CNOT network and an X string (a Clifford) keeps the r-qubit
+    # state's Pauli sum
+    n = data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    small = rng.standard_normal(1 << r)
+    if data.draw(st.booleans()):
+        small = small + 1j * rng.standard_normal(small.size)
+    small[rng.random(small.size) < data.draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    small[rng.integers(small.size)] += 1.0
+    small = small / np.linalg.norm(small)
+    idx = np.arange(small.size)
+    for _ in range(data.draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        ctrl, targ = rng.choice(n, 2, replace=False)
+        idx ^= ((idx >> ctrl) & 1) << targ
+    idx ^= int(rng.integers(0, 1 << n))
+    order = np.argsort(idx)
+    state = StateVector.on_basis(n, idx[order], small[order])
+    got = observables._sre_exact(state)
+    assert got == pytest.approx(observables._sre_dense(small, r), abs=1e-12)
+    assert got == pytest.approx(observables._sre_dense(state.amps, n), abs=1e-12)
+
+
+def test_sre_exact_refuses_a_wide_span():
+    # 20 random basis states of 18 qubits span rank 18, above the cap; the
+    # elimination finds that at once, and the sampled method still runs
+    import time
+
+    rng = np.random.default_rng(23)
+    idx = np.sort(rng.choice(1 << 18, 20, replace=False))
+    vals = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    state = StateVector.on_basis(18, idx, vals / np.linalg.norm(vals))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"rank 1[5-8].*method='sampled'"):
+        sre_m2(state, method="exact")
+    assert time.perf_counter() - t0 < 1.0
+    est = sre_m2(state, method="sampled", samples=200, seed=5)
+    assert np.isfinite(est.value) and est.std_error >= 0.0
+
+
+def test_sre_exact_keeps_no_full_register_arrays():
+    # a fresh interpreter: the exact M2 of the L = 3 prepared state (488
+    # support states, rank 11) transforms 2^11 amplitudes in blocks of 2^16
+    # entries (traced peak 4.3 MiB when measured; the support sum it replaced
+    # peaked at 11.4 MiB)
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import tracemalloc
+from su2lgt import LatticeSpec
+from su2lgt.ansatz import prepared_state
+from su2lgt.observables import sre_m2
+state = prepared_state(LatticeSpec(L=3, heavy_positions=frozenset({0})))
+tracemalloc.start()
+sre_m2(state, method="exact")
+print(tracemalloc.get_traced_memory()[1])
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert int(out.stdout) < 8 << 20
 
 
 def test_estimator_groups_sum_to_gauge_difference():

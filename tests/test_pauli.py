@@ -169,7 +169,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_ground_path_imports_no_scipy():
     # a fresh interpreter: the dense ground solve, the angle optimizer, the
-    # component energies and the ground-path CLI commands run on numpy alone
+    # component energies and the ground-path CLI commands run on numpy alone,
+    # and load neither numpy.ma (np.unique's first call) nor numpy.random
     import os
     import subprocess
     import sys
@@ -195,7 +196,8 @@ for argv in (["groundstate"], ["prepare"], ["prepare", "--optimize"],
              ["observables", "--what", "magic"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--L", "3"]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m in ("numpy.ma", "numpy.random")))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -209,7 +211,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_exact_propagation_imports_no_scipy():
     # a fresh interpreter: evolve_exact, exact and Trotter protocols, the
     # evolve and dedx commands and the motion, trotter and circuits report
-    # sections run on numpy alone
+    # sections run on numpy alone, without numpy.ma or numpy.random
     import os
     import subprocess
     import sys
@@ -230,7 +232,8 @@ for argv in (["evolve", "--L", "3"], ["dedx", "--L", "3"],
              ["report", "--sections", "motion,trotter,circuits"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m in ("numpy.ma", "numpy.random")))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

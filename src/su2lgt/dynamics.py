@@ -96,15 +96,23 @@ def _lanczos_step(hs, w: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
 
 
 def _propagate(hs, v: np.ndarray, start: float, stop: float, num: int,
-               tol: float) -> np.ndarray:
+               tol: float, dropped=None) -> np.ndarray:
     """exp(-i hs t) v for t = linspace(start, stop, num), one row each, for
     a Hermitian hs on a sector (a SectorMatrix): a Lanczos propagator (Park
     and Light, J. Chem. Phys. 85, 5870 (1986)) that marches from 0 through
-    the times in Lanczos steps (_lanczos_step).
+    the times in Lanczos steps (_lanczos_step).  `dropped`, when given, is
+    a Hermitian part of the generator that commutes with hs and was left
+    out of the propagation (its kernel holds v, so the rows are also
+    exp(-i (hs + dropped) t) v to t ||dropped v||); the energy is then
+    <hs> + <dropped>.
 
-    Raises KrylovError when <hs> at any of the times differs from <hs> in v
-    by more than tol * max(1, |<hs>|).
+    Raises KrylovError when the energy at any of the times differs from the
+    energy of v by more than tol * max(1, |energy|).
     """
+    def energy(x):
+        e = np.vdot(x, hs @ x).real
+        return e if dropped is None else e + np.vdot(x, dropped @ x).real
+
     times = np.linspace(start, stop, num)
     w, now = np.empty((num, v.size), dtype=complex), 0.0
     for k, t in enumerate(times):
@@ -112,9 +120,9 @@ def _propagate(hs, v: np.ndarray, start: float, stop: float, num: int,
         while now != t:
             w[k], step = _lanczos_step(hs, w[k], t - now)
             now = t if step == t - now else now + step
-    before = np.vdot(v, hs @ v).real
+    before = energy(v)
     for t, wt in zip(times, w):
-        after = np.vdot(wt, hs @ wt).real
+        after = energy(wt)
         if not abs(after - before) <= tol * max(1.0, abs(before)):
             raise KrylovError(f"<H> drifted from {before:.12g} to {after:.12g} "
                               f"over t = {t:g}")
@@ -305,34 +313,55 @@ def _sector_expectations(h: PauliSum, s: StateVector,
     return {name: sector.expectation(op, v) for name, op in ops.items()}
 
 
-class _SectorMeter:
-    """One interval between two moves, on the basis states that h and every
-    given Trotter factor reach from its first state (Sector.closure_under),
-    which each of them conserves.  It holds the named energy pieces, every
-    Z_j, and h (exact) or each distinct factor's Sector.eigh there."""
+# P's kernel test for an interval's first state v: ||P v|| at most this
+# times ||v||.  P commutes with H - P, so exp(-i (H - P) t) v is then
+# exp(-iHt) v to t ||P v||: 1e-9 ||v|| over the CLI's default horizon, 10
+_KERNEL_TOL = 1e-10
 
-    def __init__(self, h: PauliSum, pieces: dict[str, PauliSum],
-                 state: StateVector, factors: tuple[TrotterFactor, ...],
-                 krylov_tol: float):
+
+class _SectorMeter:
+    """One interval between two moves, on the basis states that the energy
+    pieces and every given Trotter factor reach from its first state
+    (Sector.closure_under), which each of them conserves.  It holds the
+    first state's amplitudes there (start), the pieces, every Z_j, and
+    either each distinct factor's Sector.eigh or the exact propagator's
+    generator: H - P (kinetic + mass + gauge) when the global-neutrality
+    penalty P annihilates the start to _KERNEL_TOL, else H."""
+
+    def __init__(self, pieces: dict[str, PauliSum], state: StateVector,
+                 factors: tuple[TrotterFactor, ...], krylov_tol: float):
         generators = {id(f.generator): f.generator for f in factors}
-        self.sector = Sector.closure_under([h, *generators.values()], state)
+        self.sector = Sector.closure_under([*pieces.values(), *generators.values()],
+                                           state)
         self.factors, self.krylov_tol = factors, krylov_tol
         self.decompositions = {key: self.sector.eigh(g)
                                for key, g in generators.items()}
-        self.h = None if factors else self.sector.restrict(h)
         self.pieces = {name: self.sector.restrict(op) for name, op in pieces.items()}
+        self.start = self.sector.extract(state)
+        if not factors:
+            p = self.pieces["penalty"]
+            rest = self.pieces["kinetic"] + self.pieces["mass"] + self.pieces["gauge"]
+            if np.linalg.norm(p @ self.start) <= _KERNEL_TOL * np.linalg.norm(self.start):
+                self.h, self.dropped = rest, p
+            else:
+                self.h, self.dropped = rest + p, None
         # qubit j is bit n-1-j of a basis index: Z_j = 1 - 2 * bit
-        bits = self.sector.indices >> np.arange(h.n - 1, -1, -1)[:, None] & 1
+        bits = self.sector.indices >> np.arange(state.n - 1, -1, -1)[:, None] & 1
         self.z_signs = 1.0 - 2.0 * bits
 
+    def propagate(self, v: np.ndarray, start: float, stop: float,
+                  num: int) -> np.ndarray:
+        """_propagate on the sector by the interval's generator, its energy
+        drift read on the full H."""
+        return _propagate(self.h, v, start, stop, num, self.krylov_tol, self.dropped)
+
     def advance(self, v: np.ndarray, delta: float) -> np.ndarray:
-        """v on the sector evolved by delta: exactly (_propagate on h's
-        SectorMatrix), or by one Trotter step.  An advance of at most 1e-12
-        is none."""
+        """v on the sector evolved by delta: exactly (propagate), or by one
+        Trotter step.  An advance of at most 1e-12 is none."""
         if delta <= 1e-12:
             return v
         if not self.factors:
-            return _propagate(self.h, v, delta, delta, 1, self.krylov_tol)[0]
+            return self.propagate(v, delta, delta, 1)[0]
         chain = [(f.generator, f.fraction * delta) for f in self.factors]
         return apply_chain(self.sector, chain, v, dict(self.decompositions))
 
@@ -377,8 +406,7 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
     else:
         state = initial
         e0_total = _sector_expectations(h, state, {"total": h})["total"] + offset
-    pieces = {"kinetic": terms.kinetic, "mass": terms.mass,
-              "gauge": terms.gauge, "penalty": terms.penalty}
+    pieces = terms.as_dict()
     factors = trotter_schedule(spec, order) if evolver == "trotter" else ()
 
     records: list[ProtocolRecord] = []
@@ -393,8 +421,8 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
         moving = end <= n_steps  # a move comes before record `end`
         t_move = events[0][0] if moving else t
         if end > k or t_move - t > 1e-12:
-            meter = _SectorMeter(h, pieces, state, factors, krylov_tol)
-            v = meter.sector.extract(state)
+            meter = _SectorMeter(pieces, state, factors, krylov_tol)
+            v = meter.start
             if factors:
                 for j in range(k, end):
                     v, t = meter.advance(v, j * dt - t), j * dt
@@ -402,8 +430,7 @@ def run_protocol(spec: LatticeSpec, schedule: MotionSchedule,
             elif end > k:
                 # times count on from k dt when the advance to it is none
                 t0 = t if k * dt - t > 1e-12 else k * dt
-                w = _propagate(meter.h, v, k * dt - t0, (end - 1) * dt - t0,
-                               end - k, krylov_tol)
+                w = meter.propagate(v, k * dt - t0, (end - 1) * dt - t0, end - k)
                 records += [meter.record(j * dt, wj, offset)
                             for j, wj in zip(range(k, end), w)]
                 v, t = w[-1], (end - 1) * dt

@@ -412,6 +412,11 @@ class SectorMatrix:
         self.re = vals.real.astype(complex) if vals.dtype.kind == "c" else vals
         self.im = 1j * vals.imag if vals.dtype.kind == "c" else None
 
+    @property
+    def vals(self) -> np.ndarray:
+        """The entries' values, mr + i mi."""
+        return self.re if self.im is None else self.re + self.im
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector x on the sector, complex unless x and the
         matrix are real.  add.at adds each row's terms one at a time, in
@@ -425,6 +430,25 @@ class SectorMatrix:
         np.add.at(out, self.rows, terms)
         out[self.ones] = x[self.ones]
         return out
+
+    def __add__(self, other: "SectorMatrix") -> "SectorMatrix":
+        """The sum of two matrices on one sector without `ones` (as restrict
+        gives them): the entries of both, those at one position added once,
+        each row's in column order."""
+        if self.ones.size or other.ones.size:
+            raise ValueError("only matrices without one-state blocks add")
+        rows = np.concatenate([self.rows, other.rows])
+        cols = np.concatenate([self.cols, other.cols])
+        vals = np.concatenate([self.vals, other.vals])
+        order = np.lexsort((rows, cols))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
+        first = np.flatnonzero(new)
+        rows, cols = rows[first], cols[first]
+        vals = np.add.reduceat(vals, first) if first.size else vals
+        keep = vals != 0
+        return SectorMatrix(rows[keep], cols[keep], vals[keep], self.ones)
 
 
 def lanczos(hs, q0: np.ndarray, size: int):

@@ -61,7 +61,10 @@ def lanczos_ground(h: PauliSum, start: StateVector,
     if len(sector) > MAX_DENSE_STATES:
         raise LanczosError(f"the sector holds {len(sector)} states; the dense "
                            f"ground-state solve takes at most {MAX_DENSE_STATES}")
-    hr, v, hs = sector.restrict(h), sector.extract(start), sector.dense(h)
+    hr, v = sector.restrict(h), sector.extract(start)
+    # the dense H_S of the certificate and the residual, from hr's entries
+    hs = np.zeros((v.size, v.size), dtype=hr.re.dtype)
+    hs[hr.rows, hr.cols] = hr.vals
     v = v.real if hr.im is None and not v.imag.any() else v
     try:
         for q, alpha, beta in lanczos(hr, v / np.linalg.norm(v), v.size):

@@ -258,15 +258,20 @@ def test_interval_records_match_chained_evolution(L, schedule, evolver):
 @pytest.mark.parametrize("evolver", ["exact", "trotter"])
 def test_one_sector_closure_per_interval(monkeypatch, evolver):
     spec = spec_for(2, (0,))
-    h = build_hamiltonian(spec).total
+    terms = build_hamiltonian(spec)
+    h = terms.total
     _, psi = lanczos_ground(h, sc_state(spec))
     closures, decomposed = [], []
     closure_under, eigh = Sector.closure_under, Sector.eigh
+    kinds = {h.to_text(): "start", terms.penalty.to_text(): "interval"}
 
     def counting_closures(cls, ops, state):
+        # the starting energy closes under the total H, an interval under
+        # the energy pieces, the penalty among them
         ops = list(ops)
-        if ops[0].n == h.n and ops[0].to_text() == h.to_text():
-            closures.append(ops)
+        found = {kinds.get(op.to_text()) for op in ops if op.n == h.n} - {None}
+        if found:
+            closures.append(found)
         return closure_under(ops, state)
 
     def counting_decompositions(self, op):
@@ -281,11 +286,92 @@ def test_one_sector_closure_per_interval(monkeypatch, evolver):
     run = run_protocol(spec, schedule, evolver=evolver, initial=psi)
     assert len(run.records) == 5
     # one for the starting energy of the supplied state, one per interval
-    assert len(closures) == 1 + 3
+    assert closures == [{"start"}] + [{"interval"}] * 3
     if evolver == "trotter":
         # each distinct factor is decomposed once per interval, not per record
         factors = {id(f.generator) for f in trotter_schedule(spec, 2)}
         assert sorted(decomposed.count(key) for key in factors) == [3] * len(factors)
+
+
+@pytest.mark.parametrize("evolver", ["exact", "trotter"])
+def test_intervals_read_no_table_of_the_total_h(monkeypatch, evolver):
+    # the interval sectors close under the pieces and the propagator adds
+    # their matrices, so only the starting energy of the supplied state
+    # reads the total H's terms: once for its closure, once for <H>
+    spec = spec_for(2, (0,))
+    h = build_hamiltonian(spec).total
+    _, psi = lanczos_ground(h, sc_state(spec))
+    tables, term_table = [], Sector._term_table
+
+    def counting_tables(op):
+        tables.append(op.to_text() == h.to_text())
+        return term_table(op)
+
+    monkeypatch.setattr(Sector, "_term_table", staticmethod(counting_tables))
+    run_protocol(spec, _OFF_GRID, evolver=evolver, initial=psi)
+    assert tables.count(True) == 2 and len(tables) > 2
+
+
+def test_a_start_outside_the_penalty_kernel_evolves_by_the_full_h():
+    # the ground state plus a random vector on its sector has weight on the
+    # states that the penalty lifts, so each interval runs on H, not H - P;
+    # the oracle evolves by np.linalg.eigh of H's dense matrix on each
+    # interval's sector, with the move in between
+    spec = spec_for(2, (0,))
+    terms = build_hamiltonian(spec)
+    h = terms.total
+    _, psi = lanczos_ground(h, sc_state(spec))
+    sector = Sector.closure(h, psi)
+    rng = np.random.default_rng(5)
+    v = sector.extract(psi) + 0.5 * (rng.standard_normal(len(sector))
+                                    + 1j * rng.standard_normal(len(sector)))
+    start = sector.embed(v / np.linalg.norm(v))
+    penalty = sector.restrict(terms.penalty) @ sector.extract(start)
+    assert np.linalg.norm(penalty) > 0.1
+
+    def dense_evolve(state, t):
+        on = Sector.closure(h, state)
+        w, vecs = np.linalg.eigh(on.dense(h))
+        return on, on.embed(vecs @ (np.exp(-1j * t * w) * (vecs.conj().T @ on.extract(state))))
+
+    schedule = MotionSchedule(events=((0.5, 0, 1),), horizon=1.25, dt=0.25)
+    run = run_protocol(spec, schedule, initial=start)
+    moved = fswap_move(dense_evolve(start, 0.5)[1], spec, 0, 1)
+    assert [r.t for r in run.records] == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+    for rec in run.records:
+        on, oracle = (dense_evolve(start, rec.t) if rec.t < 0.5
+                      else dense_evolve(moved, rec.t - 0.5))
+        want = on.extract(oracle)
+        assert np.abs(on.extract(rec.state) - want).max() < 1e-12
+        assert rec.state.norm() == pytest.approx(1.0, abs=1e-12)
+        for name, op in terms.as_dict().items():
+            value = on.expectation(op, want) + (mass_offset(spec) if name == "mass" else 0.0)
+            assert rec.energies[name] == pytest.approx(value, rel=0, abs=1e-12)
+        assert rec.energies["penalty"] > 0.1
+
+
+def test_exact_propagation_products(monkeypatch, capsys):
+    # the propagator runs on H - P for the penalty-free states of the motion
+    # workload and dedx: 35 products and 664 here, 160 and 1 381 on H
+    from su2lgt.cli import main
+
+    products = []
+    lanczos = dynamics.lanczos
+
+    def counting(hs, q0, size):
+        for item in lanczos(hs, q0, size):
+            products.append(1)
+            yield item
+
+    monkeypatch.setattr(dynamics, "lanczos", counting)
+    spec = spec_for(3, (0,))
+    _, psi = lanczos_ground(build_hamiltonian(spec).total, sc_state(spec))
+    run_protocol(spec, _MOTION, initial=psi, krylov_tol=1e-9)
+    assert 0 < len(products) <= 40
+    products.clear()
+    assert main(["dedx", "--L", "3"]) == 0
+    assert "dedx_x21" in capsys.readouterr().out
+    assert 0 < len(products) <= 700
 
 
 def test_trotter_records_stay_on_their_interval_sector(monkeypatch):

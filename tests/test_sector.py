@@ -112,7 +112,7 @@ def test_restrict_matches_dense_on_the_closure(pairs, start):
 def _dense(b, dim):
     """A SectorMatrix as a dense matrix, from its entries and one-state blocks."""
     m = np.zeros((dim, dim), dtype=complex)
-    m[b.rows, b.cols] = b.re if b.im is None else b.re + b.im
+    m[b.rows, b.cols] = b.vals
     m[b.ones, b.ones] = 1.0
     return m
 
@@ -167,6 +167,37 @@ def test_block_product_gives_the_bits_of_a_sparse_product(pairs, support, seed):
         assert (b @ x).tobytes() == ((kept + ones) @ x).tobytes()
     assert (sector.restrict(h) @ x).tobytes() == (
         sparse.csr_matrix(sector.dense(h)) @ x).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(terms3, terms3, supports, st.integers(0, 2**31 - 1))
+@example([("XYZ", 0.7), ("ZII", 0.3)], [("XYZ", -0.7), ("IZI", 1.0)], {5}, 0)  # cancels
+@example([("XXI", 0.5)], [("YXI", -0.3)], {0, 3}, 1)  # real plus complex
+def test_sum_of_restrictions_is_the_restriction_of_the_sum(a, b, support, seed):
+    # the sum keeps one entry per position, each row's in column order, so
+    # its product gives the bits of a CSR product of the summed matrix
+    from scipy import sparse
+
+    ha, hb = (PauliSum(3, [PauliString.from_label(lab, c) for lab, c in pairs])
+              for pairs in (a, b))
+    sector = Sector.closure_under([ha, hb], _state_on(support))
+    total = sector.restrict(ha) + sector.restrict(hb)
+    dense = sector.dense(ha) + sector.dense(hb)
+    assert np.array_equal(_dense(total, len(sector)), dense)
+    assert np.all(total.re + (0 if total.im is None else total.im) != 0)
+    assert np.all(np.diff(total.cols * len(sector) + total.rows) > 0)
+    x = random_state(3, np.random.default_rng(seed))[:len(sector)]
+    assert (total @ x).tobytes() == (sparse.csr_matrix(dense) @ x).tobytes()
+
+
+def test_sum_refuses_one_state_blocks():
+    # a diagonal op's eigenvectors are one-state blocks, kept as `ones`
+    h = PauliSum(3, [PauliString.from_label("ZZI", 0.5)])
+    sector = Sector.closure(h, _state_on({0, 3, 6}))
+    v = sector.eigh(h)[1]
+    assert v.ones.size == 3
+    with pytest.raises(ValueError, match="one-state blocks"):
+        sector.restrict(h) + v
 
 
 def test_eigh_rejects_a_block_wider_than_its_limit():

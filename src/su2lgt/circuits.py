@@ -236,8 +236,13 @@ class Circuit:
         """The state after the circuit, one fused block at a time.  While the
         support (the non-zero amplitudes) holds at most 2^n / _SPARSE_SHARE
         states, each block acts on the groups the support touches
-        (_apply_on_support); from there on, on the whole register as one
-        n-axis tensor, each block's new axes moved back as a view."""
+        (_apply_on_support); a support that stays that small through the
+        last block is returned on its sorted basis indices, and no 2^n
+        register is built.  Past that share, the blocks left act on the
+        whole register as one n-axis tensor, each block's new axes moved
+        back as a view.  Either way the global phase multiplies the
+        amplitudes in one scalar x array product, so `.amps` holds the same
+        bits on both paths."""
         if state.n != self.n_qubits:
             raise ValueError("register size mismatch")
         n = self.n_qubits
@@ -248,6 +253,12 @@ class Circuit:
                 idx, vals = _apply_on_support(n, wires, u, idx, vals)
                 if _SPARSE_SHARE * idx.size > 1 << n:
                     break
+            else:
+                order = np.argsort(idx)
+                vals = vals[order]
+                if self.phase:
+                    vals = np.exp(1j * self.phase) * vals
+                return StateVector.on_basis(n, idx[order], vals, normalized=False)
             amps = np.zeros(1 << n, dtype=complex)
             amps[idx] = vals
         else:
@@ -534,16 +545,6 @@ def _canon(gens) -> tuple:
                  for g in gens)
 
 
-def _box_layers(boxes) -> int:
-    free: dict[int, int] = {}
-    depth = 0
-    for a, b in boxes:
-        layer = max(free.get(a, 0), free.get(b, 0)) + 1
-        free[a] = free[b] = layer
-        depth = max(depth, layer)
-    return depth
-
-
 _BEAM_WIDTH = 64
 
 
@@ -596,9 +597,33 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
                           for lo, hi in spans], axis=-1)
         return sum(masks >> j & 1 for j in range(w))
 
-    def generator(row: np.ndarray) -> tuple:
-        return tuple((p >> (w + c), p >> c & wmask, complex(*values[p & cmask]))
-                     for p in row.tolist())
+    re_of, im_of = np.array(values).reshape(-1, 2).T
+    letter = {name: i for i, name in enumerate("IXZY")}  # x bit + 2 z bit
+    factors = [(4 * letter[l1[0]] + letter[l1[1]], 4 * letter[l2[0]] + letter[l2[1]],
+                sigma) for l1, l2, sigma in _BOX_FACTORS.values()]
+    powers = 1 << np.arange(w, dtype=np.int64)
+
+    def box_pairs(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For (T, L) terms of two-term generators: whether every generator
+        is an R-box pair (_classify_pair: two adjacent qubits, real
+        coefficients, a _BOX_FACTORS relation), and the first qubit a."""
+        terms = terms.reshape(len(terms), len(key), 2)
+        x, z = terms >> (w + c), terms >> c & wmask
+        m = (x | z)[..., 0] | (x | z)[..., 1]
+        low = m & -m
+        on_a, on_b = (low << 1)[..., None], low[..., None]
+        letters = (4 * ((x & on_a != 0) + 2 * (z & on_a != 0))
+                   + (x & on_b != 0) + 2 * (z & on_b != 0))
+        re, im = re_of[terms & cmask], im_of[terms & cmask]
+        matched = np.zeros(m.shape, dtype=bool)
+        for p1, p2, sigma in factors:
+            first = letters[..., 0] == p1
+            hit = first & (letters[..., 1] == p2) | (letters[..., 0] == p2) & (letters[..., 1] == p1)
+            c1 = np.where(first, re[..., 0], re[..., 1])
+            c2 = np.where(first, re[..., 1], re[..., 0])
+            matched |= hit & (np.abs(c2 - sigma * c1) < 1e-10)
+        ok = (m == 3 * low) & (np.abs(im) <= 1e-10).all(axis=-1) & matched
+        return ok.all(axis=-1), w - 2 - np.searchsorted(powers, low)
 
     best: tuple | None = None  # (layers, boxes_total, boxes)
     keys = np.array([[x << (w + c) | z << c | code[re + 0.0, im + 0.0]
@@ -606,22 +631,32 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
     sizes = sizes_of(keys).reshape(1, len(key))
     depth = np.zeros(1, dtype=np.int64)
     free = np.zeros((1, w), dtype=np.int64)
-    boxes = [()]
+    path = np.zeros((1, 0), dtype=np.int64)  # each node's moves, in order
     seen = {keys[0].tobytes()}
-    while boxes:
-        live = np.ones(len(boxes), dtype=bool)
-        for f in np.flatnonzero((sizes == 2).all(axis=1)):
-            pairs = [_classify_pair(generator(keys[f, lo:hi]), w)
-                     for lo, hi in spans]
-            if None not in pairs:
-                live[f] = False
-                seq = [(bx.a, bx.b) for bx in boxes[f]]
-                seq += [pair[2] for pair in pairs] + seq[::-1]
-                cand = (_box_layers(seq), 2 * len(boxes[f]) + len(key), boxes[f])
+    two_terms = all(hi - lo == 2 for lo, hi in spans)
+    while len(keys):
+        live = np.ones(len(keys), dtype=bool)
+        ends = np.flatnonzero((sizes == 2).all(axis=1)) if two_terms else []
+        if len(ends):
+            boxed, pair_a = box_pairs(keys[ends])
+            ends, pair_a = ends[boxed], pair_a[boxed]
+            live[ends] = False
+        if len(ends):
+            # layer each end's palindrome (its boxes, pairs, reversed boxes)
+            # on from its free/depth, which hold the layering of its boxes
+            at, layers, free_end = np.arange(len(ends)), depth[ends], free[ends]
+            for a in (*pair_a.T, *move_a[path[ends, ::-1]].T):
+                layer = np.maximum(free_end[at, a], free_end[at, a + 1]) + 1
+                free_end[at, a] = free_end[at, a + 1] = layer
+                layers = np.maximum(layers, layer)
+            least = int(layers.min())
+            for f in ends[layers == least].tolist():
+                cand = (least, 2 * path.shape[1] + len(key),
+                        tuple(moves[m] for m in path[f].tolist()))
                 if best is None or cand < best:
                     best = cand
         keys, sizes, depth, free = keys[live], sizes[live], depth[live], free[live]
-        boxes = [b for b, keep in zip(boxes, live) if keep]
+        path = path[live]
         # (F, M, L): every live node conjugated by every move
         terms = keys[:, None]
         window = (terms >> (shift + w + c) & 3) << 2 | terms >> (shift + c) & 3
@@ -659,7 +694,7 @@ def _search_reduction(key: tuple, w: int) -> tuple[_Box, ...]:
         free = free[fk]
         free[np.arange(len(kept)), move_a[mk]] = layer[kept]
         free[np.arange(len(kept)), move_a[mk] + 1] = layer[kept]
-        boxes = [boxes[f] + (moves[m],) for f, m in zip(fk.tolist(), mk.tolist())]
+        path = np.column_stack((path[fk], mk))
     if best is None:
         raise SynthesisError("box reduction failed for the given generators")
     return best[2]

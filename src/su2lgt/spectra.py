@@ -12,7 +12,9 @@ from .pauli import PauliSum, Sector, StateVector, lanczos
 
 # the largest sector whose ground state is solved as a dense matrix: above
 # every sector at L <= 4 (at most 10 528 states, three heavy quarks at L = 4:
-# a 0.8 GiB matrix); an L = 5 sector holds about 10^5 states, tens of GiB
+# 0.89 GB per n x n array, and three are live at the certificate, the shifted
+# H_S and LAPACK's two, 2.7 GB); an L = 5 sector holds about 10^5 states,
+# tens of GB
 MAX_DENSE_STATES = 12_000
 
 
@@ -43,6 +45,28 @@ def sc_state(spec: LatticeSpec) -> StateVector:
     return StateVector.on_basis(spec.n_qubits, indices, amps)
 
 
+def _dense(hr, size: int) -> np.ndarray:
+    """The size x size array of the SectorMatrix hr, from its entries."""
+    out = np.zeros((size, size), dtype=hr.re.dtype)
+    out[hr.rows, hr.cols] = hr.vals
+    return out
+
+
+def _bounded_below(hr, size: int, energy: float) -> bool:
+    """Whether the Cholesky factorization of H_S - (E - 1e-9 max(1, |E|))
+    exists, that is, no eigenvalue of hr lies below E.  The shifted matrix
+    is filled from hr's entries and is the one n x n array of the caller's
+    while LAPACK runs; it is freed on return (notes/decisions.md, "Peak
+    memory of the solve paths")."""
+    shifted = _dense(hr, size)
+    shifted.flat[::size + 1] -= energy - 1e-9 * max(1.0, abs(energy))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def lanczos_ground(h: PauliSum, start: StateVector,
                    tol: float = 1e-10) -> tuple[float, StateVector]:
     """Lowest eigenpair of h in the start vector's sector.
@@ -51,20 +75,21 @@ def lanczos_ground(h: PauliSum, start: StateVector,
     from its support (Sector.closure).  The Lanczos basis from the start
     (real when h and the start are) grows until the lowest Ritz pair's
     residual beta_m |s_m| is at most 1e-13, tested every 10 products.  A
-    Cholesky factorization of the dense H_S - (E - 1e-9 max(1, |E|)) proves
+    Cholesky factorization of the dense H_S - (E - 1e-9 max(1, |E|)), filled
+    from the sparse H_S's entries with the shift on its diagonal, proves
     that no eigenvalue lies below E; where it fails, the start missed the
-    lowest state's symmetry class and np.linalg.eigh of H_S gives the pair.
-    Raises LanczosError for a sector of more than MAX_DENSE_STATES states,
-    when LAPACK does not converge, and unless ||H psi - E psi|| < tol.
+    lowest state's symmetry class, and np.linalg.eigh of a dense H_S built
+    only then gives the pair.  The residual is a product with the sparse
+    H_S, so a passing certificate holds one n x n array of its own (three
+    with LAPACK's two).  Raises LanczosError for a sector of more than
+    MAX_DENSE_STATES states, when LAPACK does not converge, and unless
+    ||H psi - E psi|| < tol.
     """
     sector = Sector.closure(h, start)
     if len(sector) > MAX_DENSE_STATES:
         raise LanczosError(f"the sector holds {len(sector)} states; the dense "
                            f"ground-state solve takes at most {MAX_DENSE_STATES}")
     hr, v = sector.restrict(h), sector.extract(start)
-    # the dense H_S of the certificate and the residual, from hr's entries
-    hs = np.zeros((v.size, v.size), dtype=hr.re.dtype)
-    hs[hr.rows, hr.cols] = hr.vals
     v = v.real if hr.im is None and not v.imag.any() else v
     try:
         for q, alpha, beta in lanczos(hr, v / np.linalg.norm(v), v.size):
@@ -73,16 +98,13 @@ def lanczos_ground(h: PauliSum, start: StateVector,
                 if len(q) == v.size or beta[-1] * abs(s[-1, 0]) <= 1e-13:
                     break
         energy, amps = float(theta[0]), s[:, 0] @ q
-        shifted = hs.copy()
-        shifted.flat[::v.size + 1] -= energy - 1e-9 * max(1.0, abs(energy))
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            evals, evecs = np.linalg.eigh(hs)
+        del q  # the basis goes before the certificate's n x n arrays come
+        if not _bounded_below(hr, v.size, energy):
+            evals, evecs = np.linalg.eigh(_dense(hr, v.size))
             energy, amps = float(evals[0]), evecs[:, 0]
     except np.linalg.LinAlgError as exc:
         raise LanczosError(f"the dense ground-state solve failed: {exc}")
-    residual = float(np.linalg.norm(hs @ amps - energy * amps))
+    residual = float(np.linalg.norm(hr @ amps - energy * amps))
     if not residual < tol:
         raise LanczosError(f"ground-state residual {residual:.3e} is not below {tol:.1e}")
     return energy, sector.embed(amps)

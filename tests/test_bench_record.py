@@ -82,7 +82,8 @@ def test_record_from_synthetic_logs(tmp_path):
             "error: child chatter\n" + json.dumps(result) + "\n", encoding="utf-8")
 
     out = tmp_path / "BENCH_0.json"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("GIT_") and k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_record.py"), str(out),
          "--runs", str(runs), "--parent", "HEAD", "--tier1", "30.5", "29.0",
@@ -95,6 +96,8 @@ def test_record_from_synthetic_logs(tmp_path):
                                 "src_tree": _git(repo, "rev-parse", "HEAD:src")}
     assert record["change"]["src_tree"] == record["parent"]["src_tree"]
     assert record["tier1_wall_s"] == {"parent": 30.5, "change": 29.0}
+    # the session, which the runs' children inherit, kept a bytecode cache
+    assert record["machine"]["pythondontwritebytecode"] is False
     assert sorted(record["workloads"]) == ["circuit", "ground"]
     ground, circuit = record["workloads"]["ground"], record["workloads"]["circuit"]
     assert ground["seeds"] == [1, 2, 3] and circuit["seeds"] == [1, 2]
@@ -135,3 +138,15 @@ def test_record_from_synthetic_logs(tmp_path):
     assert report["peak_rss_mb"]["change_better_pairs"] == 1
     assert report["wall_s"]["change_better_pairs"] == 0
     assert record["whole_runs_command"].startswith("python3 tools/whole_run.py")
+
+
+def test_whole_run_records_the_bytecode_setting():
+    # one CLI run in a child without a bytecode cache: the JSON line says so
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "whole_run.py"), "--", "hamiltonian",
+         "--L", "1"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line["argv"] == ["hamiltonian", "--L", "1"] and line["exit"] == 0
+    assert line["pythondontwritebytecode"] is True

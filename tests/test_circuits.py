@@ -347,6 +347,87 @@ def test_fused_apply_matches_per_gate_reference(c):
     assert np.max(np.abs(c.apply(v).amps - ref)) < 1e-12
 
 
+def test_pipeline_apply_keeps_the_state_on_its_support():
+    # from |0...0> the 18-qubit pipeline's support stays under 2^n /
+    # _SPARSE_SHARE states through the last block, so the state comes back
+    # on its sorted basis indices: a fresh interpreter traces no 2^18
+    # register (1.0 MiB when measured; 8.0 MiB while the result was
+    # scattered into one and the phase product made a second)
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import tracemalloc
+from su2lgt import LatticeSpec
+from su2lgt.circuits import pipeline_circuit
+from su2lgt.pauli import StateVector
+circ = pipeline_circuit(LatticeSpec(L=3, heavy_positions=frozenset({0})))
+start = StateVector.basis(circ.n_qubits, 0)
+tracemalloc.start()
+circ.apply(start)
+print(tracemalloc.get_traced_memory()[1])
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert int(out.stdout) < 2 << 20
+
+    spec = spec_for(3, (0,))
+    n = spec.n_qubits
+    circ = pipeline_circuit(spec)
+    got = circ.apply(StateVector.basis(n, 0))
+    assert got.indices is not None
+    assert got.indices.size <= (1 << n) // circuits_module._SPARSE_SHARE
+    assert np.all(np.diff(got.indices) > 0)
+    # the register the support path scattered before the phase product
+    idx, vals = np.array([0]), np.array([1.0 + 0j])
+    for wires, u in circuits_module._fused_blocks(circ.gates):
+        idx, vals = circuits_module._apply_on_support(n, wires, u, idx, vals)
+    register = np.zeros(1 << n, dtype=complex)
+    register[idx] = vals
+    assert np.array_equal(got.amps, np.exp(1j * circ.phase) * register)
+
+
+@st.composite
+def wide_starts(draw):
+    """A drawn circuit and a state kept on more than 2^n / _SPARSE_SHARE of
+    its basis states."""
+    c = draw(fusable_circuits())
+    n = c.n_qubits
+    k = draw(st.integers((1 << n) // circuits_module._SPARSE_SHARE + 1, 1 << n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    idx = np.sort(rng.choice(1 << n, size=k, replace=False))
+    vals = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return c, StateVector.on_basis(n, idx, vals / np.linalg.norm(vals))
+
+
+@given(wide_starts())
+@settings(max_examples=40, deadline=None)
+def test_apply_on_a_wide_support_returns_the_whole_register(drawn):
+    c, start = drawn
+    got = c.apply(start)
+    assert got.indices is None and got.values.size == 1 << c.n_qubits
+    oracle = c.unitary() @ start.amps  # the phase included
+    assert np.max(np.abs(got.amps - oracle)) < 1e-12
+
+
+def test_apply_leaves_the_support_when_it_passes_the_share():
+    # one basis state on 8 qubits: the first block's Hadamards spread it
+    # over 16 > 2^8 / _SPARSE_SHARE states, and the blocks left run on the
+    # whole register
+    c = Circuit(8, phase=0.25)
+    for q in range(8):
+        c.add("h", q)
+    c.add("cx", 0, 7)
+    got = c.apply(StateVector.basis(8, 5))
+    assert got.indices is None and got.values.size == 256
+    oracle = c.unitary() @ StateVector.basis(8, 5).amps
+    assert np.max(np.abs(got.amps - oracle)) < 1e-12
+
+
 def test_fusion_groups_the_pipeline_into_four_wire_blocks():
     spec = spec_for(3, (0,))
     blocks = circuits_module._fused_blocks(pipeline_circuit(spec).gates)

@@ -115,6 +115,28 @@ def test_certificate_failure_falls_back_to_the_dense_eigh(monkeypatch):
     assert np.array_equal(psi.support()[1], evecs[:, 0])
 
 
+def test_certificate_holds_one_dense_matrix_of_its_own():
+    # the 690-state L = 3, n_Q = 2 sector: a passing certificate fills the
+    # shifted H_S from the sparse entries, the Lanczos basis is gone by then
+    # and the residual is a sparse product, so the traced peak stays under
+    # 3.75 n^2 doubles (2.25 when measured; 4.25 while an unshifted H_S
+    # and the basis stayed live beside the shifted copy)
+    import tracemalloc
+
+    spec = LatticeSpec(L=3, heavy_positions=frozenset((0, 2)))
+    h, start = build_hamiltonian(spec).total, sc_state(spec)
+    size = len(Sector.closure(h, start))
+    assert size == 690
+    tracemalloc.start()
+    try:
+        e, psi = lanczos_ground(h, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * size * size * 8
+    assert np.linalg.norm(h.apply(psi).amps - e * psi.amps) < 1e-10
+
+
 def test_paper_sectors_pass_the_certificate(monkeypatch):
     # the seven sectors of the ground workload: Lanczos alone, no full eigh
     calls = _count_solves(monkeypatch)

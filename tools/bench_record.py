@@ -7,7 +7,9 @@ Each file RUNDIR/<workload>-<side>-<seed>.log holds the standard output of
 run from a checkout of the parent commit (side "parent") or of the change
 (side "change"); its last line is run.py's JSON result.  The record holds the
 parent commit, the git tree of the change's src/ (after commit, equal to
-`git rev-parse <commit>:src`), the machine, and for each workload and
+`git rev-parse <commit>:src`), the machine (with whether
+PYTHONDONTWRITEBYTECODE is set in this session, which the runs' children
+inherit), and for each workload and
 end-to-end metric each side's median and quartiles over the runs and how many
 same-seed pairs the change won.  Run it from the change's checkout, with the
 change staged:
@@ -130,7 +132,11 @@ def main() -> None:
                    "src_tree": _git("rev-parse", f"{args.parent}:src")},
         "change": {"src_tree": _git("write-tree", "--prefix=src/")},
         "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
+                    "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
+                    # the runs' children inherit it; without a bytecode
+                    # cache each round compiles the package, which moves
+                    # setup_s and peak_rss_mb
+                    "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
         "command": "python3 benchmark/run.py --workload W --seed N --seconds 10 --trace 0",
         "layers_command": ("python3 benchmark/run.py --workload W --seed N --seconds 10 "
                            "--trace 1" if args.trace_runs else None),

@@ -6,8 +6,9 @@ runs `python -m su2lgt.cli ARGV` with SRC (default: this checkout's src/) on
 PYTHONPATH, one BLAS/OpenMP thread and a fixed hash seed.  It discards the
 child's standard output, passes on its standard error, and prints one JSON
 line: the argv, the exit code, `wall_s` (from starting the child to its
-exit) and `peak_rss_mb` (the child's maximum resident set size, as the
-benchmark reads it).  It exits 1 when the child did not exit 0.  The logs of
+exit), `peak_rss_mb` (the child's maximum resident set size, as the
+benchmark reads it) and `pythondontwritebytecode` (whether the child runs
+with PYTHONDONTWRITEBYTECODE set, so without a bytecode cache).  It exits 1 when the child did not exit 0.  The logs of
 paired runs of both sides feed `tools/bench_record.py --whole-runs`.
 """
 from __future__ import annotations
@@ -42,7 +43,8 @@ def main() -> int:
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     sys.stderr.write(proc.stderr)
     print(json.dumps({"argv": args.argv, "exit": proc.returncode, "wall_s": wall,
-                      "peak_rss_mb": peak}))
+                      "peak_rss_mb": peak,
+                      "pythondontwritebytecode": bool(env.get("PYTHONDONTWRITEBYTECODE"))}))
     return 1 if proc.returncode else 0
 
 

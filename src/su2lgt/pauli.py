@@ -451,12 +451,20 @@ class SectorMatrix:
         return SectorMatrix(rows[keep], cols[keep], vals[keep], self.ones)
 
 
+# the Lanczos basis's first rows: the ground solves converge in about a
+# sixth of a sector's size, so the basis grows rather than taking size + 1
+_BASIS_ROWS = 16
+
+
 def lanczos(hs, q0: np.ndarray, size: int):
     """The Lanczos recurrence of a Hermitian hs from the unit vector q0, in
     q0's arithmetic, with two classical Gram-Schmidt passes against the
     whole basis.  After the m-th of at most size products it yields q[:m]
-    and T_m's diagonal alpha and subdiagonal beta, beta[-1] the residual's."""
-    q = np.empty((size + 1, q0.size), dtype=q0.dtype)
+    and T_m's diagonal alpha and subdiagonal beta, beta[-1] the residual's.
+    The basis starts with _BASIS_ROWS rows and doubles as they fill, up to
+    size + 1; q[:m] is C-contiguous in every buffer, so the products keep
+    their bits."""
+    q = np.empty((min(_BASIS_ROWS, size + 1), q0.size), dtype=q0.dtype)
     q[0] = q0
     alpha, beta = [], []
     for m in range(1, size + 1):
@@ -467,6 +475,10 @@ def lanczos(hs, q0: np.ndarray, size: int):
         alpha.append(coef[-1].real)
         beta.append(np.linalg.norm(r))
         yield q[:m], alpha, beta
+        if m == len(q):
+            grown = np.empty((min(2 * m, size + 1), q0.size), dtype=q0.dtype)
+            grown[:m] = q
+            q = grown
         q[m] = r / beta[-1]
 
 
@@ -488,9 +500,20 @@ class Sector:
         self.n = n
         self.indices = np.asarray(indices, dtype=np.int64)
         self._swept = []  # (op, its elements on the sector) from closure_under
+        self._levels = None  # each state's closure_under front; None: one level
 
     def __len__(self):
         return self.indices.size
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Each state's level, the index of the closure_under front that
+        reached it (level 0 is the start's support): a breadth-first level
+        structure of the followed elements' graph.  A sector built from
+        indices, or one that the start's support fills, is level 0."""
+        if self._levels is None:
+            return np.zeros(len(self), dtype=np.int64)
+        return self._levels
 
     @staticmethod
     def _term_table(op: PauliSum):
@@ -524,8 +547,11 @@ class Sector:
         """The support of state and every basis state that any product of
         the ops connects to it: each op's matrix elements above
         PauliSum.ZERO_TOL are followed on their own, so ops that cancel in
-        their sum lose no state.  Unless the support is the whole register,
-        the sector keeps each distinct op's elements, swept once per state."""
+        their sum lose no state.  Each sweep of a front reaches the next
+        front, so a followed element joins states of one level or of two
+        adjacent levels (Sector.levels).  Unless the support is the whole
+        register, the sector keeps each distinct op's elements, swept once
+        per state."""
         ops = list({id(op): op for op in ops}.values())
         if any(op.n != state.n for op in ops):
             raise ValueError("register size mismatch")
@@ -548,6 +574,10 @@ class Sector:
             reached = np.sort(np.concatenate([reached, front]))
         sector = cls(state.n, reached)
         at = [np.searchsorted(sector.indices, front) for front in fronts]
+        if len(at) > 1:
+            sector._levels = np.empty(len(sector), dtype=np.int64)
+            for level, rows in enumerate(at):
+                sector._levels[rows] = level
         for j, op in enumerate(ops):
             vals = swept[0][j]  # a lone front is the sector, in order
             if len(swept) > 1:

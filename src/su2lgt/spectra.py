@@ -12,9 +12,9 @@ from .pauli import PauliSum, Sector, StateVector, lanczos
 
 # the largest sector whose ground state is solved as a dense matrix: above
 # every sector at L <= 4 (at most 10 528 states, three heavy quarks at L = 4:
-# 0.89 GB per n x n array, and three are live at the certificate, the shifted
-# H_S and LAPACK's two, 2.7 GB); an L = 5 sector holds about 10^5 states,
-# tens of GB
+# 0.89 GB per n x n array; the certificate holds arrays of one or two BFS
+# levels only, and the eigh fallback three n x n arrays, the dense H_S and
+# LAPACK's two, 2.7 GB); an L = 5 sector holds about 10^5 states, tens of GB
 MAX_DENSE_STATES = 12_000
 
 
@@ -52,18 +52,50 @@ def _dense(hr, size: int) -> np.ndarray:
     return out
 
 
-def _bounded_below(hr, size: int, energy: float) -> bool:
-    """Whether the Cholesky factorization of H_S - (E - 1e-9 max(1, |E|))
-    exists, that is, no eigenvalue of hr lies below E.  The shifted matrix
-    is filled from hr's entries and is the one n x n array of the caller's
-    while LAPACK runs; it is freed on return (notes/decisions.md, "Peak
-    memory of the solve paths")."""
-    shifted = _dense(hr, size)
-    shifted.flat[::size + 1] -= energy - 1e-9 * max(1.0, abs(energy))
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
+def _bounded_below(hr, levels: np.ndarray, energy: float) -> bool:
+    """Whether the Cholesky factorization of H_S - sigma exists,
+    sigma = E - 1e-9 max(min(1, r), |E|) with r the largest absolute row sum
+    of H_S (at least its norm), that is, no eigenvalue of hr lies below E.
+    It runs one level of the sector (Sector.levels) at a time.  In level
+    order the followed entries make H_S block tridiagonal, diagonal blocks
+    A_k and blocks B_k from level k to k + 1, so with S_0 = A_0 - sigma,
+    L_k = chol(S_k) and W_k = L_k^-1 B_k^H, S_{k+1} = A_{k+1} - sigma -
+    W_k^H W_k: the dense factorization without its zero blocks.  Entries
+    that join levels two or more apart (at most PauliSum.ZERO_TOL, as the
+    closure does not follow them) stay out of the blocks, and their largest
+    absolute row sum, a bound on their norm, is added to sigma
+    (Weyl's inequality), so a passing factorization still proves the bound
+    for all of H_S.  Every array is of one or two levels' sizes
+    (notes/decisions.md, "The certificate one level at a time")."""
+    count = np.bincount(levels)
+    local = np.empty_like(levels)
+    local[np.argsort(levels, kind="stable")] = (
+        np.arange(levels.size) - np.repeat(np.cumsum(count) - count, count))
+    vals, at, to = hr.vals, levels[hr.cols], levels[hr.rows]
+    weight = np.abs(vals)
+    norm = np.bincount(hr.rows, weight).max(initial=0.0)
+    skip = np.abs(to - at) > 1
+    margin = np.bincount(hr.rows[skip], weight[skip]).max(initial=0.0)
+    shift = energy - 1e-9 * max(min(1.0, norm), abs(energy)) + margin
+
+    def block(row_level, col_level):
+        """The entries from level col_level to level row_level, dense."""
+        out = np.zeros((count[row_level], count[col_level]), dtype=hr.re.dtype)
+        keep = (to == row_level) & (at == col_level)
+        out[local[hr.rows[keep]], local[hr.cols[keep]]] = vals[keep]
+        return out
+
+    for k, size in enumerate(count):
+        schur = block(k, k)
+        schur.flat[::size + 1] -= shift
+        if k:
+            schur -= w.conj().T @ w
+        try:
+            factor = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            return False
+        if k + 1 < count.size:
+            w = np.linalg.solve(factor, block(k + 1, k).conj().T)
     return True
 
 
@@ -75,13 +107,14 @@ def lanczos_ground(h: PauliSum, start: StateVector,
     from its support (Sector.closure).  The Lanczos basis from the start
     (real when h and the start are) grows until the lowest Ritz pair's
     residual beta_m |s_m| is at most 1e-13, tested every 10 products.  A
-    Cholesky factorization of the dense H_S - (E - 1e-9 max(1, |E|)), filled
-    from the sparse H_S's entries with the shift on its diagonal, proves
-    that no eigenvalue lies below E; where it fails, the start missed the
-    lowest state's symmetry class, and np.linalg.eigh of a dense H_S built
-    only then gives the pair.  The residual is a product with the sparse
-    H_S, so a passing certificate holds one n x n array of its own (three
-    with LAPACK's two).  Raises LanczosError for a sector of more than
+    Cholesky factorization of H_S - (E - 1e-9 max(min(1, r), |E|)), r the
+    largest absolute row sum of H_S, proves that no eigenvalue lies below
+    E; it runs block by block over the closure's BFS levels
+    (_bounded_below), filled from the sparse H_S's entries.  Where it
+    fails, the start missed the lowest state's symmetry class, and
+    np.linalg.eigh of a dense H_S built only then gives the pair.  The
+    residual is a product with the sparse H_S, so a passing certificate
+    holds no n x n array.  Raises LanczosError for a sector of more than
     MAX_DENSE_STATES states, when LAPACK does not converge, and unless
     ||H psi - E psi|| < tol.
     """
@@ -98,8 +131,8 @@ def lanczos_ground(h: PauliSum, start: StateVector,
                 if len(q) == v.size or beta[-1] * abs(s[-1, 0]) <= 1e-13:
                     break
         energy, amps = float(theta[0]), s[:, 0] @ q
-        del q  # the basis goes before the certificate's n x n arrays come
-        if not _bounded_below(hr, v.size, energy):
+        del q  # the basis goes before the certificate's blocks come
+        if not _bounded_below(hr, sector.levels, energy):
             evals, evecs = np.linalg.eigh(_dense(hr, v.size))
             energy, amps = float(evals[0]), evecs[:, 0]
     except np.linalg.LinAlgError as exc:

@@ -150,3 +150,25 @@ def test_whole_run_records_the_bytecode_setting():
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     assert line["argv"] == ["hamiltonian", "--L", "1"] and line["exit"] == 0
     assert line["pythondontwritebytecode"] is True
+
+
+def test_whole_run_starts_its_child_in_the_checkout_root(tmp_path, monkeypatch):
+    # the child's working directory is the same from wherever the tool is
+    # called, so it does not move the child's heap layout
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("whole_run", ROOT / "tools" / "whole_run.py")
+    whole_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(whole_run)
+    started = []
+
+    def run(argv, **kwargs):
+        started.append(kwargs["cwd"])
+        return subprocess.CompletedProcess(argv, 0, stderr="")
+
+    monkeypatch.setattr(whole_run.subprocess, "run", run)
+    for where in (tmp_path, ROOT / "tests"):
+        monkeypatch.chdir(where)
+        monkeypatch.setattr(sys, "argv", ["whole_run.py", "--", "hamiltonian", "--L", "1"])
+        assert whole_run.main() == 0
+    assert started == [ROOT, ROOT]

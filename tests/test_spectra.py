@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,12 @@ from hypothesis import strategies as st
 from su2lgt import LatticeSpec
 from su2lgt.hamiltonian import build_hamiltonian, charge_square, mass_offset
 from su2lgt.pauli import PauliString, PauliSum, Sector, StateVector
-from su2lgt.spectra import (LanczosError, ground_state, hadron_mass, lanczos_ground,
-                           sc_state)
+from su2lgt.spectra import (LanczosError, _bounded_below, ground_state, hadron_mass,
+                           lanczos_ground, sc_state)
+
+# the seven sectors of the ground workload, the published ones of L <= 3
+PAPER_SECTORS = [(1, ()), (1, (0,)), (2, ()), (2, (0,)), (3, ()), (3, (0,)),
+                 (3, (0, 2))]
 
 
 def _heavy_sector_indices(spec):
@@ -77,12 +83,15 @@ def test_eigensolver_failure_is_lanczos_error(monkeypatch):
         lanczos_ground(build_hamiltonian(spec).total, sc_state(spec))
 
 
-def _count_solves(monkeypatch):
+def _count_solves(monkeypatch, sizes=None):
     """Patch numpy's cholesky and eigh to log each call: ("cholesky", did
-    it raise) or ("eigh", the matrix's size)."""
+    it raise) or ("eigh", the matrix's size).  Each factored matrix's size
+    also goes to sizes, when given."""
     calls, cholesky, eigh = [], np.linalg.cholesky, np.linalg.eigh
 
     def counted_cholesky(a):
+        if sizes is not None:
+            sizes.append(len(a))
         try:
             out = cholesky(a)
         except np.linalg.LinAlgError:
@@ -115,12 +124,13 @@ def test_certificate_failure_falls_back_to_the_dense_eigh(monkeypatch):
     assert np.array_equal(psi.support()[1], evecs[:, 0])
 
 
-def test_certificate_holds_one_dense_matrix_of_its_own():
-    # the 690-state L = 3, n_Q = 2 sector: a passing certificate fills the
-    # shifted H_S from the sparse entries, the Lanczos basis is gone by then
-    # and the residual is a sparse product, so the traced peak stays under
-    # 3.75 n^2 doubles (2.25 when measured; 4.25 while an unshifted H_S
-    # and the basis stayed live beside the shifted copy)
+def test_certificate_holds_no_dense_matrix():
+    # the 690-state L = 3, n_Q = 2 sector: a passing certificate factors
+    # one BFS level at a time (at most 176 states), the Lanczos basis grows
+    # as its 120 rows fill and is gone by then, and the residual is a
+    # sparse product, so the traced peak stays under one n x n array of
+    # doubles (0.57 n^2 when measured; 2.25 while the certificate filled
+    # the shifted H_S, 4.25 with an unshifted H_S and the basis beside it)
     import tracemalloc
 
     spec = LatticeSpec(L=3, heavy_positions=frozenset((0, 2)))
@@ -133,22 +143,106 @@ def test_certificate_holds_one_dense_matrix_of_its_own():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.75 * size * size * 8
+    assert peak < size * size * 8
     assert np.linalg.norm(h.apply(psi).amps - e * psi.amps) < 1e-10
 
 
 def test_paper_sectors_pass_the_certificate(monkeypatch):
-    # the seven sectors of the ground workload: Lanczos alone, no full eigh
-    calls = _count_solves(monkeypatch)
-    for L, heavy in [(1, ()), (1, (0,)), (2, ()), (2, (0,)), (3, ()), (3, (0,)),
-                     (3, (0, 2))]:
+    # the seven sectors of the ground workload: Lanczos alone, no full eigh,
+    # and one Cholesky factorization per BFS level, none larger than a level
+    sizes = []
+    calls = _count_solves(monkeypatch, sizes)
+    for L, heavy in PAPER_SECTORS:
         spec = LatticeSpec(L=L, heavy_positions=frozenset(heavy))
         h = build_hamiltonian(spec).total
-        size = len(Sector.closure(h, sc_state(spec)))
-        del calls[:]
+        sector = Sector.closure(h, sc_state(spec))
+        levels = np.bincount(sector.levels)
+        del calls[:], sizes[:]
         lanczos_ground(h, sc_state(spec))
-        assert calls.count(("cholesky", False)) == 1
-        assert ("cholesky", True) not in calls and ("eigh", size) not in calls
+        assert calls.count(("cholesky", False)) == levels.size
+        assert ("cholesky", True) not in calls and ("eigh", len(sector)) not in calls
+        assert max(sizes) == levels.max()
+
+
+@functools.cache
+def _paper_problem(L, heavy):
+    """(the sector's SectorMatrix H_S, its levels, its dense H_S, the ground
+    energy) of a published sector, without the mass offset."""
+    spec = LatticeSpec(L=L, heavy_positions=frozenset(heavy))
+    h = build_hamiltonian(spec).total
+    sector = Sector.closure(h, sc_state(spec))
+    return (sector.restrict(h), sector.levels, sector.dense(h),
+            lanczos_ground(h, sc_state(spec))[0])
+
+
+def _dense_certificate(dense, energy):
+    """Whether the one dense Cholesky of H_S - (E - 1e-9 max(1, |E|)), which
+    the block certificate replaces, exists (the same margin wherever H_S's
+    largest absolute row sum is at least 1, as in every sector here)."""
+    shift = energy - 1e-9 * max(1.0, abs(energy))
+    try:
+        np.linalg.cholesky(dense - shift * np.eye(len(dense)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("L,heavy", PAPER_SECTORS)
+def test_followed_entries_join_adjacent_levels(L, heavy):
+    # the closure's fronts are BFS levels, so every entry above ZERO_TOL
+    # stays in one level or joins two adjacent ones: H_S is block
+    # tridiagonal in level order
+    hr, levels, _, _ = _paper_problem(L, heavy)
+    big = np.abs(hr.vals) > PauliSum.ZERO_TOL
+    assert np.abs(levels[hr.rows] - levels[hr.cols])[big].max() <= 1
+    fronts = {(3, ()): [1, 10, 37, 80, 98, 70, 42, 28, 16, 10, 5, 2, 1],
+              (3, (0,)): [2, 18, 68, 150, 174, 110, 52, 18, 6, 2],
+              (3, (0, 2)): [4, 30, 102, 176, 160, 106, 58, 30, 16, 6, 2]}
+    if (L, heavy) in fronts:
+        assert np.bincount(levels).tolist() == fronts[L, heavy]
+
+
+@pytest.mark.parametrize("L,heavy", PAPER_SECTORS)
+def test_block_certificate_decides_as_the_dense_cholesky(L, heavy):
+    hr, levels, dense, energy = _paper_problem(L, heavy)
+    assert _bounded_below(hr, levels, energy) is _dense_certificate(dense, energy) is True
+    above = energy + 1e-6
+    assert _bounded_below(hr, levels, above) is _dense_certificate(dense, above) is False
+
+
+def test_an_entry_that_skips_a_level_comes_off_the_shift():
+    # from |00>: a controlled X reaches |01> (level 1), then a controlled X
+    # and XX + YY reach |11> and |10> (level 2); the XX + YY element from
+    # |00> to |11> is 0.3 - (0.1 + 0.2) = -5.6e-17, kept by restrict but
+    # not followed, so it joins levels 0 and 2 and its size comes off the
+    # certificate's shift
+    h = PauliSum(2, [PauliString.from_label(label, c) for label, c in [
+        ("IX", 0.5), ("ZX", 0.5), ("XI", 0.5), ("XZ", -0.5), ("XX", 0.3),
+        ("YY", 0.1 + 0.2), ("ZI", 0.7)]])
+    start = StateVector.basis(2, 0b00)
+    sector = Sector.closure(h, start)
+    hr, levels = sector.restrict(h), sector.levels
+    assert levels.tolist() == [0, 1, 2, 2]
+    skip = np.abs(levels[hr.rows] - levels[hr.cols]) > 1
+    assert skip.any() and 0 < np.abs(hr.vals[skip]).max() < 1e-16
+    dense = sector.dense(h)
+    lowest = np.linalg.eigvalsh(dense)[0]
+    for energy, passes in ((lowest, True), (lowest + 1e-6, False)):
+        assert _bounded_below(hr, levels, energy) is _dense_certificate(dense, energy) is passes
+    e, psi = lanczos_ground(h, start)
+    assert e == pytest.approx(lowest, abs=1e-12)
+
+
+def test_a_small_operator_is_certified_on_its_own_scale():
+    # 1e-12 XX: (|00> + |11>)/sqrt(2) is its eigenstate at 1e-12 and the
+    # lowest, at -1e-12, shares the sector.  Lanczos stops on 1e-12, and
+    # a margin of 1e-9 would let the certificate pass it; scaled by the
+    # operator's row sum, it fails, and eigh gives the lowest
+    h = PauliSum(2, [PauliString.from_label("XX", 1e-12)])
+    start = StateVector.on_basis(2, [0b00, 0b11], [2 ** -0.5, 2 ** -0.5])
+    e, psi = lanczos_ground(h, start)
+    assert e == pytest.approx(-1e-12, rel=1e-9)
+    assert np.linalg.norm(h.apply(psi).amps - e * psi.amps) < 1e-24
 
 
 @st.composite

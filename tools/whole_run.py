@@ -3,13 +3,22 @@
     python3 tools/whole_run.py [--src SRC] -- evolve --L 3
 
 runs `python -m su2lgt.cli ARGV` with SRC (default: this checkout's src/) on
-PYTHONPATH, one BLAS/OpenMP thread and a fixed hash seed.  It discards the
-child's standard output, passes on its standard error, and prints one JSON
-line: the argv, the exit code, `wall_s` (from starting the child to its
-exit), `peak_rss_mb` (the child's maximum resident set size, as the
-benchmark reads it) and `pythondontwritebytecode` (whether the child runs
-with PYTHONDONTWRITEBYTECODE set, so without a bytecode cache).  It exits 1 when the child did not exit 0.  The logs of
-paired runs of both sides feed `tools/bench_record.py --whole-runs`.
+PYTHONPATH, one BLAS/OpenMP thread and a fixed hash seed, in this checkout's
+root whatever directory it is called from (so relative paths in ARGV are
+taken from there, and a relative SRC from the caller's directory).  It
+discards the child's standard output, passes on its standard error, and
+prints one JSON line: the argv, the exit code, `wall_s` (from starting the
+child to its exit), `peak_rss_mb` (the child's maximum resident set size, as
+the benchmark reads it) and `pythondontwritebytecode` (whether the child
+runs with PYTHONDONTWRITEBYTECODE set, so without a bytecode cache).  It
+exits 1 when the child did not exit 0.  The logs of paired runs of both
+sides feed `tools/bench_record.py --whole-runs`.
+
+The working directory moved a whole-run peak by about 0.7 MB, and the
+path of the checkout alone (SRC's, on PYTHONPATH) still can: a peak
+difference under about 1 MB between two checkouts at different paths is
+heap layout, not code (notes/decisions.md, "Peak memory of the solve
+paths").
 """
 from __future__ import annotations
 
@@ -38,7 +47,8 @@ def main() -> int:
     env = dict(os.environ, **CHILD_ENV, PYTHONPATH=str(args.src.resolve()))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "su2lgt.cli", *args.argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                          cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
     wall = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     sys.stderr.write(proc.stderr)
